@@ -238,7 +238,10 @@ def parse_expression(text):
     """Parse ``text`` into a Polynomial (v-mode, possibly with scalar
     symbols) or a QPolynomial (q-mode).  Returns ``(mode, value)`` with
     mode 'v' or 'q'; a pure number parses as a constant Polynomial."""
-    value = _Parser(text).parse()
+    try:
+        value = _Parser(text).parse()
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply") from None
     if value.mode == "q":
         return "q", value.data
     if value.mode == "v":
@@ -252,6 +255,12 @@ def _infer_vars(option, poly, qpoly=None):
     if qpoly is not None:
         return max(qpoly.indices(), default=0)
     return max(poly.variables() | poly.scalar_symbols(), default=0)
+
+
+def _check_vars(n, indices):
+    top = max(indices, default=0)
+    if top > n:
+        raise ExpressionError("variable index %d exceeds --vars %d" % (top, n))
 
 
 def _build_base(n, max_degree, multilinear):
@@ -271,6 +280,7 @@ def _cmd_normalize(args, out):
     mode, value = parse_expression(_expr_arg(args.expr))
     if mode == "q":
         n = _infer_vars(args.vars, None, value)
+        _check_vars(n, value.indices())
         result = qvars.normalize_q(value, n=n, max_degree=args.max_deg)
     else:
         degree = value.degree()
@@ -278,6 +288,7 @@ def _cmd_normalize(args, out):
         if degree > max_deg:
             raise ExpressionError("input degree %d exceeds --max-deg %d" % (degree, max_deg))
         n = _infer_vars(args.vars, value)
+        _check_vars(n, value.variables())
         if n >= 2 and max_deg >= 3:
             result = rewrite.normalize(value, _build_base(n, max_deg, args.multilinear))
         else:
@@ -301,6 +312,7 @@ def _cmd_check_normal(args, out):
         raise ExpressionError("check-normal expects vector letters")
     w = _single_word(value)
     n = _infer_vars(args.vars, value)
+    _check_vars(n, w)
     pmode = "multilinear" if args.multilinear else "general"
     structural = rewrite.is_normal_structural(w, pmode)
     base = _build_base(n, max(3, len(w)), args.multilinear) if n >= 2 else rewrite.RuleSet()

@@ -238,12 +238,16 @@ def normalize_q(p: QPolynomial, n: int | None = None, max_degree: int | None = N
 
     Splits, then normalizes with the vector rule family for ``n``
     variables up to ``max_degree`` (defaults: the indices and degree of
-    ``p``).  Two q-polynomials have equal canonical forms exactly when
-    they differ by an element of the defining ideal.
+    ``p``); an index of ``p`` above ``n`` raises ``ValueError``.  Two
+    q-polynomials have equal canonical forms exactly when they differ by
+    an element of the defining ideal.
     """
-    sp = split(p)
+    top = max(p.indices(), default=0)
     if n is None:
-        n = max(p.indices(), default=0)
+        n = top
+    elif top > n:
+        raise ValueError("variable index %d exceeds n=%d" % (top, n))
+    sp = split(p)
     if max_degree is None:
         max_degree = p.degree()
     elif p.degree() > max_degree:

@@ -6,6 +6,16 @@ A :class:`RewriteRule` is a monic polynomial split as ``lead -> rhs``; a
 whose leads are pairwise factor-free.  Normal-form computation memoizes
 per-word results on the rule set, which is sound because the rewrite step
 chosen for a word depends on the word alone.
+
+A rule set indexes its leads in one dict from lead word to canonical rule
+index.  Factor matching, the factor-free check and the factor-freeness of
+the rule set itself all probe that dict with the factors of a word, one
+lead length at a time.  Rule tails and memo entries keep integral
+coefficients as ``int`` and others as ``Fraction`` (or ``Scalar``), so the
+closed-form families, whose tails are all +-1, reduce in int arithmetic;
+``normalize`` accumulates its result the same way.  ``normalize`` and
+``reduce_once`` return a :class:`Polynomial`, whose constructor turns the
+ints back into ``Fraction``.
 """
 
 from __future__ import annotations
@@ -61,30 +71,51 @@ def _rule_key(rule: RewriteRule):
     return (len(rule.lead), rule.family, rule.indices, rule.variant, rule.lead)
 
 
+def _memo_coeff(c):
+    # Integral Fractions become ints so closed-form tails multiply as ints.
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
 class RuleSet:
     """Canonically ordered rewrite rules with pairwise factor-free leads.
+
+    ``_index`` maps each lead word to its canonical rule index and
+    ``_lengths`` lists the distinct lead lengths in ascending order.
+    Canonical order sorts by lead length first, so probing the factors of
+    a word one length at a time and keeping the lowest index finds the
+    first matching rule in canonical order.  ``_tails`` holds each rule's
+    rhs as (word, coefficient) pairs with integral coefficients stored as
+    ``int``; the normal-form memo keeps the same representation.
 
     Immutable after construction; the internal normal-form cache is a pure
     memo (idempotent writes), so sharing across threads is safe.
     """
 
-    __slots__ = ("rules", "degree_bound", "_lead_bytes", "_nf_cache")
+    __slots__ = ("rules", "degree_bound", "_index", "_lengths", "_tails", "_nf_cache")
 
     def __init__(self, rules=(), degree_bound=None):
         rules = tuple(sorted(rules, key=_rule_key))
-        leads = [r.lead for r in rules]
-        for lead in leads:
-            if any(x < 1 or x > 255 for x in lead):
-                raise ValueError("letters must lie in 1..255 (factor search packs words into bytes)")
-        for i, la in enumerate(leads):
-            for j, lb in enumerate(leads):
-                if i != j and find_factor(la, lb) is not None:
-                    raise ValueError(
-                        "lead %s contains lead %s" % (word_str(la), word_str(lb))
-                    )
+        index = {}
+        for i, r in enumerate(rules):
+            if r.lead in index:
+                raise ValueError("duplicate lead %s" % word_str(r.lead))
+            index[r.lead] = i
         self.rules = rules
         self.degree_bound = degree_bound
-        self._lead_bytes = [bytes(r.lead) for r in rules]
+        self._index = index
+        self._lengths = sorted({len(lead) for lead in index})
+        # A lead's first match is itself unless it contains a shorter lead.
+        for i, r in enumerate(rules):
+            j, _ = _first_match(self, r.lead)
+            if j != i:
+                raise ValueError(
+                    "lead %s contains lead %s" % (word_str(r.lead), word_str(rules[j].lead))
+                )
+        self._tails = tuple(
+            [(u, _memo_coeff(c)) for u, c in r.rhs.terms.items()] for r in rules
+        )
         self._nf_cache = {}
 
     def __len__(self):
@@ -96,10 +127,6 @@ class RuleSet:
     def leads(self) -> tuple:
         return tuple(r.lead for r in self.rules)
 
-    @property
-    def max_rule_degree(self) -> int:
-        return max((len(r.lead) for r in self.rules), default=0)
-
     def __repr__(self):
         return "RuleSet(%d rules, degree_bound=%r)" % (len(self.rules), self.degree_bound)
 
@@ -107,29 +134,40 @@ class RuleSet:
 def find_factor(w: Word, lead: Word):
     """Leftmost offset of ``lead`` inside ``w``, or None.  The empty word
     is a factor of everything at offset 0."""
-    if not lead:
-        return 0
-    if len(lead) > len(w):
-        return None
-    pos = bytes(w).find(bytes(lead))
-    return pos if pos >= 0 else None
+    k = len(lead)
+    for p in range(len(w) - k + 1):
+        if w[p : p + k] == lead:
+            return p
+    return None
+
+
+def _first_match(base: RuleSet, w: Word):
+    """``(rule index, offset)`` of the first rule in canonical order that
+    occurs in ``w``, at its leftmost occurrence; None if ``w`` is normal."""
+    index = base._index
+    n = len(w)
+    for k in base._lengths:
+        if k > n:
+            break
+        best = None
+        for p in range(n - k + 1):
+            i = index.get(w[p : p + k])
+            if i is not None and (best is None or i < best[0]):
+                best = (i, p)
+        if best is not None:
+            return best
+    return None
 
 
 def _first_step(base: RuleSet, w: Word):
     """One rewrite of ``w`` by the first matching rule at its leftmost
     occurrence, as a list of (word, coefficient) pairs; None if normal."""
-    wb = bytes(w)
-    n = len(wb)
-    for rule, lb in zip(base.rules, base._lead_bytes):
-        if len(lb) > n:
-            continue
-        pos = wb.find(lb)
-        if pos < 0:
-            continue
-        end = pos + len(lb)
-        head, tail = w[:pos], w[end:]
-        return [(head + u + tail, c) for u, c in rule.rhs.terms.items()]
-    return None
+    hit = _first_match(base, w)
+    if hit is None:
+        return None
+    i, pos = hit
+    head, tail = w[:pos], w[pos + len(base.rules[i].lead) :]
+    return [(head + u + tail, c) for u, c in base._tails[i]]
 
 
 def _check_bound(base: RuleSet, degree: int):
@@ -161,8 +199,9 @@ def reduce_once(p: Polynomial, base: RuleSet):
 
 
 def _nf_word(base: RuleSet, w: Word) -> dict:
-    """Fully reduced form of a single word, as a raw word->Fraction dict.
-    Memoized on the rule set."""
+    """Fully reduced form of a single word, as a raw word->coefficient
+    dict with ``int`` coefficients wherever the tails allow.  Memoized on
+    the rule set."""
     cache = base._nf_cache
     hit = cache.get(w)
     if hit is not None:
@@ -175,7 +214,7 @@ def _nf_word(base: RuleSet, w: Word) -> dict:
             continue
         step = _first_step(base, u)
         if step is None:
-            cache[u] = {u: Fraction(1)}
+            cache[u] = {u: 1}
             stack.pop()
             continue
         missing = [x for x, _ in step if x not in cache]
@@ -204,6 +243,7 @@ def normalize(p: Polynomial, base: RuleSet) -> Polynomial:
     _check_bound(base, p.degree())
     acc = {}
     for w, c in p.terms.items():
+        c = _memo_coeff(c)
         for u, cu in _nf_word(base, w).items():
             val = acc.get(u, 0) + c * cu
             if val:
@@ -216,11 +256,7 @@ def normalize(p: Polynomial, base: RuleSet) -> Polynomial:
 def is_normal_factorfree(w: Word, base: RuleSet) -> bool:
     """True iff no rule lead occurs as a factor of ``w``."""
     _check_bound(base, len(w))
-    wb = bytes(w)
-    for lb in base._lead_bytes:
-        if len(lb) <= len(wb) and wb.find(lb) >= 0:
-            return False
-    return True
+    return _first_match(base, w) is None
 
 
 def _descents(w: Word):
@@ -328,29 +364,25 @@ class GroebnerReport:
 
 
 def overlaps(base: RuleSet, max_degree: int):
-    """All suffix-prefix overlaps and containments among the leads whose
-    overlap word has degree <= ``max_degree``."""
+    """All suffix-prefix overlaps among the leads whose overlap word has
+    degree <= ``max_degree``, sorted by word, then rule indices and offset.
+
+    A proper suffix of one lead is looked up in an index of proper lead
+    prefixes; leads never contain one another, so no containment arises.
+    """
+    prefixes = {}
+    for j, rj in enumerate(base.rules):
+        for m in range(1, len(rj.lead)):
+            prefixes.setdefault(rj.lead[:m], []).append(j)
     out = []
-    rules = base.rules
-    for i, ri in enumerate(rules):
+    for i, ri in enumerate(base.rules):
         li = ri.lead
-        for j, rj in enumerate(rules):
-            lj = rj.lead
-            # suffix of li meets prefix of lj: li at offset 0, lj at k
-            for k in range(1, len(li)):
-                if k + len(lj) <= len(li):
-                    continue  # containment, handled below
-                shared = len(li) - k
-                if li[k:] != lj[:shared]:
-                    continue
-                u = li + lj[shared:]
-                if len(u) <= max_degree:
-                    out.append(Obstruction(i, j, u, 0, k))
-            # lj properly inside li
-            if i != j and len(lj) < len(li) and len(li) <= max_degree:
-                for k in range(len(li) - len(lj) + 1):
-                    if li[k : k + len(lj)] == lj:
-                        out.append(Obstruction(i, j, li, 0, k))
+        # suffix li[k:] meets a longer prefix of lj: li at offset 0, lj at k
+        for k in range(1, len(li)):
+            for j in prefixes.get(li[k:], ()):
+                lj = base.rules[j].lead
+                if k + len(lj) <= max_degree:
+                    out.append(Obstruction(i, j, li + lj[len(li) - k :], 0, k))
     out.sort(key=lambda ob: (word_key(ob.word), ob.rule_a, ob.rule_b, ob.offset_b))
     return out
 

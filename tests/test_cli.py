@@ -177,3 +177,22 @@ def test_usage_errors_exit_2():
     assert code == 2
     code, _ = run(["no-such-command"])
     assert code == 2
+
+
+def test_vars_below_letter_index_is_an_error(capsys):
+    for argv in (
+        ["normalize", "--vars", "2", "v3*v2*v1"],
+        ["normalize", "--vars", "2", "q3*q2*q1"],
+        ["check-normal", "--vars", "2", "v3*v2*v1"],
+    ):
+        code, out = run(argv)
+        assert code == 2 and out == "", argv
+        assert "exceeds --vars 2" in capsys.readouterr().err
+
+
+def test_deep_nesting_is_a_parse_error():
+    text = "(" * 2000 + "v1" + ")" * 2000
+    with pytest.raises(ExpressionError):
+        parse_expression(text)
+    code, out = run(["normalize", text])
+    assert code == 2 and out == ""

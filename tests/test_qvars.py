@@ -86,6 +86,13 @@ def test_normalize_q_degree_guard():
         normalize_q(qw(1, 2, 1, 2), max_degree=3)
 
 
+def test_normalize_q_rejects_indices_above_n():
+    with pytest.raises(ValueError):
+        normalize_q(qw(3, 2, 1), n=2)
+    with pytest.raises(ValueError):
+        normalize_q(qw(2), n=1)
+
+
 def test_shift_invariance_exhaustive():
     # every letter commutes with the conjugation-even part of every word:
     # both commutator forms land in the ideal, checked for all q-words of

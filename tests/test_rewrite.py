@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from quatpoly.freealg import Polynomial, word_key
+from quatpoly.freealg import Polynomial, Scalar, word_key
 from quatpoly.rewrite import (
+    Obstruction,
     RewriteRule,
     RuleSet,
+    _first_step,
     check_groebner,
     complete,
     find_factor,
@@ -21,6 +23,7 @@ from quatpoly.rewrite import (
     s_polynomial,
 )
 from quatpoly.syzygy import (
+    gb_multilinear,
     gb_vector,
     gen_multilinear_syzygies,
     gen_vector_syzygies,
@@ -267,3 +270,132 @@ def test_inter_reduced_tails_are_normal(base_v46):
     for _ in range(30):
         p = helpers.random_poly(rng, n=4, max_degree=5)
         assert normalize(p, base_v46) == normalize(p, reduced)
+
+
+# Reference semantics for the lead index: a linear scan over the rules in
+# canonical order, and the all-pairs overlap loop with its containment branch.
+
+
+def _naive_step(base, word):
+    for rule in base.rules:
+        k = len(rule.lead)
+        for p in range(len(word) - k + 1):
+            if word[p : p + k] == rule.lead:
+                return [(word[:p] + u + word[p + k :], c) for u, c in rule.rhs.terms.items()]
+    return None
+
+
+def _naive_reduce_once(poly, base):
+    for word, c in poly.terms.items():
+        step = _naive_step(base, word)
+        if step is not None:
+            data = dict(poly.terms)
+            del data[word]
+            for u, cu in step:
+                data[u] = data.get(u, 0) + c * cu
+            return Polynomial(data), True
+    return poly, False
+
+
+def _naive_overlaps(base, max_degree):
+    out = []
+    for i, ri in enumerate(base.rules):
+        li = ri.lead
+        for j, rj in enumerate(base.rules):
+            lj = rj.lead
+            for k in range(1, len(li)):
+                if k + len(lj) <= len(li):
+                    continue
+                shared = len(li) - k
+                if li[k:] == lj[:shared] and k + len(lj) <= max_degree:
+                    out.append(Obstruction(i, j, li + lj[shared:], 0, k))
+            if i != j and len(lj) < len(li) and len(li) <= max_degree:
+                for k in range(len(li) - len(lj) + 1):
+                    if li[k : k + len(lj)] == lj:
+                        out.append(Obstruction(i, j, li, 0, k))
+    out.sort(key=lambda ob: (word_key(ob.word), ob.rule_a, ob.rule_b, ob.offset_b))
+    return out
+
+
+def _fractional_completion():
+    gens = [
+        w(2, 2, 1).scale(2) - w(1, 2, 2) - w(2, 1, 2),
+        w(3, 2, 1).scale(3) - w(1, 2, 3) + w(2, 1, 3),
+        w(2, 1, 1).scale(2) - w(1, 1, 2),
+        w(3, 1, 1).scale(3) - w(1, 1, 3),
+    ]
+    base = complete(gens, 6)
+    assert any(
+        type(c) is Fraction and c.denominator != 1
+        for r in base.rules
+        for c in r.rhs.terms.values()
+    )
+    return base
+
+
+def test_first_step_and_reduce_once_match_linear_scan(base_v45, base_m4):
+    broken = RuleSet([r for r in base_m4.rules if r.lead != (3, 2, 4, 1)], degree_bound=4)
+    for base in (base_v45, base_m4, broken):
+        for d in range(6):
+            for word in itertools.product((1, 2, 3, 4), repeat=d):
+                assert _first_step(base, word) == _naive_step(base, word), word
+                if d <= base.degree_bound:
+                    p = Polynomial.from_word(word, 3)
+                    assert reduce_once(p, base) == _naive_reduce_once(p, base), word
+    rng = random.Random(43)
+    for _ in range(100):
+        p = helpers.random_poly(rng)
+        assert reduce_once(p, base_v45) == _naive_reduce_once(p, base_v45)
+
+
+def test_overlaps_match_all_pairs():
+    for base, bound in ((gb_vector(5, 6), 6), (_fractional_completion(), 6)):
+        assert overlaps(base, bound) == _naive_overlaps(base, bound)
+
+
+def test_normalize_returns_fraction_or_scalar_coefficients(base_v45):
+    rng = random.Random(41)
+    frac = _fractional_completion()
+    cases = [(helpers.random_poly(rng), base_v45) for _ in range(40)]
+    cases += [(helpers.random_poly(rng, n=3, max_degree=6), frac) for _ in range(40)]
+    cases.append((Polynomial({(3, 2, 1): Scalar.symbol(1), (2, 2, 1): 2}), base_v45))
+    for p, base in cases:
+        for out in (normalize(p, base), reduce_once(p, base)[0]):
+            assert all(type(c) in (Fraction, Scalar) for c in out.terms.values()), out
+
+
+def test_letters_above_255():
+    relabel = {1: 1, 2: 2, 3: 300}
+
+    def move(p):
+        return Polynomial({tuple(relabel[x] for x in u): c for u, c in p.terms.items()})
+
+    small = gb_vector(3, 4)
+    big = RuleSet(
+        [
+            RewriteRule(
+                tuple(relabel[x] for x in r.lead), move(r.rhs), r.family, r.indices, r.variant
+            )
+            for r in small.rules
+        ],
+        degree_bound=4,
+    )
+    assert move(normalize(w(3, 2, 1), small)) == normalize(w(300, 2, 1), big)
+    assert not is_normal_factorfree((300, 2, 1), big)
+    rng = random.Random(47)
+    for _ in range(50):
+        p = helpers.random_poly(rng, n=3, max_degree=4)
+        assert normalize(move(p), big) == move(normalize(p, small))
+
+
+def test_rule_set_rejects_duplicate_and_contained_leads():
+    short = RewriteRule((2, 1), w(1, 2))
+    with pytest.raises(ValueError):
+        RuleSet([short, RewriteRule((2, 1), w(1, 2).scale(2))])
+    for lead, rhs in (
+        ((2, 1, 3), w(1, 2, 3)),
+        ((3, 2, 1), w(1, 2, 3)),
+        ((3, 2, 1, 3), w(1, 2, 3, 3)),
+    ):
+        with pytest.raises(ValueError):
+            RuleSet([RewriteRule(lead, rhs), short])
