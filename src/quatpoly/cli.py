@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 
 from . import oracle, qvars, rewrite, syzygy
-from .freealg import Polynomial, bracket_poly, vector_part_poly, word_str
+from .freealg import Polynomial, bracket_poly, cross, vector_part_poly, word_str
 from .qvars import QPolynomial
 
 
@@ -192,7 +192,7 @@ class _Parser:
             self.expect_op(",")
             b = self.expr()
             self.expect_op(")")
-            return _combine(a, b, _cross_any)
+            return _combine(a, b, cross)
         if name in ("v", "s", "q") and idx:
             index = int(idx)
             if index < 1:
@@ -210,10 +210,6 @@ class _Parser:
                 barred = True
             return _Value("q", QPolynomial.variable(index, barred=barred))
         raise ExpressionError("unknown name %r" % (name + idx), pos)
-
-
-def _cross_any(a, b):
-    return (a * b - b * a) * Fraction(1, 2)
 
 
 def _apply_func(name, value):

@@ -379,14 +379,6 @@ def add(p: Polynomial, q: Polynomial) -> Polynomial:
     return p + q
 
 
-def scale(c, p: Polynomial) -> Polynomial:
-    return p.scale(c)
-
-
-def mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
 def reversion(p: Polynomial) -> Polynomial:
     return p.reversion()
 
@@ -439,8 +431,3 @@ def cross(p: Polynomial, q: Polynomial) -> Polynomial:
 def bracket3(p: Polynomial, q: Polynomial, r: Polynomial) -> Polynomial:
     """Three-slot bracket (pqr - rqp)/2."""
     return (p * q * r - r * q * p) * _HALF
-
-
-def bracket4(p: Polynomial, q: Polynomial, r: Polynomial, s: Polynomial) -> Polynomial:
-    """Four-slot bracket (pqrs + srqp)/2."""
-    return (p * q * r * s + s * r * q * p) * _HALF

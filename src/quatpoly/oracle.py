@@ -10,11 +10,13 @@ can catch the other out.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .freealg import (
     Polynomial,
@@ -25,7 +27,7 @@ from .freealg import (
     inner,
     vector_part,
 )
-from .rewrite import RuleSet, is_normal_factorfree, is_normal_structural
+from .rewrite import RuleSet, generator_polys, is_normal_factorfree, is_normal_structural
 
 
 class Quaternion:
@@ -159,20 +161,33 @@ def evaluate(p: Polynomial, assignment: Assignment) -> Quaternion:
     return total
 
 
-def random_assignment(n: int, seed: int) -> Assignment:
-    """Deterministic assignment: vector coordinates are integers in
-    [-9, 9], redrawn if all zero; scalar symbols get integers in the same
-    range."""
+@functools.lru_cache(maxsize=1024)
+def _int_assignment(n: int, seed: int):
+    """The integer draw behind ``random_assignment(n, seed)``: a tuple of
+    ``n`` vector coordinate triples and a tuple of ``n`` scalar values,
+    letter i at position i-1.  Cached, since every zero test of the same
+    ``n`` walks the same seeds."""
     rng = random.Random(seed)
-    vectors = {}
-    for i in range(1, n + 1):
+    vectors = []
+    for _ in range(n):
         while True:
             b, c, d = (rng.randint(-9, 9) for _ in range(3))
             if b or c or d:
                 break
-        vectors[i] = Quaternion(0, b, c, d)
-    scalars = {i: Fraction(rng.randint(-9, 9)) for i in range(1, n + 1)}
-    return Assignment(vectors, scalars)
+        vectors.append((b, c, d))
+    scalars = tuple(rng.randint(-9, 9) for _ in range(n))
+    return tuple(vectors), scalars
+
+
+def random_assignment(n: int, seed: int) -> Assignment:
+    """Deterministic assignment: vector coordinates are integers in
+    [-9, 9], redrawn if all zero; scalar symbols get integers in the same
+    range."""
+    vectors, scalars = _int_assignment(n, seed)
+    return Assignment(
+        {i: Quaternion(0, *v) for i, v in enumerate(vectors, 1)},
+        {i: Fraction(s) for i, s in enumerate(scalars, 1)},
+    )
 
 
 @dataclass(frozen=True)
@@ -188,7 +203,8 @@ class ZeroTestResult:
 
 
 def _integer_terms(p: Polynomial):
-    """Terms of ``p`` scaled by the common coefficient denominator."""
+    """Terms of ``p`` scaled by the common coefficient denominator, with
+    rational coefficients as ints."""
     den = 1
     for c in p.terms.values():
         if isinstance(c, Scalar):
@@ -196,23 +212,27 @@ def _integer_terms(p: Polynomial):
                 den = lcm(den, q.denominator)
         else:
             den = lcm(den, c.denominator)
-    return [(w, c * den) for w, c in p.terms.items()]
+    return [
+        (w, c * den if isinstance(c, Scalar) else int(c * den))
+        for w, c in p.terms.items()
+    ]
 
 
 def _evaluate_int(terms, vecs, scals):
-    """Evaluate integer-coefficient terms at integer assignments using
-    plain int arithmetic; returns a coordinate 4-tuple."""
+    """Evaluate integer-coefficient terms at an ``_int_assignment`` draw
+    using plain int arithmetic; returns a coordinate 4-tuple."""
     ta = tb = tc = td = 0
-    for w, coeff in terms:
-        if isinstance(coeff, Scalar):
-            cv = int(coeff.substitute(scals))
-        else:
-            cv = int(coeff)
+    values = None
+    for w, cv in terms:
+        if isinstance(cv, Scalar):
+            if values is None:
+                values = dict(enumerate(scals, 1))
+            cv = int(cv.substitute(values))
         if not cv:
             continue
         a, b, c, d = 1, 0, 0, 0
         for letter in w:
-            e, f, g = vecs[letter]
+            e, f, g = vecs[letter - 1]
             a, b, c, d = (
                 -b * e - c * f - d * g,
                 a * e + c * g - d * f,
@@ -232,47 +252,52 @@ def zero_test(p: Polynomial, trials: int = 100, seed: int = 0, n: int | None = N
     ``random_assignment(n, seed + t)``."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    top = max(p.variables() | p.scalar_symbols(), default=0)
     if n is None:
-        n = max(p.variables() | p.scalar_symbols(), default=0)
+        n = top
+    elif top > n:
+        raise ValueError("letter index %d exceeds n = %d" % (top, n))
     terms = _integer_terms(p)
     for t in range(trials):
-        assignment = random_assignment(n, seed + t)
-        vecs = {i: (int(q.b), int(q.c), int(q.d)) for i, q in assignment.vectors.items()}
-        scals = {i: int(v) for i, v in assignment.scalars.items()}
+        vecs, scals = _int_assignment(n, seed + t)
         if any(_evaluate_int(terms, vecs, scals)):
+            assignment = random_assignment(n, seed + t)
             return ZeroTestResult(False, trials, t, assignment, evaluate(p, assignment))
     return ZeroTestResult(True, trials)
 
 
 def _rank_int(rows) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                piv = r
+    """Exact rank of a sparse integer matrix given as ``{col: int}`` rows.
+
+    Each pivot row is keyed by its lowest column.  A new row is reduced
+    by ``row*a - b*pivot`` (``a`` the pivot entry, ``b`` the row's own
+    entry, both divided by their gcd) and then by the gcd of its entries,
+    until it becomes a new pivot or vanishes.  All arithmetic is integer.
+    Reduction only mixes rows that share a column, so the rows of
+    multiset-homogeneous generators stay in their letter-multiset block.
+    """
+    pivots = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            col = min(row)
+            piv = pivots.get(col)
+            if piv is None:
+                pivots[col] = row
                 break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pval = rows[rank][col]
-        prow = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            row = rows[r]
-            x = row[col]
-            for cc in range(col, ncols):
-                row[cc] = (row[cc] * pval - x * prow[cc]) // prev
-        prev = pval
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+            a, b = piv[col], row[col]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            new = {c: v * a for c, v in row.items()}
+            for c, v in piv.items():
+                x = new.get(c, 0) - b * v
+                if x:
+                    new[c] = x
+                else:
+                    del new[c]
+            g = gcd(*new.values())
+            row = {c: v // g for c, v in new.items()} if g > 1 else new
+    return len(pivots)
 
 
 @dataclass(frozen=True)
@@ -291,25 +316,13 @@ class DimensionReport:
         return self.normal_by_rank == self.normal_factorfree == self.normal_structural
 
 
-def _generator_polys(generators):
-    out = []
-    for g in generators:
-        p = g if isinstance(g, Polynomial) else g.element
-        if p:
-            out.append(p)
-    return out
-
-
-def _row_for(p: Polynomial, left, right, col_index):
-    row = [0] * len(col_index)
-    den = 1
-    for c in p.terms.values():
-        den = lcm(den, c.denominator)
-    for w, c in p.terms.items():
+def _row_for(terms, left, right, col_index):
+    row = {}
+    for w, c in terms:
         col = col_index.get(left + w + right)
         if col is None:
             return None
-        row[col] += int(c * den)
+        row[col] = c
     return row
 
 
@@ -324,25 +337,29 @@ def dimension_check(
     """Count normal words of degree ``d`` three independent ways.
 
     The rank route spans the degree-``d`` slice of the two-sided ideal by
-    all products left*g*right and subtracts its exact rank from the word
-    count; the other two routes count words passing the factor-free and
-    the structural normality predicates.  With ``multiset`` the slice is
-    restricted to permutation words of that letter multiset.
+    all products left*g*right and subtracts its exact rank, by sparse
+    integer elimination, from the word count; the other two routes count
+    words passing the factor-free and the structural normality
+    predicates.  With ``multiset`` the slice is restricted to permutation
+    words of that letter multiset.  More than ``guard`` words raise
+    ``ValueError``.
     """
-    gens = _generator_polys(generators)
+    gens = generator_polys(generators)
     alphabet = range(1, n + 1)
     if multiset is None:
         mode = "general"
         if n**d > guard:
-            raise ValueError("n^d = %d exceeds the dense-rank guard %d" % (n**d, guard))
-        words = [w for w in itertools.product(alphabet, repeat=d)]
+            raise ValueError("n^d = %d words exceeds the word-count guard %d" % (n**d, guard))
+        words = list(itertools.product(alphabet, repeat=d))
     else:
         multiset = tuple(sorted(multiset))
         if len(multiset) != d:
             raise ValueError("multiset size %d != degree %d" % (len(multiset), d))
         words = sorted(set(itertools.permutations(multiset)))
         if len(words) > guard:
-            raise ValueError("permutation count exceeds the dense-rank guard")
+            raise ValueError(
+                "%d permutation words exceeds the word-count guard %d" % (len(words), guard)
+            )
         mode = "multilinear" if len(set(multiset)) == len(multiset) else "general"
 
     col_index = {w: i for i, w in enumerate(words)}
@@ -352,16 +369,15 @@ def dimension_check(
             dg = g.degree()
             if dg > d:
                 continue
+            terms = _integer_terms(g)
             for la in range(d - dg + 1):
                 lb = d - dg - la
                 for left in itertools.product(alphabet, repeat=la):
                     for right in itertools.product(alphabet, repeat=lb):
-                        row = _row_for(g, left, right, col_index)
+                        row = _row_for(terms, left, right, col_index)
                         if row is not None:
                             rows.append(row)
     else:
-        from collections import Counter
-
         target = Counter(multiset)
         for g in gens:
             mds = g.multidegree()
@@ -371,14 +387,10 @@ def dimension_check(
             if gset - target:
                 continue
             rest = list((target - gset).elements())
-            seen = set()
+            terms = _integer_terms(g)
             for perm in set(itertools.permutations(rest)):
                 for cut in range(len(perm) + 1):
-                    pair = (perm[:cut], perm[cut:])
-                    if pair in seen:
-                        continue
-                    seen.add(pair)
-                    row = _row_for(g, pair[0], pair[1], col_index)
+                    row = _row_for(terms, perm[:cut], perm[cut:], col_index)
                     if row is not None:
                         rows.append(row)
 

@@ -405,6 +405,17 @@ def s_polynomial(base: RuleSet, ob: Obstruction) -> Polynomial:
     return pa - pb
 
 
+def generator_polys(generators) -> list:
+    """The nonzero polynomials among ``generators``, which may be
+    polynomials or carriers with an ``element`` (a ``GeneratorFamily``)."""
+    out = []
+    for g in generators:
+        p = g if isinstance(g, Polynomial) else g.element
+        if p:
+            out.append(p)
+    return out
+
+
 def check_groebner(
     base: RuleSet,
     max_degree: int,
@@ -433,9 +444,8 @@ def check_groebner(
         if residue:
             residues.append((ob, residue))
     gen_residues = []
-    for g in generators or ():
-        p = g if isinstance(g, Polynomial) else g.element
-        if not p or p.degree() > max_degree:
+    for p in generator_polys(generators or ()):
+        if p.degree() > max_degree:
             continue
         residue = normalize(p, base)
         if residue:
@@ -460,17 +470,10 @@ def complete(generators, max_degree: int, max_rules: int = 1000) -> RuleSet:
     locally confluent to the bound.  Exceeding ``max_rules`` raises
     :class:`CompletionLimitExceeded`.
     """
-    pending = []
-    for g in generators:
-        if isinstance(g, Polynomial):
-            p = g
-        else:  # GeneratorFamily-like carrier
-            p = g.element
-        if not p:
-            continue
+    pending = generator_polys(generators)
+    for p in pending:
         if not p.is_multiset_homogeneous():
             raise ValueError("generator is not multiset-homogeneous: %s" % p)
-        pending.append(p)
 
     rules: list = []
     snapshot = RuleSet()

@@ -12,6 +12,7 @@ from quatpoly.oracle import (
     K,
     ONE,
     Quaternion,
+    _rank_int,
     dimension_check,
     evaluate,
     identity_corpus,
@@ -192,3 +193,185 @@ def test_corpus_random_spot_checks():
     corpus = identity_corpus()
     for name, p in rng.sample(corpus, 25):
         assert zero_test(p, trials=20, seed=7).passed, name
+
+
+def _fraction_rank(matrix) -> int:
+    """Reference rank: Gauss-Jordan elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    rank = 0
+    ncols = len(m[0]) if m else 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        pv = m[rank][col]
+        m[rank] = [x / pv for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def _sparse(matrix):
+    return [{c: v for c, v in enumerate(row) if v} for row in matrix]
+
+
+def _random_matrix(rng, nrows, ncols, density=0.3, bound=5):
+    return [
+        [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+def _with_dependents(rng, base, extra):
+    """Append zero rows, duplicates, scaled copies and integer linear
+    combinations of the rows of ``base``, then shuffle."""
+    rows = [list(r) for r in base]
+    ncols = len(rows[0])
+    for _ in range(extra):
+        kind = rng.randrange(4)
+        if kind == 0:
+            rows.append([0] * ncols)
+        elif kind == 1:
+            rows.append(list(rng.choice(base)))
+        elif kind == 2:
+            k = rng.choice((-7, -2, 3, 10**12))
+            rows.append([k * x for x in rng.choice(base)])
+        else:
+            a, b = rng.choice(base), rng.choice(base)
+            s, t = rng.randint(-9, 9), rng.randint(-9, 9)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    rng.shuffle(rows)
+    return rows
+
+
+def test_rank_int_matches_fraction_elimination():
+    rng = random.Random(31)
+    for trial in range(120):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        base = _random_matrix(rng, nrows, ncols, density=rng.choice((0.2, 0.5, 0.9)))
+        matrix = _with_dependents(rng, base, rng.randint(0, 6))
+        assert _rank_int(_sparse(matrix)) == _fraction_rank(matrix), (trial, matrix)
+
+
+def test_rank_int_large_entries_and_blocks():
+    rng = random.Random(32)
+    for trial in range(40):
+        # large entries: coefficient growth must stay exact
+        big = _random_matrix(rng, 6, 6, density=0.8, bound=10**25)
+        matrix = _with_dependents(rng, big, 4)
+        assert _rank_int(_sparse(matrix)) == _fraction_rank(matrix), trial
+        # block-diagonal layout: rank is the sum of the block ranks
+        blocks = [_random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), 0.6) for _ in range(3)]
+        blocks = [_with_dependents(rng, b, 2) for b in blocks]
+        width = sum(len(b[0]) for b in blocks)
+        matrix, offset = [], 0
+        for b in blocks:
+            for row in b:
+                matrix.append([0] * offset + row + [0] * (width - offset - len(row)))
+            offset += len(b[0])
+        rng.shuffle(matrix)
+        expected = sum(_fraction_rank(b) for b in blocks)
+        assert _fraction_rank(matrix) == expected
+        assert _rank_int(_sparse(matrix)) == expected, trial
+
+
+def test_rank_int_edge_rows():
+    assert _rank_int([]) == 0
+    assert _rank_int([{}, {0: 0, 3: 0}]) == 0
+    assert _rank_int([{2: 5}, {2: -10}, {2: 5, 4: 1}, {4: 3}]) == 2
+    rows = [{0: 2, 1: 4}, {0: 3, 1: 6}]
+    assert _rank_int(rows) == 1
+    assert rows == [{0: 2, 1: 4}, {0: 3, 1: 6}]  # input rows are not modified
+
+
+def test_dimension_check_benchmark_ranks(base_v46):
+    for n, d, rank in ((3, 5, 174), (2, 8, 231), (4, 4, 141)):
+        rep = dimension_check(n, d, gen_vector_syzygies(n), gb_vector(n, max(3, d)))
+        assert rep.ok and rep.rank == rank, (n, d)
+    rep = dimension_check(
+        4, 6, gen_vector_syzygies(4), base_v46, multiset=(1, 1, 2, 2, 3, 4)
+    )
+    assert rep.ok and rep.total_words == 180 and rep.rank == 162
+
+
+def test_dimension_check_slices_beyond_dense_reach(base_v36, base_v45):
+    cases = (
+        (3, 6, base_v36, 119),
+        (4, 5, base_v45, 256),
+        (3, 7, gb_vector(3, 7), 189),
+    )
+    for n, d, base, normal in cases:
+        rep = dimension_check(n, d, gen_vector_syzygies(n), base)
+        assert rep.ok and rep.normal_by_rank == normal, (n, d)
+
+
+def _draw(a):
+    vecs = {i: (q.a, q.b, q.c, q.d) for i, q in a.vectors.items()}
+    return vecs, dict(a.scalars)
+
+
+def test_random_assignment_pinned_draws():
+    expected = {
+        (1, 0): ({1: (3, 4, -8)}, {1: -1}),
+        (3, 42): (
+            {1: (-6, -9, -1), 2: (-2, -2, -5), 3: (-6, 8, -7)},
+            {1: 9, 2: 4, 3: -8},
+        ),
+        (6, 7): (
+            {1: (1, -5, 3), 2: (-8, -7, 8), 3: (-6, 2, 9), 4: (-8, 7, -3), 5: (-8, -7, 4), 6: (4, -7, -2)},
+            {1: -7, 2: 8, 3: 4, 4: -8, 5: 9, 6: -6},
+        ),
+        (2, 1000): ({1: (4, -6, 3), 2: (2, -7, 5)}, {1: -4, 2: 8}),
+    }
+    for (n, seed), (vecs, scals) in expected.items():
+        got_vecs, got_scals = _draw(random_assignment(n, seed))
+        assert got_vecs == {i: (0,) + v for i, v in vecs.items()}, (n, seed)
+        assert got_scals == scals, (n, seed)
+        assert all(type(x) is Fraction for x in got_scals.values())
+
+
+def test_random_assignment_returns_fresh_dicts():
+    a = random_assignment(3, 42)
+    a.vectors[1] = Quaternion(0, 1, 1, 1)
+    a.vectors.pop(2)
+    a.scalars.clear()
+    b = random_assignment(3, 42)
+    assert b.vectors[1] == Quaternion(0, -6, -9, -1)
+    assert b.vectors[2] == Quaternion(0, -2, -2, -5)
+    assert b.scalars == {1: 9, 2: 4, 3: -8}
+    res = zero_test(w(1, 2) - w(2, 1), seed=42, n=3)
+    assert res.witness_trial == 0 and res.witness == b
+
+
+def test_zero_test_pinned_witnesses():
+    commutator = w(1, 2) - w(2, 1)
+    cases = (
+        (0, 0, "v1=(0, 3, 4, -8), v2=(0, -1, 7, 6); s1=3, s2=0", Quaternion(0, 160, -20, 50)),
+        (3, 0, "v1=(0, -2, 9, 8), v2=(0, -5, 2, 6); s1=9, s2=-7", Quaternion(0, 76, -56, 82)),
+    )
+    for seed, trial, witness, value in cases:
+        res = zero_test(commutator, seed=seed)
+        assert not res.passed and res.trials == 100
+        assert res.witness_trial == trial
+        assert str(res.witness) == witness and res.value == value
+        assert res.witness == random_assignment(2, seed + res.witness_trial)
+    # (s1 + 1)*v1 vanishes at the first two draws of seed 0, where s1 = -1
+    p = Polynomial({(1,): Scalar({(1,): 1, (): 1})})
+    res = zero_test(p, seed=0)
+    assert res.witness_trial == 2
+    assert str(res.witness) == "v1=(0, -8, -7, -7); s1=2"
+    assert res.value == Quaternion(0, -24, -21, -21)
+    assert res.witness == random_assignment(1, 2)
+    assert zero_test(p, seed=1).witness_trial == 1
+
+
+def test_zero_test_rejects_letters_beyond_n():
+    with pytest.raises(ValueError):
+        zero_test(w(1, 3), n=2)
+    with pytest.raises(ValueError):
+        zero_test(Polynomial({(1,): Scalar.symbol(4)}), n=3)
+    assert zero_test(w(1, 1, 2) - w(2, 1, 1), n=4).passed
