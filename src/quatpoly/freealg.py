@@ -46,7 +46,170 @@ def word_multiset(w: Word) -> tuple:
     return tuple(sorted(w))
 
 
-class Scalar:
+def _rational(value) -> Fraction:
+    if isinstance(value, float):
+        raise TypeError("coefficients must be exact rationals, not float")
+    return Fraction(value)
+
+
+class _TermMap:
+    """Sparse map from keys to nonzero coefficients, the representation
+    shared by :class:`Scalar`, :class:`Polynomial` and
+    ``qvars.QPolynomial``.
+
+    ``terms`` iterates in descending ``_order`` of its keys, which keeps
+    term scans and formatting deterministic.  A subclass states its key
+    order, its coefficient ring (``_ring`` lists the operand types taken
+    as coefficients, ``_coeff`` coerces a non-``Fraction`` one), which
+    operands its ``__mul__`` accepts, and how one term prints.
+    """
+
+    __slots__ = ("terms",)
+
+    _order = staticmethod(word_key)
+    _ring = (int, Fraction)
+    _coeff = staticmethod(_rational)
+
+    def _set(self, pairs):
+        """Sum ``(key, coefficient)`` pairs, drop zeros and sort."""
+        coerce = self._coeff
+        data = {}
+        for k, c in pairs:
+            if type(c) is not Fraction:
+                c = coerce(c)
+            if k in data:
+                c = data[k] + c
+            if c:
+                data[k] = c
+            elif k in data:
+                del data[k]
+        self.terms = {k: data[k] for k in sorted(data, key=self._order, reverse=True)}
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def one(cls):
+        return cls({(): 1})
+
+    @classmethod
+    def constant(cls, c):
+        return cls({(): c})
+
+    @classmethod
+    def from_word(cls, w, coeff=1):
+        return cls({tuple(w): coeff})
+
+    def _lift(self, other):
+        """``other`` as a term map of this class; a coefficient becomes a
+        constant, anything else ``None``."""
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, self._ring):
+            return self.constant(other)
+        return None
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self.terms == o.terms
+
+    __hash__ = None
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        data = dict(self.terms)
+        for k, c in o.terms.items():
+            data[k] = data.get(k, 0) + c
+        return type(self)(data)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        data = dict(self.terms)
+        for k, c in o.terms.items():
+            data[k] = data.get(k, 0) - c
+        return type(self)(data)
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def _product(self, other):
+        """Bilinear product joining keys by concatenation; a subclass
+        whose keys need more canonicalizes them on construction."""
+        data = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = k1 + k2
+                data[k] = data.get(k, 0) + c1 * c2
+        return type(self)(data)
+
+    def __rmul__(self, other):
+        if isinstance(other, self._ring):
+            return self.scale(other)
+        return NotImplemented
+
+    def scale(self, c):
+        if type(c) is not Fraction:
+            c = self._coeff(c)
+        if not c:
+            return type(self)()
+        return type(self)({k: cc * c for k, cc in self.terms.items()})
+
+    def reversion(self):
+        """Reverse the letter order of every key; an anti-automorphism."""
+        return type(self)({k[::-1]: c for k, c in self.terms.items()})
+
+    def degree(self) -> int:
+        """Largest key length; 0 for the zero map."""
+        return len(next(iter(self.terms))) if self.terms else 0
+
+    def _format(self, term) -> str:
+        """Join ``term(key, coeff) -> (negative, body)`` over the terms."""
+        if not self.terms:
+            return "0"
+        out = []
+        for k, c in self.terms.items():
+            neg, body = term(k, c)
+            if out:
+                out.append(" - " + body if neg else " + " + body)
+            else:
+                out.append("-" + body if neg else body)
+        return "".join(out)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, self)
+
+
+def _coeff_body(mag: Fraction, factors) -> str:
+    """Join a positive magnitude with symbol factors, omitting a unit
+    coefficient unless it stands alone."""
+    if mag != 1 or not factors:
+        factors = [str(mag)] + list(factors)
+    return "*".join(factors)
+
+
+def _scalar_term(mono, coeff):
+    return (coeff < 0, _coeff_body(abs(coeff), ["s%d" % i for i in mono]))
+
+
+class Scalar(_TermMap):
     """Commutative polynomial in the scalar symbols s1, s2, ...
 
     Monomials are keyed by sorted index tuples with multiplicity, so
@@ -55,37 +218,20 @@ class Scalar:
     dictionaries and format identically.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for mono, coeff in terms.items():
-                mono = tuple(sorted(mono))
-                if type(coeff) is not Fraction:
-                    if isinstance(coeff, float):
-                        raise TypeError("coefficients must be exact rationals, not float")
-                    coeff = Fraction(coeff)
-                if mono in data:
-                    coeff = data[mono] + coeff
-                if coeff:
-                    data[mono] = coeff
-                elif mono in data:
-                    del data[mono]
-        self.terms = {m: data[m] for m in sorted(data, key=word_key, reverse=True)}
+        self._set(((tuple(sorted(m)), c) for m, c in terms.items()) if terms else ())
 
     @classmethod
     def rational(cls, value) -> "Scalar":
-        return cls({(): Fraction(value)})
+        return cls.constant(value)
 
     @classmethod
     def symbol(cls, index: int) -> "Scalar":
         if index < 1:
             raise ValueError("scalar symbol index must be >= 1")
         return cls({(index,): 1})
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def is_rational(self) -> bool:
         return not self.terms or set(self.terms) == {()}
@@ -113,140 +259,34 @@ class Scalar:
             total += prod
         return total
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, Scalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Scalar.rational(other)
-        return None
-
-    def __add__(self, other):
-        o = Scalar._coerce(other)
-        if o is None:
-            return NotImplemented
-        data = dict(self.terms)
-        for mono, coeff in o.terms.items():
-            data[mono] = data.get(mono, 0) + coeff
-        return Scalar(data)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Scalar({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        o = Scalar._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = Scalar._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
-        o = Scalar._coerce(other)
-        if o is None:
-            return NotImplemented
-        data = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
-                mono = tuple(sorted(m1 + m2))
-                data[mono] = data.get(mono, 0) + c1 * c2
-        return Scalar(data)
+        if isinstance(other, Scalar):
+            return self._product(other)
+        if isinstance(other, self._ring):
+            return self.scale(other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.as_fraction() == other
-        return NotImplemented
-
-    __hash__ = None
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for mono, coeff in self.terms.items():
-            body = _coeff_body(abs(coeff), ["s%d" % i for i in mono])
-            pieces.append((coeff < 0, body))
-        return _join_signed(pieces)
-
-    def __repr__(self):
-        return "Scalar(%s)" % self
+        return self._format(_scalar_term)
 
 
-def _coeff_body(mag: Fraction, factors) -> str:
-    """Join a positive magnitude with symbol factors, omitting a unit
-    coefficient unless it stands alone."""
-    if mag != 1 or not factors:
-        factors = [str(mag)] + list(factors)
-    return "*".join(factors)
+class Polynomial(_TermMap):
+    """Sparse polynomial of the free algebra, keyed by words and
+    iterating in descending word order; coefficients are ``Fraction``
+    or :class:`Scalar`."""
 
+    __slots__ = ()
 
-def _join_signed(pieces) -> str:
-    out = []
-    for i, (neg, body) in enumerate(pieces):
-        if i == 0:
-            out.append("-" + body if neg else body)
-        else:
-            out.append(" - " + body if neg else " + " + body)
-    return "".join(out)
+    _ring = (int, Fraction, Scalar)
 
-
-def _as_coeff(value):
-    if type(value) is Fraction or isinstance(value, Scalar):
-        return value
-    if isinstance(value, float):
-        raise TypeError("coefficients must be exact rationals, not float")
-    return Fraction(value)
-
-
-class Polynomial:
-    """Sparse polynomial of the free algebra.
-
-    ``terms`` maps words to nonzero coefficients and iterates in
-    descending word order, which keeps term scans and formatting
-    deterministic.
-    """
-
-    __slots__ = ("terms",)
+    @staticmethod
+    def _coeff(c):
+        return c if isinstance(c, Scalar) else _rational(c)
 
     def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for w, c in terms.items():
-                w = tuple(w)
-                c = _as_coeff(c)
-                if w in data:
-                    c = data[w] + c
-                if c:
-                    data[w] = c
-                elif w in data:
-                    del data[w]
-        self.terms = {w: data[w] for w in sorted(data, key=word_key, reverse=True)}
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return cls({(): 1})
-
-    @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls({(): c})
-
-    @classmethod
-    def from_word(cls, w, coeff=1) -> "Polynomial":
-        return cls({tuple(w): coeff})
+        self._set(terms.items() if terms else ())
 
     @classmethod
     def variable(cls, index: int) -> "Polynomial":
@@ -254,61 +294,12 @@ class Polynomial:
             raise ValueError("variable index must be >= 1")
         return cls({(index,): 1})
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return not self.terms
-            return self.terms == {(): Fraction(other)}
-        return NotImplemented
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        data = dict(self.terms)
-        for w, c in other.terms.items():
-            data[w] = data.get(w, 0) + c
-        return Polynomial(data)
-
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        data = dict(self.terms)
-        for w, c in other.terms.items():
-            data[w] = data.get(w, 0) - c
-        return Polynomial(data)
-
-    def __neg__(self):
-        return Polynomial({w: -c for w, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            data = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    w = w1 + w2
-                    data[w] = data.get(w, 0) + c1 * c2
-            return Polynomial(data)
-        if isinstance(other, (int, Fraction, Scalar)):
+            return self._product(other)
+        if isinstance(other, self._ring):
             return self.scale(other)
         return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c) -> "Polynomial":
-        c = _as_coeff(c)
-        if not c:
-            return Polynomial()
-        return Polynomial({w: cc * c for w, cc in self.terms.items()})
 
     def leading_word(self) -> Word:
         if not self.terms:
@@ -317,14 +308,6 @@ class Polynomial:
 
     def leading_coeff(self):
         return self.terms[self.leading_word()]
-
-    def degree(self) -> int:
-        """Largest word length; 0 for the zero polynomial."""
-        return len(self.leading_word()) if self.terms else 0
-
-    def reversion(self) -> "Polynomial":
-        """Reverse the letter order of every word; an anti-automorphism."""
-        return Polynomial({w[::-1]: c for w, c in self.terms.items()})
 
     def multidegree(self) -> set:
         """The set of letter multisets occurring among the words."""
@@ -347,18 +330,10 @@ class Polynomial:
         return out
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for w, c in self.terms.items():
-            pieces.append(_format_term(c, w))
-        return _join_signed(pieces)
-
-    def __repr__(self):
-        return "Polynomial(%s)" % self
+        return self._format(_format_term)
 
 
-def _format_term(coeff, w):
+def _format_term(w, coeff):
     """Return ``(negative, body)`` for one term, body without sign."""
     letters = ["v%d" % i for i in w]
     if isinstance(coeff, Scalar) and coeff.is_rational():
@@ -373,10 +348,6 @@ def _format_term(coeff, w):
     if letters:
         body += "*" + "*".join(letters)
     return (False, body)
-
-
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
 
 
 def reversion(p: Polynomial) -> Polynomial:
@@ -398,24 +369,22 @@ def bracket(w: Word) -> Polynomial:
 def vector_part(w: Word) -> Polynomial:
     """Conjugation-odd half of a word; ``bracket(w) + vector_part(w)``
     recovers the word."""
-    w = tuple(w)
-    sign = -_HALF if len(w) % 2 == 0 else _HALF
-    return Polynomial({w: _HALF}) + Polynomial({w[::-1]: sign})
+    return Polynomial.from_word(w) - bracket(w)
 
 
 def bracket_poly(p: Polynomial) -> Polynomial:
     """Linear extension of :func:`bracket` over the terms of ``p``."""
-    out = Polynomial()
+    data = {}
     for w, c in p.terms.items():
-        out = out + bracket(w).scale(c)
-    return out
+        half = c * _HALF
+        data[w] = data.get(w, 0) + half
+        r = w[::-1]
+        data[r] = data.get(r, 0) + (half if len(w) % 2 == 0 else -half)
+    return Polynomial(data)
 
 
 def vector_part_poly(p: Polynomial) -> Polynomial:
-    out = Polynomial()
-    for w, c in p.terms.items():
-        out = out + vector_part(w).scale(c)
-    return out
+    return p - bracket_poly(p)
 
 
 def inner(p: Polynomial, q: Polynomial) -> Polynomial:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import rewrite
-from .freealg import Polynomial, Scalar
+from .freealg import Polynomial, Scalar, _coeff_body, _TermMap
 
 QWord = tuple
 
@@ -41,46 +41,16 @@ def qword_conjugate(w: QWord) -> QWord:
     return tuple(-x for x in reversed(w))
 
 
-def qword_reverse(w: QWord) -> QWord:
-    """Reverse the letter order without barring."""
-    return tuple(reversed(w))
-
-
-class QPolynomial:
+class QPolynomial(_TermMap):
     """Sparse polynomial over the barred alphabet with rational
     coefficients; terms iterate in descending word order."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+
+    _order = staticmethod(qword_key)
 
     def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for w, c in terms.items():
-                w = tuple(w)
-                c = Fraction(c)
-                if w in data:
-                    c = data[w] + c
-                if c:
-                    data[w] = c
-                elif w in data:
-                    del data[w]
-        self.terms = {w: data[w] for w in sorted(data, key=qword_key, reverse=True)}
-
-    @classmethod
-    def zero(cls) -> "QPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "QPolynomial":
-        return cls({(): 1})
-
-    @classmethod
-    def constant(cls, c) -> "QPolynomial":
-        return cls({(): c})
-
-    @classmethod
-    def from_word(cls, w, coeff=1) -> "QPolynomial":
-        return cls({tuple(w): coeff})
+        self._set(terms.items() if terms else ())
 
     @classmethod
     def variable(cls, index: int, barred: bool = False) -> "QPolynomial":
@@ -88,71 +58,16 @@ class QPolynomial:
             raise ValueError("variable index must be >= 1")
         return cls({(-index if barred else index,): 1})
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, QPolynomial):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return not self.terms
-            return self.terms == {(): Fraction(other)}
-        return NotImplemented
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        data = dict(self.terms)
-        for w, c in other.terms.items():
-            data[w] = data.get(w, 0) + c
-        return QPolynomial(data)
-
-    def __sub__(self, other):
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        data = dict(self.terms)
-        for w, c in other.terms.items():
-            data[w] = data.get(w, 0) - c
-        return QPolynomial(data)
-
-    def __neg__(self):
-        return QPolynomial({w: -c for w, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, QPolynomial):
-            data = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    w = w1 + w2
-                    data[w] = data.get(w, 0) + c1 * c2
-            return QPolynomial(data)
-        if isinstance(other, (int, Fraction)):
+            return self._product(other)
+        if isinstance(other, self._ring):
             return self.scale(other)
         return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c) -> "QPolynomial":
-        c = Fraction(c)
-        if not c:
-            return QPolynomial()
-        return QPolynomial({w: cc * c for w, cc in self.terms.items()})
 
     def conjugate(self) -> "QPolynomial":
         """Anti-automorphism barring every word; an involution."""
         return QPolynomial({qword_conjugate(w): c for w, c in self.terms.items()})
-
-    def reversion(self) -> "QPolynomial":
-        return QPolynomial({qword_reverse(w): c for w, c in self.terms.items()})
-
-    def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
 
     def indices(self) -> set:
         out = set()
@@ -161,25 +76,11 @@ class QPolynomial:
         return out
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for w, c in self.terms.items():
-            mag = abs(c)
-            letters = [qletter_str(x) for x in w]
-            if mag != 1 or not letters:
-                letters = [str(mag)] + letters
-            pieces.append((c < 0, "*".join(letters)))
-        out = []
-        for i, (neg, body) in enumerate(pieces):
-            if i == 0:
-                out.append("-" + body if neg else body)
-            else:
-                out.append(" - " + body if neg else " + " + body)
-        return "".join(out)
+        return self._format(_qterm)
 
-    def __repr__(self):
-        return "QPolynomial(%s)" % self
+
+def _qterm(w, c):
+    return (c < 0, _coeff_body(abs(c), [qletter_str(x) for x in w]))
 
 
 def qconjugate(p: QPolynomial) -> QPolynomial:
@@ -196,27 +97,36 @@ def vector_part_q(p: QPolynomial) -> QPolynomial:
     return (p - p.conjugate()) * _HALF
 
 
-@lru_cache(maxsize=65536)
-def _split_word(w: QWord) -> Polynomial:
-    prod = Polynomial.one()
-    for x in w:
-        i = abs(x)
-        letter = Polynomial({(): Scalar.symbol(i), (i,): 1 if x > 0 else -1})
-        prod = prod * letter
-    return prod
-
-
 def split(p: QPolynomial) -> Polynomial:
     """Substitute q_i -> s_i + v_i and the barred letter -> s_i - v_i.
 
     A ring homomorphism onto the free algebra with central scalar
     symbols; conjugation on the q side becomes reversion composed with
-    v_i -> -v_i on the image.
+    v_i -> -v_i on the image.  Each letter of a word of length k picks
+    s_i or +-v_i, so the word expands to 2^k (vector word, scalar
+    monomial) terms, gathered per vector word.
     """
-    out = Polynomial()
+    images = {}
     for w, c in p.terms.items():
-        out = out + _split_word(w).scale(c)
-    return out
+        signed = (c, -c)
+        picks = [((), (), 0)]  # (vector word, scalar monomial, parity of -v_i picks)
+        for x in w:
+            i = abs(x)
+            bar = x < 0
+            picks = [
+                pick
+                for word, mono, odd in picks
+                for pick in ((word, mono + (i,), odd), (word + (i,), mono, odd ^ bar))
+            ]
+        for word, mono, odd in picks:
+            scalar = images.setdefault(word, {})
+            k = signed[odd]
+            scalar[mono] = scalar[mono] + k if mono in scalar else k
+    out = {}
+    for word, monos in images.items():
+        coeff = Scalar(monos)
+        out[word] = coeff.as_fraction() if coeff.is_rational() else coeff
+    return Polynomial(out)
 
 
 def conjugation_image(p: Polynomial) -> Polynomial:

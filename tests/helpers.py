@@ -1,7 +1,8 @@
-"""Shared test utilities: seeded random polynomials and a randomized
-reduction strategy used to probe confluence."""
+"""Shared test utilities: seeded random polynomials, a randomized
+reduction strategy used to probe confluence, and a naive q -> (s, v)
+split used as a reference."""
 
-from quatpoly.freealg import Polynomial
+from quatpoly.freealg import Polynomial, Scalar
 from quatpoly.rewrite import RuleSet
 
 
@@ -58,3 +59,16 @@ def normalize_random(p, base: RuleSet, rng):
                 terms[nw] = nc
             else:
                 terms.pop(nw, None)
+
+
+def split_reference(p):
+    """The q -> (s, v) split by plain multiplication: every letter q_i
+    becomes s_i + v_i, its conjugate s_i - v_i."""
+    out = Polynomial()
+    for w, c in p.terms.items():
+        prod = Polynomial.constant(c)
+        for x in w:
+            i = abs(x)
+            prod = prod * Polynomial({(): Scalar.symbol(i), (i,): 1 if x > 0 else -1})
+        out = out + prod
+    return out

@@ -63,6 +63,16 @@ def test_ring_ops_examples():
     assert w(1).scale(s1) * w(2) == Polynomial({(1, 2): s1})
 
 
+def test_coefficients_lift_to_constants():
+    s1 = Scalar.symbol(1)
+    assert w(1) + 1 == 1 + w(1) == w(1) + Polynomial.one()
+    assert 1 - w(1) == -(w(1) - 1)
+    assert s1 + Fraction(1, 2) == Scalar({(1,): 1, (): Fraction(1, 2)})
+    assert 2 - s1 == Scalar({(): 2, (1,): -1})
+    assert w(1) + s1 == Polynomial({(1,): 1, (): s1})
+    assert Polynomial.constant(s1) == s1
+
+
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         Polynomial({(1,): 0.5})

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
+from quatpoly.cli import parse_expression
 from quatpoly.freealg import Polynomial, Scalar
 from quatpoly.oracle import evaluate, random_assignment
 from quatpoly.qvars import (
@@ -143,3 +145,65 @@ def test_normalize_q_commutes_with_conjugation():
         lhs = normalize_q(qconjugate(p), n=3, max_degree=4)
         rhs = normalize(conjugation_image(normalize_q(p, n=3, max_degree=4)), base)
         assert lhs == rhs
+
+
+def test_qpolynomial_text_and_term_order():
+    assert str(QPolynomial.zero()) == "0"
+    assert str(QPolynomial.one()) == "1"
+    assert str(qw(-1)) == "q1'"
+    assert str(QPolynomial({(1, -2): Fraction(-1, 2)})) == "-1/2*q1*q2'"
+    p = qw(1) + qw(-1) + qw(2) - QPolynomial.constant(3)
+    assert list(p.terms) == [(2,), (-1,), (1,), ()]
+    assert str(p) == "q2 + q1' + q1 - 3"
+    p = qw(1, 1) + qw(1, -1) + qw(-1, 1) + qw(2, -1)
+    assert list(p.terms) == [(2, -1), (-1, 1), (1, -1), (1, 1)]
+    assert str(p) == "q2*q1' + q1'*q1 + q1*q1' + q1*q1"
+    assert str(QPolynomial({(-3,): Fraction(2, 3), (1, 2): -1})) == "-q1*q2 + 2/3*q3'"
+
+
+def test_qpolynomial_text_round_trips_through_the_parser():
+    rng = random.Random(23)
+    for _ in range(150):
+        terms = {random_qword(rng, min_len=1): Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))}
+        for _ in range(rng.randint(0, 4)):
+            terms[random_qword(rng)] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        p = QPolynomial(terms)
+        if not p.indices():
+            continue
+        mode, back = parse_expression(str(p))
+        assert mode == "q"
+        assert back == p
+        assert str(back) == str(p)
+
+
+def test_split_matches_naive_products_on_all_short_words():
+    letters = [s * i for i in (1, 2, 3) for s in (1, -1)]
+    for length in range(0, 5):
+        for word in itertools.product(letters, repeat=length):
+            p = QPolynomial.from_word(word)
+            got, want = split(p), helpers.split_reference(p)
+            assert got == want, word
+            assert str(got) == str(want), word
+
+
+def test_split_matches_naive_products_on_fractional_sums():
+    rng = random.Random(31)
+    for _ in range(150):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            terms[random_qword(rng, max_len=5)] = Fraction(rng.randint(-7, 7), rng.randint(1, 6))
+        p = QPolynomial(terms)
+        got, want = split(p), helpers.split_reference(p)
+        assert got == want, p
+        assert str(got) == str(want), p
+
+
+def test_float_coefficients_rejected():
+    for make in (
+        lambda: QPolynomial({(1,): 0.1}),
+        lambda: QPolynomial.constant(0.25),
+        lambda: qw(1).scale(0.5),
+        lambda: Scalar.rational(0.1),
+    ):
+        with pytest.raises(TypeError, match="exact rationals"):
+            make()
