@@ -12,14 +12,23 @@ index.  Factor matching, the factor-free check and the factor-freeness of
 the rule set itself all probe that dict with the factors of a word, one
 lead length at a time.  Rule tails and memo entries keep integral
 coefficients as ``int`` and others as ``Fraction`` (or ``Scalar``), so the
-closed-form families, whose tails are all +-1, reduce in int arithmetic;
-``normalize`` accumulates its result the same way.  ``normalize`` and
-``reduce_once`` return a :class:`Polynomial`, whose constructor turns the
-ints back into ``Fraction``.
+closed-form families, whose tails are all +-1, reduce in int arithmetic.
+The memo takes one rewrite step per word it enters.  ``normalize`` and
+the overlap residues share one accumulate loop over the memo.
+``normalize`` and ``reduce_once`` return a :class:`Polynomial`, whose
+constructor turns the ints back into ``Fraction``.
+
+An overlap's S-polynomial is read straight off the two rules' tails,
+placed between the head and tail of the overlap word, with no products.
+``check_groebner`` and ``complete`` sum its residue in the same raw dicts
+and build a :class:`Polynomial` only for a nonzero one.  ``complete``
+keeps its pending polynomials in a heap ordered by leading word.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -201,37 +210,57 @@ def reduce_once(p: Polynomial, base: RuleSet):
 def _nf_word(base: RuleSet, w: Word) -> dict:
     """Fully reduced form of a single word, as a raw word->coefficient
     dict with ``int`` coefficients wherever the tails allow.  Memoized on
-    the rule set."""
+    the rule set.
+
+    A word whose successors are not all cached yet keeps its rewrite step
+    in ``held`` until it is revisited, so each memo miss takes exactly
+    one :func:`_first_step`; the step is dropped once the word is cached.
+    """
     cache = base._nf_cache
     hit = cache.get(w)
     if hit is not None:
         return hit
     stack = [w]
+    held = {}
     while stack:
         u = stack[-1]
         if u in cache:
             stack.pop()
             continue
-        step = _first_step(base, u)
+        # Successors are smaller words, so a held word comes back to the
+        # top only after every successor it pushed is cached.
+        step = held.pop(u, None)
         if step is None:
-            cache[u] = {u: 1}
-            stack.pop()
-            continue
-        missing = [x for x, _ in step if x not in cache]
-        if missing:
-            stack.extend(missing)
-            continue
-        acc = {}
-        for x, cx in step:
-            for ww, cc in cache[x].items():
-                val = acc.get(ww, 0) + cx * cc
-                if val:
-                    acc[ww] = val
-                elif ww in acc:
-                    del acc[ww]
-        cache[u] = acc
+            step = _first_step(base, u)
+            if step is None:
+                cache[u] = {u: 1}
+                stack.pop()
+                continue
+            missing = [x for x, _ in step if x not in cache]
+            if missing:
+                held[u] = step
+                stack.extend(missing)
+                continue
+        cache[u] = _accumulate(base, step)
         stack.pop()
     return cache[w]
+
+
+def _accumulate(base: RuleSet, pairs) -> dict:
+    """The raw sum of ``c * nf(w)`` over ``(w, c)`` pairs, zeros dropped."""
+    cache = base._nf_cache
+    acc = {}
+    for w, c in pairs:
+        nf = cache.get(w)
+        if nf is None:
+            nf = _nf_word(base, w)
+        for u, cu in nf.items():
+            val = acc.get(u, 0) + c * cu
+            if val:
+                acc[u] = val
+            elif u in acc:
+                del acc[u]
+    return acc
 
 
 def normalize(p: Polynomial, base: RuleSet) -> Polynomial:
@@ -241,16 +270,7 @@ def normalize(p: Polynomial, base: RuleSet) -> Polynomial:
     replaces a word by strictly smaller words of the same letter multiset.
     """
     _check_bound(base, p.degree())
-    acc = {}
-    for w, c in p.terms.items():
-        c = _memo_coeff(c)
-        for u, cu in _nf_word(base, w).items():
-            val = acc.get(u, 0) + c * cu
-            if val:
-                acc[u] = val
-            elif u in acc:
-                del acc[u]
-    return Polynomial(acc)
+    return Polynomial(_accumulate(base, [(w, _memo_coeff(c)) for w, c in p.terms.items()]))
 
 
 def is_normal_factorfree(w: Word, base: RuleSet) -> bool:
@@ -387,22 +407,33 @@ def overlaps(base: RuleSet, max_degree: int):
     return out
 
 
+def _s_terms(base: RuleSet, ob: Obstruction) -> dict:
+    """The S-polynomial of ``ob`` as a raw word->coefficient dict: each
+    rule's tail terms between the head and tail of the overlap word,
+    rule ``a`` added and rule ``b`` subtracted, zeros dropped."""
+    u = ob.word
+    data = {}
+    for i, offset, negate in ((ob.rule_a, ob.offset_a, False), (ob.rule_b, ob.offset_b, True)):
+        head, tail = u[:offset], u[offset + len(base.rules[i].lead) :]
+        for x, c in base._tails[i]:
+            x = head + x + tail
+            val = data.get(x, 0) + (-c if negate else c)
+            if val:
+                data[x] = val
+            elif x in data:
+                del data[x]
+    return data
+
+
 def s_polynomial(base: RuleSet, ob: Obstruction) -> Polynomial:
     """Difference of the two one-step rewrites of the overlap word."""
-    ra = base.rules[ob.rule_a]
-    rb = base.rules[ob.rule_b]
-    u = ob.word
-    pa = (
-        Polynomial.from_word(u[: ob.offset_a])
-        * ra.rhs
-        * Polynomial.from_word(u[ob.offset_a + len(ra.lead) :])
-    )
-    pb = (
-        Polynomial.from_word(u[: ob.offset_b])
-        * rb.rhs
-        * Polynomial.from_word(u[ob.offset_b + len(rb.lead) :])
-    )
-    return pa - pb
+    return Polynomial(_s_terms(base, ob))
+
+
+def _residue(base: RuleSet, ob: Obstruction) -> dict:
+    """Normal form of the S-polynomial of ``ob`` as a raw dict, summed
+    from the rule tails and the memo without building a polynomial."""
+    return _accumulate(base, _s_terms(base, ob).items())
 
 
 def generator_polys(generators) -> list:
@@ -440,9 +471,9 @@ def check_groebner(
         if multilinear and len(set(ob.word)) != len(ob.word):
             continue
         checked += 1
-        residue = normalize(s_polynomial(base, ob), base)
+        residue = _residue(base, ob)
         if residue:
-            residues.append((ob, residue))
+            residues.append((ob, Polynomial(residue)))
     gen_residues = []
     for p in generator_polys(generators or ()):
         if p.degree() > max_degree:
@@ -468,12 +499,27 @@ def complete(generators, max_degree: int, max_rules: int = 1000) -> RuleSet:
     obstruction of degree <= ``max_degree`` leaves a residue.  The output
     is re-verified before returning, so a returned set is genuinely
     locally confluent to the bound.  Exceeding ``max_rules`` raises
-    :class:`CompletionLimitExceeded`.
+    :class:`CompletionLimitExceeded`; a generator of degree above
+    ``max_degree`` raises ``ValueError``.
+
+    Pending polynomials wait in a heap keyed by ``(word_key(lead), -seq)``
+    with ``seq`` their insertion count: the smallest lead comes out first,
+    and among equal leads the one pushed last.
     """
-    pending = generator_polys(generators)
-    for p in pending:
+    pending = []
+    seq = itertools.count()
+
+    def push(p):
+        heapq.heappush(pending, (word_key(p.leading_word()), -next(seq), p))
+
+    for p in generator_polys(generators):
         if not p.is_multiset_homogeneous():
             raise ValueError("generator is not multiset-homogeneous: %s" % p)
+        if p.degree() > max_degree:
+            raise ValueError(
+                "generator degree %d exceeds the degree bound %d" % (p.degree(), max_degree)
+            )
+        push(p)
 
     rules: list = []
     snapshot = RuleSet()
@@ -481,10 +527,8 @@ def complete(generators, max_degree: int, max_rules: int = 1000) -> RuleSet:
 
     def absorb():
         nonlocal rules, snapshot
-        changed = False
         while pending:
-            pending.sort(key=lambda q: word_key(q.leading_word()), reverse=True)
-            p = normalize(pending.pop(), snapshot)
+            p = normalize(heapq.heappop(pending)[2], snapshot)
             if not p:
                 continue
             p = _monic(p)
@@ -501,10 +545,9 @@ def complete(generators, max_degree: int, max_rules: int = 1000) -> RuleSet:
                     "completion exceeded %d rules at degree bound %d" % (max_rules, max_degree)
                 )
             rules = keep
-            pending.extend(requeue)
+            for q in requeue:
+                push(q)
             snapshot = RuleSet(rules)
-            changed = True
-        return changed
 
     while True:
         absorb()
@@ -520,20 +563,20 @@ def complete(generators, max_degree: int, max_rules: int = 1000) -> RuleSet:
             if key in done:
                 continue
             done.add(key)
-            residue = normalize(s_polynomial(snapshot, ob), snapshot)
+            residue = _residue(snapshot, ob)
             if residue:
-                pending.append(residue)
+                push(Polynomial(residue))
                 found = True
                 break
-        if found or pending:
+        if found:
             continue
         # final verification sweep; rule replacement can in principle
         # stale an earlier zero residue, so recheck everything once
         clean = True
         for ob in overlaps(snapshot, max_degree):
-            residue = normalize(s_polynomial(snapshot, ob), snapshot)
+            residue = _residue(snapshot, ob)
             if residue:
-                pending.append(residue)
+                push(Polynomial(residue))
                 clean = False
                 break
         if clean:

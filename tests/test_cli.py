@@ -1,10 +1,16 @@
+import hashlib
 import io
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import helpers
+import quatpoly
 from quatpoly.cli import ExpressionError, main, parse_expression
 from quatpoly.freealg import Polynomial, Scalar, bracket
 from quatpoly.qvars import QPolynomial
@@ -196,3 +202,48 @@ def test_deep_nesting_is_a_parse_error():
         parse_expression(text)
     code, out = run(["normalize", text])
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["complete", "--vars", "4", "--max-deg", "5"],
+            "e5d41ab0bb3a3677da6c7acaeaae33e7fabd5cef30cf3d5145efe6d2f43349ed",
+        ),
+        (
+            ["verify-groebner", "--vars", "5", "--max-deg", "6"],
+            "7c3186d15bc308dc70c1a05a10ae0a1146d94ae29a6fa53c0b1b0f45e64a0539",
+        ),
+    ],
+)
+def test_report_digests_are_pinned(argv, digest):
+    # Pins every rule tail of the completion, not only its leads.
+    code, out = run(argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_complete_below_a_generator_degree_is_an_error(capsys):
+    code, out = run(["complete", "--vars", "2", "--max-deg", "0"])
+    assert code == 2 and out == ""
+    assert "exceeds the degree bound 0" in capsys.readouterr().err
+    code, out = run(["complete", "--max-deg", "2", "v1*v1*v2 - v2*v1*v1"])
+    assert code == 2 and out == ""
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(quatpoly.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def python_m(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "quatpoly", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    proc = python_m("complete", "--vars", "2", "--max-deg", "4")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == ["v2*v1*v1 -> v1*v1*v2", "v2*v2*v1 -> v1*v2*v2"]
+    proc = python_m("complete", "--vars", "2", "--max-deg", "0")
+    assert proc.returncode == 2 and proc.stdout == ""

@@ -11,6 +11,8 @@ from quatpoly.rewrite import (
     RewriteRule,
     RuleSet,
     _first_step,
+    _monic,
+    _residue,
     check_groebner,
     complete,
     find_factor,
@@ -399,3 +401,88 @@ def test_rule_set_rejects_duplicate_and_contained_leads():
     ):
         with pytest.raises(ValueError):
             RuleSet([RewriteRule(lead, rhs), short])
+
+
+def test_complete_rejects_generators_above_the_degree_bound():
+    gens = [g.element for g in gen_vector_syzygies(3)]
+    with pytest.raises(ValueError, match="exceeds the degree bound 2"):
+        complete(gens, 2)
+    with pytest.raises(ValueError):
+        complete([w(2, 1, 1) - w(1, 1, 2), w(2, 2, 1, 1) - w(1, 1, 2, 2)], 3)
+    assert len(complete(gens, 3)) == len(gb_vector(3, 3))
+
+
+# Reference semantics for the residues: the S-polynomial as the difference
+# of two products, normalized by the public normalize.
+
+
+def _product_s_polynomial(base, ob):
+    ra = base.rules[ob.rule_a]
+    rb = base.rules[ob.rule_b]
+    u = ob.word
+    pa = (
+        Polynomial.from_word(u[: ob.offset_a])
+        * ra.rhs
+        * Polynomial.from_word(u[ob.offset_a + len(ra.lead) :])
+    )
+    pb = (
+        Polynomial.from_word(u[: ob.offset_b])
+        * rb.rhs
+        * Polynomial.from_word(u[ob.offset_b + len(rb.lead) :])
+    )
+    return pa - pb
+
+
+def _raw_generator_rules(n):
+    # Monic generators as rules, the first generator of each lead kept.
+    rules = {}
+    for g in gen_vector_syzygies(n):
+        p = _monic(g.element)
+        lead = p.leading_word()
+        rules.setdefault(lead, RewriteRule(lead, Polynomial.from_word(lead) - p))
+    return RuleSet(rules.values())
+
+
+def test_residues_match_normalized_product_s_polynomials(base_m4):
+    broken = RuleSet([r for r in base_m4.rules if r.lead != (3, 2, 4, 1)], degree_bound=4)
+    # (rule set, degree bound, multilinear, obstructions, nonzero residues)
+    cases = [
+        (gb_vector(5, 6), 6, False, 395, 0),
+        (gb_multilinear(5), 6, True, None, 0),
+        (broken, 4, True, 2, 0),
+        (_raw_generator_rules(3), 5, False, 13, 3),
+        (_fractional_completion(), 6, False, None, 0),
+    ]
+    for base, bound, multilinear, count, nonzero in cases:
+        obs = overlaps(base, bound)
+        if multilinear:
+            obs = [ob for ob in obs if len(set(ob.word)) == len(ob.word)]
+        assert obs and count in (None, len(obs)), base
+        found = 0
+        for ob in obs:
+            product = _product_s_polynomial(base, ob)
+            assert s_polynomial(base, ob) == product, ob
+            residue = Polynomial(_residue(base, ob))
+            assert residue == normalize(product, base), ob
+            found += bool(residue)
+        assert found == nonzero, base
+        report = check_groebner(base, bound, multilinear=multilinear)
+        assert report.obstructions_checked == len(obs)
+        assert [r for _, r in report.residues] == [
+            normalize(_product_s_polynomial(base, ob), base) for ob, _ in report.residues
+        ]
+        assert len(report.residues) == nonzero
+
+
+def test_first_step_runs_once_per_memo_entry(monkeypatch):
+    base = gb_vector(5, 6)
+    calls = []
+
+    def counted(b, word):
+        calls.append(word)
+        return _first_step(b, word)
+
+    monkeypatch.setattr("quatpoly.rewrite._first_step", counted)
+    assert check_groebner(base, 6).ok
+    assert len(calls) == len(base._nf_cache) == 7333
+    assert len(set(calls)) == len(calls)
