@@ -13,16 +13,16 @@ the rule set itself all probe that dict with the factors of a word, one
 lead length at a time.  Rule tails and memo entries keep integral
 coefficients as ``int`` and others as ``Fraction`` (or ``Scalar``), so the
 closed-form families, whose tails are all +-1, reduce in int arithmetic.
-The memo takes one rewrite step per word it enters.  ``normalize`` and
-the overlap residues share one accumulate loop over the memo.
+The memo takes one rewrite step per word it enters, and ``normalize``
+sums the memo entries of its terms in one accumulate loop.
 ``normalize`` and ``reduce_once`` return a :class:`Polynomial`, whose
 constructor turns the ints back into ``Fraction``.
 
 An overlap's S-polynomial is read straight off the two rules' tails,
-placed between the head and tail of the overlap word, with no products.
-``check_groebner`` and ``complete`` sum its residue in the same raw dicts
-and build a :class:`Polynomial` only for a nonzero one.  ``complete``
-keeps its pending polynomials in a heap ordered by leading word.
+placed between the head and tail of the overlap word, with no products;
+``check_groebner`` and ``complete`` pass it to ``normalize``.
+``complete`` keeps its pending polynomials in a heap ordered by leading
+word.
 """
 
 from __future__ import annotations
@@ -174,7 +174,12 @@ def _first_step(base: RuleSet, w: Word):
     hit = _first_match(base, w)
     if hit is None:
         return None
-    i, pos = hit
+    return _rewrite_at(base, hit[0], w, hit[1])
+
+
+def _rewrite_at(base: RuleSet, i: int, w: Word, pos: int):
+    """``w`` with the lead of rule ``i`` at offset ``pos`` replaced by the
+    rule's tail, as a list of (word, coefficient) pairs."""
     head, tail = w[:pos], w[pos + len(base.rules[i].lead) :]
     return [(head + u + tail, c) for u, c in base._tails[i]]
 
@@ -407,33 +412,13 @@ def overlaps(base: RuleSet, max_degree: int):
     return out
 
 
-def _s_terms(base: RuleSet, ob: Obstruction) -> dict:
-    """The S-polynomial of ``ob`` as a raw word->coefficient dict: each
-    rule's tail terms between the head and tail of the overlap word,
-    rule ``a`` added and rule ``b`` subtracted, zeros dropped."""
-    u = ob.word
-    data = {}
-    for i, offset, negate in ((ob.rule_a, ob.offset_a, False), (ob.rule_b, ob.offset_b, True)):
-        head, tail = u[:offset], u[offset + len(base.rules[i].lead) :]
-        for x, c in base._tails[i]:
-            x = head + x + tail
-            val = data.get(x, 0) + (-c if negate else c)
-            if val:
-                data[x] = val
-            elif x in data:
-                del data[x]
-    return data
-
-
 def s_polynomial(base: RuleSet, ob: Obstruction) -> Polynomial:
-    """Difference of the two one-step rewrites of the overlap word."""
-    return Polynomial(_s_terms(base, ob))
-
-
-def _residue(base: RuleSet, ob: Obstruction) -> dict:
-    """Normal form of the S-polynomial of ``ob`` as a raw dict, summed
-    from the rule tails and the memo without building a polynomial."""
-    return _accumulate(base, _s_terms(base, ob).items())
+    """Difference of the two one-step rewrites of the overlap word, read
+    off the two rules' tails with no products."""
+    data = dict(_rewrite_at(base, ob.rule_a, ob.word, ob.offset_a))
+    for u, c in _rewrite_at(base, ob.rule_b, ob.word, ob.offset_b):
+        data[u] = data.get(u, 0) - c
+    return Polynomial(data)
 
 
 def generator_polys(generators) -> list:
@@ -471,9 +456,9 @@ def check_groebner(
         if multilinear and len(set(ob.word)) != len(ob.word):
             continue
         checked += 1
-        residue = _residue(base, ob)
+        residue = normalize(s_polynomial(base, ob), base)
         if residue:
-            residues.append((ob, Polynomial(residue)))
+            residues.append((ob, residue))
     gen_residues = []
     for p in generator_polys(generators or ()):
         if p.degree() > max_degree:
@@ -563,9 +548,9 @@ def complete(generators, max_degree: int, max_rules: int = 1000) -> RuleSet:
             if key in done:
                 continue
             done.add(key)
-            residue = _residue(snapshot, ob)
+            residue = normalize(s_polynomial(snapshot, ob), snapshot)
             if residue:
-                push(Polynomial(residue))
+                push(residue)
                 found = True
                 break
         if found:
@@ -574,9 +559,9 @@ def complete(generators, max_degree: int, max_rules: int = 1000) -> RuleSet:
         # stale an earlier zero residue, so recheck everything once
         clean = True
         for ob in overlaps(snapshot, max_degree):
-            residue = _residue(snapshot, ob)
+            residue = normalize(s_polynomial(snapshot, ob), snapshot)
             if residue:
-                push(Polynomial(residue))
+                push(residue)
                 clean = False
                 break
         if clean:
