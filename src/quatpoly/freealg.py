@@ -16,8 +16,6 @@ from fractions import Fraction
 
 Word = tuple
 
-EMPTY_WORD: Word = ()
-
 _HALF = Fraction(1, 2)
 
 

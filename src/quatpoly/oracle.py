@@ -326,13 +326,16 @@ def _row_for(terms, left, right, col_index):
     return row
 
 
+# Largest word count a dimension_check slice may span.
+_WORD_GUARD = 10000
+
+
 def dimension_check(
     n: int,
     d: int,
     generators,
     base: RuleSet,
     multiset: tuple | None = None,
-    guard: int = 10000,
 ) -> DimensionReport:
     """Count normal words of degree ``d`` three independent ways.
 
@@ -341,24 +344,26 @@ def dimension_check(
     integer elimination, from the word count; the other two routes count
     words passing the factor-free and the structural normality
     predicates.  With ``multiset`` the slice is restricted to permutation
-    words of that letter multiset.  More than ``guard`` words raise
+    words of that letter multiset.  More than ``_WORD_GUARD`` words raise
     ``ValueError``.
     """
     gens = generator_polys(generators)
     alphabet = range(1, n + 1)
     if multiset is None:
         mode = "general"
-        if n**d > guard:
-            raise ValueError("n^d = %d words exceeds the word-count guard %d" % (n**d, guard))
+        if n**d > _WORD_GUARD:
+            raise ValueError(
+                "n^d = %d words exceeds the word-count guard %d" % (n**d, _WORD_GUARD)
+            )
         words = list(itertools.product(alphabet, repeat=d))
     else:
         multiset = tuple(sorted(multiset))
         if len(multiset) != d:
             raise ValueError("multiset size %d != degree %d" % (len(multiset), d))
         words = sorted(set(itertools.permutations(multiset)))
-        if len(words) > guard:
+        if len(words) > _WORD_GUARD:
             raise ValueError(
-                "%d permutation words exceeds the word-count guard %d" % (len(words), guard)
+                "%d permutation words exceeds the word-count guard %d" % (len(words), _WORD_GUARD)
             )
         mode = "multilinear" if len(set(multiset)) == len(multiset) else "general"
 

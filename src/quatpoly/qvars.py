@@ -24,10 +24,6 @@ def qletter_str(x: int) -> str:
     return "q%d" % x if x > 0 else "q%d'" % -x
 
 
-def qword_str(w: QWord) -> str:
-    return "*".join(qletter_str(x) for x in w) if w else "1"
-
-
 def _qletter_key(x: int):
     return (abs(x), 0 if x > 0 else 1)
 

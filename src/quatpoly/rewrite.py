@@ -21,14 +21,12 @@ constructor turns the ints back into ``Fraction``.
 An overlap's S-polynomial is read straight off the two rules' tails,
 placed between the head and tail of the overlap word, with no products;
 ``check_groebner`` and ``complete`` pass it to ``normalize``.
-``complete`` keeps its pending polynomials in a heap ordered by leading
-word.
+``complete`` is a degree-by-degree completion: one overlap pass and one
+rule set per degree.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -479,24 +477,20 @@ def _monic(p: Polynomial) -> Polynomial:
 def complete(generators, max_degree: int, max_rules: int = 1000) -> RuleSet:
     """Bounded two-sided completion of a homogeneous generator list.
 
-    Repeatedly adds normalized nonzero S-polynomial residues (monic, with
-    leads kept factor-free by re-queuing displaced rules) until no
-    obstruction of degree <= ``max_degree`` leaves a residue.  The output
-    is re-verified before returning, so a returned set is genuinely
-    locally confluent to the bound.  Exceeding ``max_rules`` raises
-    :class:`CompletionLimitExceeded`; a generator of degree above
-    ``max_degree`` raises ``ValueError``.
+    Rules and generators are homogeneous, and an overlap word is longer
+    than both of its leads, so the rules of degree ``t`` come only from
+    the degree-``t`` obstructions among the rules of lower degree and the
+    generators of degree ``t``.  Each degree normalizes that batch against
+    the rules so far and echelonizes it on leading words; a new lead is
+    normal, so it never contains an existing lead.
 
-    Pending polynomials wait in a heap keyed by ``(word_key(lead), -seq)``
-    with ``seq`` their insertion count: the smallest lead comes out first,
-    and among equal leads the one pushed last.
+    The inter-reduced output is re-verified by :func:`check_groebner`
+    before returning, so a returned set is genuinely locally confluent to
+    the bound.  Exceeding ``max_rules`` raises
+    :class:`CompletionLimitExceeded`; an inhomogeneous generator or one of
+    degree above ``max_degree`` raises ``ValueError``.
     """
-    pending = []
-    seq = itertools.count()
-
-    def push(p):
-        heapq.heappush(pending, (word_key(p.leading_word()), -next(seq), p))
-
+    by_degree = {}
     for p in generator_polys(generators):
         if not p.is_multiset_homogeneous():
             raise ValueError("generator is not multiset-homogeneous: %s" % p)
@@ -504,71 +498,37 @@ def complete(generators, max_degree: int, max_rules: int = 1000) -> RuleSet:
             raise ValueError(
                 "generator degree %d exceeds the degree bound %d" % (p.degree(), max_degree)
             )
-        push(p)
+        by_degree.setdefault(p.degree(), []).append(p)
 
-    rules: list = []
-    snapshot = RuleSet()
-    done = set()
-
-    def absorb():
-        nonlocal rules, snapshot
-        while pending:
-            p = normalize(heapq.heappop(pending)[2], snapshot)
-            if not p:
-                continue
-            p = _monic(p)
-            lead = p.leading_word()
-            keep, requeue = [], []
-            for r in rules:
-                if find_factor(r.lead, lead) is not None:
-                    requeue.append(r.element)
-                else:
-                    keep.append(r)
-            keep.append(RewriteRule(lead, Polynomial.from_word(lead) - p))
-            if len(keep) > max_rules:
-                raise CompletionLimitExceeded(
-                    "completion exceeded %d rules at degree bound %d" % (max_rules, max_degree)
-                )
-            rules = keep
-            for q in requeue:
-                push(q)
-            snapshot = RuleSet(rules)
-
-    while True:
-        absorb()
-        found = False
-        for ob in overlaps(snapshot, max_degree):
-            key = (
-                snapshot.rules[ob.rule_a].lead,
-                snapshot.rules[ob.rule_b].lead,
-                ob.word,
-                ob.offset_a,
-                ob.offset_b,
-            )
-            if key in done:
-                continue
-            done.add(key)
-            residue = normalize(s_polynomial(snapshot, ob), snapshot)
-            if residue:
-                push(residue)
-                found = True
-                break
-        if found:
+    rules = []
+    base = RuleSet(degree_bound=max_degree)
+    for t in range(max_degree + 1):
+        batch = [
+            normalize(s_polynomial(base, ob), base)
+            for ob in overlaps(base, t)
+            if len(ob.word) == t
+        ]
+        batch += [normalize(p, base) for p in by_degree.get(t, ())]
+        pivots = {}
+        for p in batch:
+            while p and p.leading_word() in pivots:
+                p = p - pivots[p.leading_word()].scale(p.leading_coeff())
+            if p:
+                pivots[p.leading_word()] = _monic(p)
+        if not pivots:
             continue
-        # final verification sweep; rule replacement can in principle
-        # stale an earlier zero residue, so recheck everything once
-        clean = True
-        for ob in overlaps(snapshot, max_degree):
-            residue = normalize(s_polynomial(snapshot, ob), snapshot)
-            if residue:
-                push(residue)
-                clean = False
-                break
-        if clean:
-            break
+        rules += [RewriteRule(lead, Polynomial.from_word(lead) - p) for lead, p in pivots.items()]
+        if len(rules) > max_rules:
+            raise CompletionLimitExceeded(
+                "completion exceeded %d rules at degree bound %d" % (max_rules, max_degree)
+            )
+        base = RuleSet(rules, degree_bound=max_degree)
 
-    final = inter_reduce(RuleSet(rules))
-    return RuleSet(final.rules, degree_bound=max_degree)
+    result = inter_reduce(base)
+    if not check_groebner(result, max_degree).ok:
+        raise RuntimeError("completion left an overlap residue at degree bound %d" % max_degree)
+    # The check filled the memo of ``result``; the caller gets an empty one.
+    return RuleSet(result.rules, degree_bound=max_degree)
 
 
 def inter_reduce(base: RuleSet) -> RuleSet:

@@ -7,6 +7,7 @@ import pytest
 import helpers
 from quatpoly.freealg import Polynomial, Scalar, word_key
 from quatpoly.rewrite import (
+    GroebnerReport,
     Obstruction,
     RewriteRule,
     RuleSet,
@@ -237,6 +238,48 @@ def test_complete_matches_closed_form_wider():
     for n, d in ((2, 6), (3, 6), (4, 5), (5, 4)):
         done = complete([g.element for g in gen_vector_syzygies(n)], d)
         assert set(done.leads()) == set(gb_vector(n, d).leads()), (n, d)
+
+
+def _rule_map(base):
+    return {r.lead: r.rhs for r in base.rules}
+
+
+def test_complete_equals_the_reduced_closed_form_tails_included():
+    for n, d in ((3, 6), (4, 6), (5, 5), (5, 6), (6, 5)):
+        gens = [g.element for g in gen_vector_syzygies(n)]
+        out = complete(gens, d)
+        assert _rule_map(out) == _rule_map(inter_reduce(gb_vector(n, d))), (n, d)
+        assert check_groebner(out, d, generators=gens).ok, (n, d)
+        rules = [(r.lead, r.rhs) for r in out.rules]
+        for seed in (1, 2):
+            shuffled = list(gens)
+            random.Random(seed).shuffle(shuffled)
+            assert [(r.lead, r.rhs) for r in complete(shuffled, d).rules] == rules, (n, d, seed)
+
+
+def test_complete_from_degree_two_generators():
+    gens = [w(2, 1) - w(1, 2), w(3, 1) - w(1, 3), w(3, 2) - w(2, 3)]
+    out = complete(gens, 4)
+    assert _rule_map(out) == {(2, 1): w(1, 2), (3, 1): w(1, 3), (3, 2): w(2, 3)}
+    assert check_groebner(out, 4, generators=gens).ok
+
+
+def test_complete_echelonizes_equal_leads_within_a_degree():
+    gens = [w(2, 1, 1) - w(1, 2, 1), w(2, 1, 1) - w(1, 1, 2)]
+    out = complete(gens, 4)
+    assert _rule_map(out) == {(2, 1, 1): w(1, 1, 2), (1, 2, 1): w(1, 1, 2)}
+    assert check_groebner(out, 4, generators=gens).ok
+
+
+def test_complete_raises_when_its_final_check_fails(monkeypatch):
+    import quatpoly.rewrite as rewrite
+
+    def failing(base, max_degree, **kw):
+        return GroebnerReport(((None, w(2, 1)),), 0, max_degree)
+
+    monkeypatch.setattr(rewrite, "check_groebner", failing)
+    with pytest.raises(RuntimeError, match="residue"):
+        complete([g.element for g in gen_vector_syzygies(2)], 4)
 
 
 def test_complete_rejects_inhomogeneous():
