@@ -245,17 +245,9 @@ def parse_expression(text):
     return "v", Polynomial.constant(value.data)
 
 
-def _infer_vars(option, poly, qpoly=None):
-    if option is not None:
-        return option
-    if qpoly is not None:
-        return max(qpoly.indices(), default=0)
-    return max(poly.variables() | poly.scalar_symbols(), default=0)
-
-
 def _check_vars(n, indices):
     top = max(indices, default=0)
-    if top > n:
+    if n is not None and top > n:
         raise ExpressionError("variable index %d exceeds --vars %d" % (top, n))
 
 
@@ -275,20 +267,14 @@ def _expr_arg(text):
 def _cmd_normalize(args, out):
     mode, value = parse_expression(_expr_arg(args.expr))
     if mode == "q":
-        n = _infer_vars(args.vars, None, value)
-        _check_vars(n, value.indices())
-        result = qvars.normalize_q(value, n=n, max_degree=args.max_deg)
+        _check_vars(args.vars, value.indices())
+        result = qvars.normalize_q(value, max_degree=args.max_deg)
     else:
         degree = value.degree()
-        max_deg = args.max_deg if args.max_deg is not None else degree
-        if degree > max_deg:
-            raise ExpressionError("input degree %d exceeds --max-deg %d" % (degree, max_deg))
-        n = _infer_vars(args.vars, value)
-        _check_vars(n, value.variables())
-        if n >= 2 and max_deg >= 3:
-            result = rewrite.normalize(value, _build_base(n, max_deg, args.multilinear))
-        else:
-            result = value
+        if args.max_deg is not None and degree > args.max_deg:
+            raise ExpressionError("input degree %d exceeds --max-deg %d" % (degree, args.max_deg))
+        _check_vars(args.vars, value.variables())
+        result = syzygy._normal_form(value, args.multilinear)
     out.write("%s\n" % result)
     return 0
 
@@ -307,12 +293,11 @@ def _cmd_check_normal(args, out):
     if mode != "v":
         raise ExpressionError("check-normal expects vector letters")
     w = _single_word(value)
-    n = _infer_vars(args.vars, value)
-    _check_vars(n, w)
+    _check_vars(args.vars, w)
     pmode = "multilinear" if args.multilinear else "general"
     structural = rewrite.is_normal_structural(w, pmode)
-    base = _build_base(n, max(3, len(w)), args.multilinear) if n >= 2 else rewrite.RuleSet()
-    factorfree = rewrite.is_normal_factorfree(w, base)
+    # A reducible word normalizes to strictly smaller words.
+    factorfree = syzygy._normal_form(value, args.multilinear) == value
     verdict = "normal" if structural else "not normal"
     agree = "" if structural == factorfree else " (predicates disagree!)"
     out.write("%s%s\n" % (verdict, agree))
@@ -397,17 +382,11 @@ def _cmd_identities(args, out):
     corpus = oracle.identity_corpus()
     failures = 0
     shown = 0
-    base_cache = {}
     for name, p in corpus:
-        n = max(p.variables(), default=0)
-        if n > args.max_n:
+        if max(p.variables(), default=0) > args.max_n:
             continue
         shown += 1
-        degree = p.degree()
-        key = (max(2, n), max(3, degree))
-        if key not in base_cache:
-            base_cache[key] = syzygy.gb_vector(*key)
-        residue = rewrite.normalize(p, base_cache[key])
+        residue = syzygy._normal_form(p)
         zt = oracle.zero_test(p, trials=args.trials, seed=args.seed)
         if not residue and zt.passed:
             out.write("ok %s\n" % name)
@@ -455,10 +434,10 @@ def build_parser():
 
     def common(p, vars_required=False, max_deg=False, seed=False):
         p.add_argument("--vars", type=int, required=vars_required, default=None,
-                       help="number of variables (default: inferred)")
+                       help="number of variables (only checked against the letter indices)")
         if max_deg:
             p.add_argument("--max-deg", dest="max_deg", type=int, default=None,
-                           help="degree bound (default: input degree)")
+                           help="degree bound (only checked against the input degree)")
         if seed:
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--trials", type=int, default=100)

@@ -10,9 +10,7 @@ lossless since q_i can be read back as s_i + v_i.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
-from . import rewrite
 from .freealg import Polynomial, Scalar, _coeff_body, _TermMap
 
 QWord = tuple
@@ -132,32 +130,21 @@ def conjugation_image(p: Polynomial) -> Polynomial:
     return Polynomial({w: c if len(w) % 2 == 0 else -c for w, c in rev.terms.items()})
 
 
-@lru_cache(maxsize=None)
-def _vector_base(n: int, max_degree: int):
-    from . import syzygy
-
-    return syzygy.gb_vector(n, max_degree)
-
-
 def normalize_q(p: QPolynomial, n: int | None = None, max_degree: int | None = None) -> Polynomial:
     """Canonical form of a q-polynomial in the (s, v) representation.
 
-    Splits, then normalizes with the vector rule family for ``n``
-    variables up to ``max_degree`` (defaults: the indices and degree of
-    ``p``); an index of ``p`` above ``n`` raises ``ValueError``.  Two
+    Splits, then normalizes each letter-multiset block against the vector
+    rule family on its own letters, so the result depends on neither
+    ``n`` nor ``max_degree``.  Both only validate: an index of ``p`` above
+    ``n``, or a degree above ``max_degree``, raises ``ValueError``.  Two
     q-polynomials have equal canonical forms exactly when they differ by
     an element of the defining ideal.
     """
+    from . import syzygy
+
     top = max(p.indices(), default=0)
-    if n is None:
-        n = top
-    elif top > n:
+    if n is not None and top > n:
         raise ValueError("variable index %d exceeds n=%d" % (top, n))
-    sp = split(p)
-    if max_degree is None:
-        max_degree = p.degree()
-    elif p.degree() > max_degree:
+    if max_degree is not None and p.degree() > max_degree:
         raise ValueError("degree %d exceeds the requested bound %d" % (p.degree(), max_degree))
-    if n < 2 or max_degree < 3:
-        return sp
-    return rewrite.normalize(sp, _vector_base(n, max_degree))
+    return syzygy._normal_form(split(p))

@@ -314,39 +314,17 @@ def _normal_general(w: Word) -> bool:
     return all(chain[i] <= chain[i + 1] for i in range(len(chain) - 1))
 
 
-def _normal_multilinear(w: Word) -> bool:
-    # Same scan with all letters distinct: the letter before each descent
-    # ends its block, bottoms must ascend, and the concatenated blocks
-    # must ascend as one sequence.
-    ds = _descents(w)
-    if not ds:
-        return True
-    bottoms = [w[p + 1] for p in ds]
-    if any(bottoms[i] >= bottoms[i + 1] for i in range(len(bottoms) - 1)):
-        return False
-    chain = []
-    prev_end = 0
-    for p in ds:
-        block = w[prev_end : p + 1]
-        if not block:
-            return False
-        chain.extend(block)
-        prev_end = p + 2
-    chain.extend(w[prev_end:])
-    return all(chain[i] < chain[i + 1] for i in range(len(chain) - 1))
-
-
 def is_normal_structural(w: Word, mode: str = "general") -> bool:
     """Decide normality from the word shape alone.
 
     ``general`` accepts exactly the double-nondescending words;
-    ``multilinear`` (distinct letters required) accepts the
-    double-ascending ones.
+    ``multilinear`` requires distinct letters, where those are the
+    double-ascending words.
     """
     if mode == "multilinear":
         if len(set(w)) != len(w):
             raise ValueError("multilinear mode requires distinct letters: %s" % word_str(w))
-        return _normal_multilinear(w)
+        return _normal_general(w)
     if mode == "general":
         return _normal_general(w)
     raise ValueError("unknown mode %r" % mode)

@@ -1,5 +1,5 @@
 """Closed-form generator and rule families, parameterized by the number of
-variables and a degree bound.
+variables and a degree bound, and the normal form that needs neither.
 
 Families are tagged V2/V3/V4 (vector generators), Q0..Q4 (quaternionic
 generators over the barred alphabet), G3/Gm (multilinear rules) and
@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .freealg import Polynomial
+from .freealg import Polynomial, word_multiset
 from .qvars import QPolynomial
-from .rewrite import RewriteRule, RuleSet
+from .rewrite import RewriteRule, RuleSet, normalize
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,3 +191,44 @@ def gb_vector(n: int, max_degree: int) -> RuleSet:
         for idx in _vg_index_chains(n, m):
             rules.append(_rule(_gm_element(idx), "VGm", idx))
     return RuleSet(rules, degree_bound=max_degree)
+
+
+# Blocks of degree m <= 7 on k <= m letters need at most 25 vector families.
+@lru_cache(maxsize=32)
+def _family(k: int, m: int, multilinear: bool) -> RuleSet:
+    return gb_multilinear(m) if multilinear else gb_vector(k, m)
+
+
+def _normal_form(p: Polynomial, multilinear: bool = False) -> Polynomial:
+    """Normal form of ``p`` against ``gb_vector`` (or ``gb_multilinear``)
+    on any alphabet that holds its letters, with no number of variables.
+
+    The terms are grouped by letter multiset.  A block of degree m on k
+    distinct letters is relabeled order-preservingly onto 1..k, normalized
+    against ``gb_vector(k, m)`` (or ``gb_multilinear(m)``), and mapped
+    back.  This is exact: every rule is multiset-homogeneous, so a block
+    rewrites within itself, and a rule that fires inside a word uses only
+    that word's letters and has degree at most m.  The families depend
+    only on the order of their indices, so the relabeling maps the rules
+    of ``gb_vector(n, D)`` on the block's letters, D >= m, onto those of
+    ``gb_vector(k, m)`` (and those of ``gb_multilinear(n)``, n >= m, onto
+    those of ``gb_multilinear(m)``) and preserves ``_rule_key``'s
+    canonical order; even the first-match rewrite path is the same.  A
+    block of degree below 3 is already normal, as every lead has degree 3
+    or more.
+    """
+    blocks = {}
+    for w, c in p.terms.items():
+        blocks.setdefault(word_multiset(w), {})[w] = c
+    out = {}
+    for ms, terms in blocks.items():
+        if len(ms) < 3:
+            out.update(terms)
+            continue
+        letters = sorted(set(ms))
+        rank = {x: i for i, x in enumerate(letters, 1)}
+        local = Polynomial({tuple(rank[x] for x in w): c for w, c in terms.items()})
+        nf = normalize(local, _family(len(letters), len(ms), multilinear))
+        for w, c in nf.terms.items():
+            out[tuple(letters[i - 1] for i in w)] = c
+    return Polynomial(out)

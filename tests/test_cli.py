@@ -11,9 +11,10 @@ import pytest
 
 import helpers
 import quatpoly
+from quatpoly import syzygy
 from quatpoly.cli import ExpressionError, main, parse_expression
 from quatpoly.freealg import Polynomial, Scalar, bracket
-from quatpoly.qvars import QPolynomial
+from quatpoly.qvars import QPolynomial, normalize_q
 
 
 def run(argv):
@@ -194,6 +195,46 @@ def test_vars_below_letter_index_is_an_error(capsys):
         code, out = run(argv)
         assert code == 2 and out == "", argv
         assert "exceeds --vars 2" in capsys.readouterr().err
+
+
+def test_large_letter_index_builds_families_on_few_letters(monkeypatch):
+    # Every input has degree 3.  A family on more letters would be the
+    # whole alphabet: gb_vector(300, 3) has millions of rules.
+    built = []
+
+    def spy(real):
+        def build(n, *args):
+            if n > 3:
+                raise AssertionError("rule family on %d letters" % n)
+            built.append(n)
+            return real(n, *args)
+
+        return build
+
+    monkeypatch.setattr(syzygy, "gb_vector", spy(syzygy.gb_vector))
+    monkeypatch.setattr(syzygy, "gb_multilinear", spy(syzygy.gb_multilinear))
+    syzygy._family.cache_clear()
+    expected = "-v2*v300*v1 + v1*v300*v2 + v1*v2*v300\n"
+    assert run(["normalize", "v300*v2*v1"]) == (0, expected)
+    assert run(["normalize", "--multilinear", "v300*v2*v1"]) == (0, expected)
+    assert run(["check-normal", "v300*v2*v1"]) == (1, "not normal\n")
+    q = QPolynomial.from_word((300, 2, 1))
+    assert str(normalize_q(q)) == (
+        "-v2*v300*v1 + v1*v300*v2 + v1*v2*v300 + s1*v300*v2 + s2*v300*v1"
+        " + s300*v2*v1 + s1*s2*v300 + s1*s300*v2 + s2*s300*v1 + s1*s2*s300"
+    )
+    assert built
+
+
+def test_multilinear_family_no_longer_depends_on_vars():
+    # These exited 2 while the family was built on --vars letters, too
+    # few for the input; they now print what a large enough --vars did.
+    assert run(["normalize", "--multilinear", "--vars", "3", "v1*v3*v2*v1"]) == (
+        0,
+        "-v1*v2*v3*v1 + v1*v1*v3*v2 + v1*v1*v2*v3\n",
+    )
+    assert run(["normalize", "--multilinear", "v1*v2*v1"]) == (0, "v1*v2*v1\n")
+    assert run(["check-normal", "--multilinear", "v2*v1"]) == (0, "normal\n")
 
 
 def test_deep_nesting_is_a_parse_error():

@@ -156,6 +156,10 @@ def test_predicate_equivalence_small(base_v46, base_m4):
                 assert is_normal_structural(word, "multilinear") == is_normal_factorfree(
                     word, base_m4
                 )
+    for k in range(1, 8):
+        base = gb_multilinear(max(3, k))
+        for word in itertools.permutations(range(1, k + 1)):
+            assert is_normal_structural(word, "multilinear") == is_normal_factorfree(word, base)
 
 
 def test_predicate_equivalence_five_variables():

@@ -1,10 +1,14 @@
+import random
+from fractions import Fraction
+
 import pytest
 
-from quatpoly.freealg import Polynomial
+from quatpoly.freealg import Polynomial, Scalar
 from quatpoly.oracle import zero_test
 from quatpoly.qvars import QPolynomial
-from quatpoly.rewrite import find_factor
+from quatpoly.rewrite import find_factor, normalize
 from quatpoly.syzygy import (
+    _normal_form,
     gb_multilinear,
     gb_vector,
     gen_multilinear_syzygies,
@@ -168,3 +172,31 @@ def test_quaternion_generators():
     assert len(gens3["Q3"]) == 6 * 8
     gens4 = by_family(gen_quaternion_syzygies(4))
     assert len(gens4["Q4"]) == 24 * 16
+
+
+def _random_block_poly(rng, n, max_degree):
+    """A few words on letters 1..n, some sharing a letter multiset, with
+    rational or scalar-symbol coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        word = [rng.randint(1, n) for _ in range(rng.randint(0, max_degree))]
+        for _ in range(rng.randint(1, 3)):
+            rng.shuffle(word)
+            if rng.random() < 0.3:
+                c = Scalar({(rng.randint(1, 3),): rng.randint(-3, 3), (): Fraction(1, 2)})
+            else:
+                c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            terms[tuple(word)] = c
+    return Polynomial(terms)
+
+
+def test_block_normal_form_equals_the_full_alphabet_family():
+    # The full-alphabet families are the reference the relabeled blocks
+    # must reproduce, term for term and in print.
+    rng = random.Random(7)
+    vector, multilinear = gb_vector(8, 6), gb_multilinear(7)
+    for _ in range(300):
+        p = _random_block_poly(rng, 8, 6)
+        assert str(_normal_form(p)) == str(normalize(p, vector)), p
+        p = _random_block_poly(rng, 7, 6)
+        assert str(_normal_form(p, multilinear=True)) == str(normalize(p, multilinear)), p
