@@ -340,7 +340,10 @@ def _cmd_verify_groebner(args, out):
 def _cmd_zero_test(args, out):
     mode, value = parse_expression(_expr_arg(args.expr))
     if mode == "q":
+        _check_vars(args.vars, value.indices())
         value = qvars.split(value)
+    else:
+        _check_vars(args.vars, value.variables())
     result = oracle.zero_test(value, trials=args.trials, seed=args.seed)
     if result.passed:
         out.write("zero on all %d trials\n" % result.trials)

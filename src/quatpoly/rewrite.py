@@ -23,10 +23,30 @@ placed between the head and tail of the overlap word, with no products;
 ``check_groebner`` and ``complete`` pass it to ``normalize``.
 ``complete`` is a degree-by-degree completion: one overlap pass and one
 rule set per degree.
+
+A rule set is *closed* when it is invariant under every order-preserving
+relabeling of its alphabet 1..N, N its largest lead letter: grouping the
+rules by their pattern on letters 1..k (lead, tail, ``family``, relabeled
+``indices`` and ``variant``), each class has exactly C(N, k) members, so
+it holds the pattern on every k-subset of 1..N.  ``RuleSet`` decides this
+from its rules alone.  ``normalize`` against a closed set groups the
+terms by letter set, relabels each block on letters T, all <= N,
+order-preservingly onto 1..|T|, normalizes it there and maps the result
+back, so one memo entry serves a letter pattern on every letter set.
+This is exact.  A rule that fires inside a word uses only the word's
+letters.  Closure maps the rules inside T one-to-one onto the rules
+inside 1..|T|, and the relabeling preserves ``_rule_key`` order, since
+every rule's indices are letters of its lead.  So ``_first_match`` picks
+the corresponding rule at the same offset, and even a set that is not
+confluent takes the same rewrite path on the relabeled word.  A letter
+outside 1..N occurs in no lead and blocks the matches across it;
+relabeling it into 1..N would expose them, so a block with such a letter
+is not relabeled.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,6 +105,68 @@ def _memo_coeff(c):
     return c
 
 
+def _relabel_blocks(pairs, top=None):
+    """Group ``(word, coefficient)`` pairs by the set of letters of the word.
+
+    Yields ``(letters, local)`` per block, ``letters`` its sorted letters
+    and ``local`` its pairs relabeled order-preservingly onto 1..k.  A
+    block already on 1..k, or with ``top`` given and a letter outside
+    1..top, is yielded as is with ``letters`` None.
+    """
+    blocks = {}
+    for w, c in pairs:
+        blocks.setdefault(frozenset(w), []).append((w, c))
+    for letter_set, block in blocks.items():
+        letters = sorted(letter_set)
+        if not letters or (letters[0] == 1 and letters[-1] == len(letters)):
+            yield None, block
+            continue
+        if top is not None and (letters[0] < 1 or letters[-1] > top):
+            yield None, block
+            continue
+        rank = {x: i for i, x in enumerate(letters, 1)}
+        yield letters, [(tuple([rank[x] for x in w]), c) for w, c in block]
+
+
+def _unlabel(letters, terms: dict) -> dict:
+    """Map a word->coefficient dict on 1..k back onto ``letters``."""
+    if letters is None:
+        return terms
+    return {tuple([letters[i - 1] for i in w]): c for w, c in terms.items()}
+
+
+def _closure_top(rules, tails) -> int:
+    """The largest lead letter N if the rules are closed under
+    order-preserving relabeling of 1..N (see the module docstring), else 0.
+    One pass over the rules."""
+    classes = {}
+    top = 0
+    for r, tail in zip(rules, tails):
+        letters = sorted(set(r.lead))
+        if letters[0] < 1:
+            return 0
+        rank = {x: i for i, x in enumerate(letters, 1)}
+        try:
+            indices = tuple([rank[x] for x in r.indices])
+        except KeyError:
+            return 0
+        local_tail = []
+        for u, c in tail:
+            if not isinstance(c, (int, Fraction)):
+                # A Scalar tail names symbols that the relabeling would
+                # have to move as well.
+                return 0
+            local_tail.append((tuple([rank[x] for x in u]), c))
+        key = (tuple([rank[x] for x in r.lead]), tuple(local_tail), r.family, indices, r.variant)
+        classes[key] = classes.get(key, 0) + 1
+        top = max(top, letters[-1])
+    # Leads are distinct, so a class has at most one member per letter
+    # set; a class on k letters is full when it has C(N, k) of them.
+    if all(count == math.comb(top, max(key[0])) for key, count in classes.items()):
+        return top
+    return 0
+
+
 class RuleSet:
     """Canonically ordered rewrite rules with pairwise factor-free leads.
 
@@ -95,12 +177,15 @@ class RuleSet:
     first matching rule in canonical order.  ``_tails`` holds each rule's
     rhs as (word, coefficient) pairs with integral coefficients stored as
     ``int``; the normal-form memo keeps the same representation.
+    ``_top`` is the largest lead letter N when the set is closed under
+    order-preserving relabeling of 1..N, else 0; ``normalize`` then keys
+    the memo by letter pattern.
 
     Immutable after construction; the internal normal-form cache is a pure
     memo (idempotent writes), so sharing across threads is safe.
     """
 
-    __slots__ = ("rules", "degree_bound", "_index", "_lengths", "_tails", "_nf_cache")
+    __slots__ = ("rules", "degree_bound", "_index", "_lengths", "_tails", "_top", "_nf_cache")
 
     def __init__(self, rules=(), degree_bound=None):
         rules = tuple(sorted(rules, key=_rule_key))
@@ -123,6 +208,7 @@ class RuleSet:
         self._tails = tuple(
             [(u, _memo_coeff(c)) for u, c in r.rhs.terms.items()] for r in rules
         )
+        self._top = _closure_top(rules, self._tails)
         self._nf_cache = {}
 
     def __len__(self):
@@ -271,9 +357,17 @@ def normalize(p: Polynomial, base: RuleSet) -> Polynomial:
 
     Termination follows from the well-founded word order; every rewrite
     replaces a word by strictly smaller words of the same letter multiset.
+    Against a closed rule set each letter-set block is normalized on
+    1..k and mapped back (see the module docstring).
     """
     _check_bound(base, p.degree())
-    return Polynomial(_accumulate(base, [(w, _memo_coeff(c)) for w, c in p.terms.items()]))
+    pairs = [(w, _memo_coeff(c)) for w, c in p.terms.items()]
+    if not base._top:
+        return Polynomial(_accumulate(base, pairs))
+    out = {}
+    for letters, local in _relabel_blocks(pairs, base._top):
+        out.update(_unlabel(letters, _accumulate(base, local)))
+    return Polynomial(out)
 
 
 def is_normal_factorfree(w: Word, base: RuleSet) -> bool:

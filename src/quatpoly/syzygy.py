@@ -13,9 +13,9 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .freealg import Polynomial, word_multiset
+from .freealg import Polynomial
 from .qvars import QPolynomial
-from .rewrite import RewriteRule, RuleSet, normalize
+from .rewrite import RewriteRule, RuleSet, normalize, _relabel_blocks, _unlabel
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,32 +203,27 @@ def _normal_form(p: Polynomial, multilinear: bool = False) -> Polynomial:
     """Normal form of ``p`` against ``gb_vector`` (or ``gb_multilinear``)
     on any alphabet that holds its letters, with no number of variables.
 
-    The terms are grouped by letter multiset.  A block of degree m on k
-    distinct letters is relabeled order-preservingly onto 1..k, normalized
-    against ``gb_vector(k, m)`` (or ``gb_multilinear(m)``), and mapped
-    back.  This is exact: every rule is multiset-homogeneous, so a block
-    rewrites within itself, and a rule that fires inside a word uses only
-    that word's letters and has degree at most m.  The families depend
-    only on the order of their indices, so the relabeling maps the rules
-    of ``gb_vector(n, D)`` on the block's letters, D >= m, onto those of
-    ``gb_vector(k, m)`` (and those of ``gb_multilinear(n)``, n >= m, onto
-    those of ``gb_multilinear(m)``) and preserves ``_rule_key``'s
-    canonical order; even the first-match rewrite path is the same.  A
-    block of degree below 3 is already normal, as every lead has degree 3
-    or more.
+    The terms are grouped by letter set.  A block of degree at most m on
+    k distinct letters is relabeled order-preservingly onto 1..k,
+    normalized against ``gb_vector(k, m)`` (or ``gb_multilinear(m)``), and
+    mapped back.  This is exact: every rule is multiset-homogeneous, so a
+    block rewrites within itself, and a rule that fires inside a word uses
+    only that word's letters and has degree at most m.  The families are
+    closed under order-preserving relabeling (see ``rewrite``), so the
+    rules of ``gb_vector(n, D)`` on the block's letters, D >= m, map onto
+    those of ``gb_vector(k, m)`` (and those of ``gb_multilinear(n)``,
+    n >= m, onto those of ``gb_multilinear(m)``) in the same canonical
+    order, up to rules longer than m, which never fire.  A block of degree
+    below 3 is already normal, as every lead has degree 3 or more.
     """
-    blocks = {}
-    for w, c in p.terms.items():
-        blocks.setdefault(word_multiset(w), {})[w] = c
     out = {}
-    for ms, terms in blocks.items():
-        if len(ms) < 3:
-            out.update(terms)
-            continue
-        letters = sorted(set(ms))
-        rank = {x: i for i, x in enumerate(letters, 1)}
-        local = Polynomial({tuple(rank[x] for x in w): c for w, c in terms.items()})
-        nf = normalize(local, _family(len(letters), len(ms), multilinear))
-        for w, c in nf.terms.items():
-            out[tuple(letters[i - 1] for i in w)] = c
+    for letters, local in _relabel_blocks(p.terms.items()):
+        m = max(len(w) for w, _ in local)
+        if m < 3:
+            nf = dict(local)
+        else:
+            # Every word of the block holds exactly the letters 1..k.
+            base = _family(max(local[0][0]), m, multilinear)
+            nf = normalize(Polynomial(dict(local)), base).terms
+        out.update(_unlabel(letters, nf))
     return Polynomial(out)

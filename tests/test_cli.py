@@ -197,6 +197,15 @@ def test_vars_below_letter_index_is_an_error(capsys):
         assert "exceeds --vars 2" in capsys.readouterr().err
 
 
+def test_zero_test_checks_vars(capsys):
+    for expr in ("v3*v1 - v1*v3", "q3*q1 - q1*q3"):
+        code, out = run(["zero-test", "--vars", "2", expr])
+        assert code == 2 and out == "", expr
+        assert "variable index 3 exceeds --vars 2" in capsys.readouterr().err
+        # A large enough --vars only validates: same draws, same report.
+        assert run(["zero-test", "--vars", "3", expr]) == run(["zero-test", expr])
+
+
 def test_large_letter_index_builds_families_on_few_letters(monkeypatch):
     # Every input has degree 3.  A family on more letters would be the
     # whole alphabet: gb_vector(300, 3) has millions of rules.

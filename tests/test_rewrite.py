@@ -79,16 +79,18 @@ def test_reduce_once_strictly_decreases(base_v45):
             p = q
 
 
+def _reduce_once_fixed_point(p, base):
+    changed = True
+    while changed:
+        p, changed = reduce_once(p, base)
+    return p
+
+
 def test_normalize_fixed_point_of_reduce_once(base_v45):
     rng = random.Random(5)
     for _ in range(60):
         p = helpers.random_poly(rng)
-        q = p
-        while True:
-            q, changed = reduce_once(q, base_v45)
-            if not changed:
-                break
-        assert normalize(p, base_v45) == q
+        assert normalize(p, base_v45) == _reduce_once_fixed_point(p, base_v45)
 
 
 def test_normalize_examples(base_v45):
@@ -529,5 +531,53 @@ def test_first_step_runs_once_per_memo_entry(monkeypatch):
 
     monkeypatch.setattr("quatpoly.rewrite._first_step", counted)
     assert check_groebner(base, 6).ok
-    assert len(calls) == len(base._nf_cache) == 7333
+    assert len(calls) == len(base._nf_cache) == 2456
     assert len(set(calls)) == len(calls)
+    # The set is closed, so the memo holds one entry per letter pattern.
+    assert base._top == 5
+    for word in base._nf_cache:
+        assert set(word) == set(range(1, len(set(word)) + 1)), word
+
+
+def test_relabeled_normalize_equals_the_memo_free_fixed_point(base_m4):
+    v45 = gb_vector(4, 5)
+    square = next(r for r in v45.rules if r.family == "VG3sq")
+    # (rule set, letters drawn from 1..n, degree bound); n above the
+    # largest lead letter puts inert letters in some blocks.
+    cases = [
+        (gb_vector(6, 6), 7, 6),
+        (gb_multilinear(5), 6, 5),
+        (RuleSet([r for r in base_m4.rules if r.lead != (3, 2, 4, 1)], degree_bound=4), 5, 4),
+        (complete([g.element for g in gen_vector_syzygies(3)], 5), 4, 5),
+        (RuleSet([r for r in v45.rules if r is not square], degree_bound=5), 5, 5),
+    ]
+    assert [base._top for base, _, _ in cases] == [6, 5, 4, 3, 0]
+    rng = random.Random(2718)
+    for base, n, degree in cases:
+        for _ in range(100):
+            p = helpers.random_poly(rng, n=n, max_degree=degree, max_terms=8)
+            assert normalize(p, base) == _reduce_once_fixed_point(p, base), (base, p)
+
+
+def test_letters_above_a_closed_alphabet_stay_inert():
+    base = gb_vector(6, 7)
+    assert base._top == 6
+    # Relabeled onto 1..3 each would be the reducible v3*v2*v1.
+    for word in ((7, 2, 1), (2, 1, 0), (2, 1, -1)):
+        assert normalize(w(*word), base) == w(*word)
+    assert normalize(w(6, 2, 1), base) == _reduce_once_fixed_point(w(6, 2, 1), base) != w(6, 2, 1)
+
+
+def test_closure_check():
+    def commutations(pairs, **kw):
+        return RuleSet(RewriteRule((j, i), w(i, j), **kw) for i, j in pairs)
+
+    pairs = list(itertools.combinations(range(1, 4), 2))
+    assert commutations(pairs)._top == 3
+    assert commutations(pairs[1:])._top == 0
+    # Three pairs, as on 1..3, but one of them off the alphabet.
+    assert commutations([(0, 3), (1, 2), (1, 3)])._top == 0
+    assert commutations(pairs, family="C", indices=(1,))._top == 0
+    scalar_tail = RewriteRule((2, 1), Polynomial({(1, 2): Scalar.symbol(1)}))
+    assert RuleSet([scalar_tail])._top == 0
+    assert RuleSet()._top == 0
