@@ -24,17 +24,6 @@ def word_key(w: Word):
     return (len(w), w)
 
 
-def word_cmp(a: Word, b: Word) -> int:
-    """Compare two words: degree dominates, ties break letter by letter
-    with the higher-index letter greater.  Returns -1, 0 or 1."""
-    ka, kb = word_key(a), word_key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
 def word_str(w: Word) -> str:
     return "*".join("v%d" % i for i in w) if w else "1"
 
@@ -346,14 +335,6 @@ def _format_term(w, coeff):
     if letters:
         body += "*" + "*".join(letters)
     return (False, body)
-
-
-def reversion(p: Polynomial) -> Polynomial:
-    return p.reversion()
-
-
-def multidegree(p: Polynomial) -> set:
-    return p.multidegree()
 
 
 def bracket(w: Word) -> Polynomial:

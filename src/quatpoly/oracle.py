@@ -6,6 +6,11 @@ claimed rule family must annihilate.
 Zero testing is probabilistic evidence; reduction to the zero normal form
 is the syntactic certificate.  The two routes are kept independent so each
 can catch the other out.
+
+Letters are multiplied as quaternions in one place, ``_evaluate_int``:
+``evaluate`` feeds it an assignment's rational coordinates, ``zero_test``
+its cached integer draws.  ``dimension_check`` builds its rows block by
+block, one block per letter multiset of the slice.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from .freealg import (
     Polynomial,
@@ -108,14 +113,6 @@ J = Quaternion(0, 0, 1)
 K = Quaternion(0, 0, 0, 1)
 
 
-def qmul(x: Quaternion, y: Quaternion) -> Quaternion:
-    return x * y
-
-
-def qconj(x: Quaternion) -> Quaternion:
-    return x.conjugate()
-
-
 @dataclass(frozen=True)
 class Assignment:
     """Concrete values for letters: vector letters get pure-imaginary
@@ -149,33 +146,33 @@ def _coeff_value(c, scalars) -> Fraction:
 def evaluate(p: Polynomial, assignment: Assignment) -> Quaternion:
     """Ring homomorphism sending each letter to its assigned value; the
     empty word maps to 1."""
-    total = Quaternion()
-    for w, c in p.terms.items():
-        value = ONE
-        for letter in w:
-            try:
-                value = value * assignment.vectors[letter]
-            except KeyError:
-                raise ValueError("unassigned variable v%d" % letter) from None
-        total = total + value * _coeff_value(c, assignment.scalars)
-    return total
+    vecs = {}
+    for letter in sorted(p.variables()):
+        q = assignment.vectors.get(letter)
+        if q is None:
+            raise ValueError("unassigned variable v%d" % letter)
+        if not q.is_pure_imaginary():
+            raise ValueError("vector v%d assigned a non-pure-imaginary value %s" % (letter, q))
+        vecs[letter] = (q.b, q.c, q.d)
+    terms = [(w, _coeff_value(c, assignment.scalars)) for w, c in p.terms.items()]
+    return Quaternion(*_evaluate_int(terms, vecs))
 
 
 @functools.lru_cache(maxsize=1024)
 def _int_assignment(n: int, seed: int):
     """The integer draw behind ``random_assignment(n, seed)``: a tuple of
-    ``n`` vector coordinate triples and a tuple of ``n`` scalar values,
-    letter i at position i-1.  Cached, since every zero test of the same
-    ``n`` walks the same seeds."""
+    vector coordinate triples and a tuple of scalar values, letter i at
+    position i for i in 1..n and ``None`` at position 0.  Cached, since
+    every zero test of the same ``n`` walks the same seeds."""
     rng = random.Random(seed)
-    vectors = []
+    vectors = [None]
     for _ in range(n):
         while True:
             b, c, d = (rng.randint(-9, 9) for _ in range(3))
             if b or c or d:
                 break
         vectors.append((b, c, d))
-    scalars = tuple(rng.randint(-9, 9) for _ in range(n))
+    scalars = (None,) + tuple(rng.randint(-9, 9) for _ in range(n))
     return tuple(vectors), scalars
 
 
@@ -185,8 +182,8 @@ def random_assignment(n: int, seed: int) -> Assignment:
     range."""
     vectors, scalars = _int_assignment(n, seed)
     return Assignment(
-        {i: Quaternion(0, *v) for i, v in enumerate(vectors, 1)},
-        {i: Fraction(s) for i, s in enumerate(scalars, 1)},
+        {i: Quaternion(0, *vectors[i]) for i in range(1, n + 1)},
+        {i: Fraction(scalars[i]) for i in range(1, n + 1)},
     )
 
 
@@ -218,21 +215,18 @@ def _integer_terms(p: Polynomial):
     ]
 
 
-def _evaluate_int(terms, vecs, scals):
-    """Evaluate integer-coefficient terms at an ``_int_assignment`` draw
-    using plain int arithmetic; returns a coordinate 4-tuple."""
+def _evaluate_int(terms, vecs):
+    """Evaluate ``(word, coefficient)`` terms with letter i sent to the
+    pure-imaginary quaternion whose (i, j, k) coordinates are ``vecs[i]``;
+    returns the coordinate 4-tuple.  The one place letters are multiplied
+    as quaternions: exact for int draws and rational values alike."""
     ta = tb = tc = td = 0
-    values = None
     for w, cv in terms:
-        if isinstance(cv, Scalar):
-            if values is None:
-                values = dict(enumerate(scals, 1))
-            cv = int(cv.substitute(values))
         if not cv:
             continue
         a, b, c, d = 1, 0, 0, 0
         for letter in w:
-            e, f, g = vecs[letter - 1]
+            e, f, g = vecs[letter]
             a, b, c, d = (
                 -b * e - c * f - d * g,
                 a * e + c * g - d * f,
@@ -252,15 +246,23 @@ def zero_test(p: Polynomial, trials: int = 100, seed: int = 0, n: int | None = N
     ``random_assignment(n, seed + t)``."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    top = max(p.variables() | p.scalar_symbols(), default=0)
+    letters = p.variables() | p.scalar_symbols()
+    if min(letters, default=1) < 1:
+        raise ValueError("letter index %d is below 1" % min(letters))
+    top = max(letters, default=0)
     if n is None:
         n = top
     elif top > n:
         raise ValueError("letter index %d exceeds n = %d" % (top, n))
     terms = _integer_terms(p)
+    symbolic = any(isinstance(c, Scalar) for _, c in terms)
     for t in range(trials):
         vecs, scals = _int_assignment(n, seed + t)
-        if any(_evaluate_int(terms, vecs, scals)):
+        if symbolic:
+            drawn = [(w, int(c.substitute(scals)) if isinstance(c, Scalar) else c) for w, c in terms]
+        else:
+            drawn = terms
+        if any(_evaluate_int(drawn, vecs)):
             assignment = random_assignment(n, seed + t)
             return ZeroTestResult(False, trials, t, assignment, evaluate(p, assignment))
     return ZeroTestResult(True, trials)
@@ -273,8 +275,6 @@ def _rank_int(rows) -> int:
     by ``row*a - b*pivot`` (``a`` the pivot entry, ``b`` the row's own
     entry, both divided by their gcd) and then by the gcd of its entries,
     until it becomes a new pivot or vanishes.  All arithmetic is integer.
-    Reduction only mixes rows that share a column, so the rows of
-    multiset-homogeneous generators stay in their letter-multiset block.
     """
     pivots = {}
     for row in rows:
@@ -316,14 +316,16 @@ class DimensionReport:
         return self.normal_by_rank == self.normal_factorfree == self.normal_structural
 
 
-def _row_for(terms, left, right, col_index):
-    row = {}
-    for w, c in terms:
-        col = col_index.get(left + w + right)
-        if col is None:
-            return None
-        row[col] = c
-    return row
+def _arrangements(letters: tuple) -> list:
+    """The distinct orderings of the sorted tuple ``letters``, in
+    lexicographic order."""
+    if not letters:
+        return [()]
+    out = []
+    for i, x in enumerate(letters):
+        if i == 0 or x != letters[i - 1]:
+            out += [(x,) + w for w in _arrangements(letters[:i] + letters[i + 1 :])]
+    return out
 
 
 # Largest word count a dimension_check slice may span.
@@ -346,60 +348,59 @@ def dimension_check(
     predicates.  With ``multiset`` the slice is restricted to permutation
     words of that letter multiset.  More than ``_WORD_GUARD`` words raise
     ``ValueError``.
+
+    Every generator must be multiset-homogeneous, so each product lies in
+    the block of words sharing one letter multiset: the slice is the union
+    of its blocks and its rank the sum of theirs.
     """
-    gens = generator_polys(generators)
-    alphabet = range(1, n + 1)
     if multiset is None:
         mode = "general"
         if n**d > _WORD_GUARD:
             raise ValueError(
                 "n^d = %d words exceeds the word-count guard %d" % (n**d, _WORD_GUARD)
             )
-        words = list(itertools.product(alphabet, repeat=d))
+        alphabet = range(1, n + 1)
+        targets = itertools.combinations_with_replacement(alphabet, d)
     else:
         multiset = tuple(sorted(multiset))
         if len(multiset) != d:
             raise ValueError("multiset size %d != degree %d" % (len(multiset), d))
-        words = sorted(set(itertools.permutations(multiset)))
-        if len(words) > _WORD_GUARD:
+        count = factorial(d)
+        for k in Counter(multiset).values():
+            count //= factorial(k)
+        if count > _WORD_GUARD:
             raise ValueError(
-                "%d permutation words exceeds the word-count guard %d" % (len(words), _WORD_GUARD)
+                "%d permutation words exceeds the word-count guard %d" % (count, _WORD_GUARD)
             )
         mode = "multilinear" if len(set(multiset)) == len(multiset) else "general"
+        alphabet = sorted(set(multiset))
+        targets = [multiset]
 
-    col_index = {w: i for i, w in enumerate(words)}
-    rows = []
-    if multiset is None:
-        for g in gens:
-            dg = g.degree()
-            if dg > d:
-                continue
-            terms = _integer_terms(g)
-            for la in range(d - dg + 1):
-                lb = d - dg - la
-                for left in itertools.product(alphabet, repeat=la):
-                    for right in itertools.product(alphabet, repeat=lb):
-                        row = _row_for(terms, left, right, col_index)
-                        if row is not None:
-                            rows.append(row)
-    else:
-        target = Counter(multiset)
-        for g in gens:
-            mds = g.multidegree()
-            if len(mds) != 1:
-                raise ValueError("generator is not multiset-homogeneous")
-            gset = Counter(next(iter(mds)))
-            if gset - target:
-                continue
-            rest = list((target - gset).elements())
-            terms = _integer_terms(g)
-            for perm in set(itertools.permutations(rest)):
-                for cut in range(len(perm) + 1):
-                    row = _row_for(terms, perm[:cut], perm[cut:], col_index)
-                    if row is not None:
-                        rows.append(row)
+    gens = []
+    for g in generator_polys(generators):
+        if g.degree() > d:
+            continue
+        mds = g.multidegree()
+        if len(mds) != 1:
+            raise ValueError("generator is not multiset-homogeneous")
+        gens.append((next(iter(mds)), _integer_terms(g)))
 
-    rank = _rank_int(rows)
+    # block letter multiset -> (column of each word, rows)
+    blocks = {t: ({w: i for i, w in enumerate(_arrangements(t))}, []) for t in targets}
+    for gset, terms in gens:
+        for rest in itertools.combinations_with_replacement(alphabet, d - len(gset)):
+            block = blocks.get(tuple(sorted(gset + rest)))
+            if block is None:
+                continue
+            col, rows = block
+            perms = _arrangements(rest)
+            for cut in range(len(rest) + 1):
+                for perm in perms:
+                    left, right = perm[:cut], perm[cut:]
+                    rows.append({col[left + w + right]: c for w, c in terms})
+
+    rank = sum(_rank_int(rows) for _, rows in blocks.values())
+    words = [w for col, _ in blocks.values() for w in col]
     ff = sum(1 for w in words if is_normal_factorfree(w, base))
     st = sum(1 for w in words if is_normal_structural(w, mode))
     return DimensionReport(n, d, mode, len(words), rank, len(words) - rank, ff, st)

@@ -77,10 +77,6 @@ def _qterm(w, c):
     return (c < 0, _coeff_body(abs(c), [qletter_str(x) for x in w]))
 
 
-def qconjugate(p: QPolynomial) -> QPolynomial:
-    return p.conjugate()
-
-
 def scalar_part(p: QPolynomial) -> QPolynomial:
     """Conjugation-even half (p + conjugate)/2."""
     return (p + p.conjugate()) * _HALF

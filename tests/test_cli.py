@@ -297,3 +297,45 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.splitlines() == ["v2*v1*v1 -> v1*v1*v2", "v2*v2*v1 -> v1*v2*v2"]
     proc = python_m("complete", "--vars", "2", "--max-deg", "0")
     assert proc.returncode == 2 and proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--vars", "3", "--deg", "5"], "words 243  rank 174  normal 69  factor-free 69  structural 69"),
+        (["--vars", "4", "--deg", "5"], "words 1024  rank 768  normal 256  factor-free 256  structural 256"),
+        (["--vars", "2", "--deg", "8"], "words 256  rank 231  normal 25  factor-free 25  structural 25"),
+        (["--vars", "3", "--deg", "7"], "words 2187  rank 1998  normal 189  factor-free 189  structural 189"),
+        (
+            ["--vars", "5", "--deg", "5", "--multilinear"],
+            "words 120  rank 99  normal 21  factor-free 21  structural 21",
+        ),
+    ],
+)
+def test_dim_check_reports_are_pinned(argv, expected):
+    assert run(["dim-check", *argv]) == (0, expected + "\ncounts agree\n")
+
+
+def test_dim_check_word_guards(capsys):
+    cases = (
+        (["--vars", "10", "--deg", "9"], "n^d = 1000000000 words exceeds the word-count guard 10000"),
+        (
+            ["--vars", "9", "--deg", "9", "--multilinear"],
+            "362880 permutation words exceeds the word-count guard 10000",
+        ),
+    )
+    for argv, message in cases:
+        assert run(["dim-check", *argv]) == (2, "")
+        assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_zero_test_scalar_symbol_counterexample():
+    assert run(["zero-test", "s1*v1*v2 - s1*v2*v1"]) == (
+        1,
+        "counterexample at trial 0: v1=(0, 3, 4, -8), v2=(0, -1, 7, 6); s1=3, s2=0"
+        " => (0, 480, -60, 150)\n",
+    )
+    assert run(["zero-test", "s1*v1 + v1"]) == (
+        1,
+        "counterexample at trial 2: v1=(0, -8, -7, -7); s1=2 => (0, -24, -21, -21)\n",
+    )

@@ -11,16 +11,20 @@ from quatpoly.freealg import (
     bracket3,
     cross,
     inner,
-    multidegree,
-    reversion,
     vector_part,
-    word_cmp,
     word_key,
 )
 
 
 def w(*letters):
     return Polynomial.from_word(letters)
+
+
+def word_cmp(a, b):
+    """-1, 0 or 1 as the word_key of ``a`` is below, equal to or above
+    that of ``b``."""
+    ka, kb = word_key(a), word_key(b)
+    return (ka > kb) - (ka < kb)
 
 
 def test_word_cmp_examples():
@@ -115,15 +119,15 @@ def test_scalar_coefficients_commute():
 
 
 def test_reversion():
-    assert reversion(w(1, 2, 3)) == w(3, 2, 1)
-    assert reversion(w(1)) == w(1)
+    assert w(1, 2, 3).reversion() == w(3, 2, 1)
+    assert w(1).reversion() == w(1)
     rng = random.Random(3)
     for _ in range(200):
         terms = {tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 4))): rng.randint(1, 5)}
         p = Polynomial(terms)
         q = Polynomial({tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 4))): 1})
-        assert reversion(reversion(p)) == p
-        assert reversion(p * q) == reversion(q) * reversion(p)
+        assert p.reversion().reversion() == p
+        assert (p * q).reversion() == q.reversion() * p.reversion()
 
 
 def test_bracket_matches_low_degree_definitions():
@@ -150,9 +154,9 @@ def test_slot_brackets():
 
 def test_multidegree():
     g = bracket((3, 2, 1)) - bracket((1, 3, 2))
-    assert multidegree(g) == {(1, 2, 3)}
-    assert multidegree(w(1, 2) + w(2, 2)) == {(1, 2), (2, 2)}
-    assert multidegree(Polynomial.zero()) == set()
+    assert g.multidegree() == {(1, 2, 3)}
+    assert (w(1, 2) + w(2, 2)).multidegree() == {(1, 2), (2, 2)}
+    assert Polynomial.zero().multidegree() == set()
 
 
 def test_leading_term_and_degree():

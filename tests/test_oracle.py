@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 import helpers
+from quatpoly import oracle
 from quatpoly.freealg import Polynomial, Scalar, bracket, bracket3, cross, vector_part
 from quatpoly.oracle import (
     Assignment,
@@ -16,8 +18,6 @@ from quatpoly.oracle import (
     dimension_check,
     evaluate,
     identity_corpus,
-    qconj,
-    qmul,
     random_assignment,
     zero_test,
 )
@@ -42,8 +42,8 @@ def test_hamilton_table():
     assert J * K == I
     assert K * I == J
     assert I * I == Quaternion(-1)
-    assert qmul(ONE, J) == J
-    assert qmul(qmul(K, J), I) == ONE  # kji = 1
+    assert ONE * J == J
+    assert (K * J) * I == ONE  # kji = 1
 
 
 def test_conjugation_antihomomorphism():
@@ -51,8 +51,8 @@ def test_conjugation_antihomomorphism():
     for _ in range(100):
         x = Quaternion(*(rng.randint(-5, 5) for _ in range(4)))
         y = Quaternion(*(rng.randint(-5, 5) for _ in range(4)))
-        assert qconj(x * y) == qconj(y) * qconj(x)
-        assert qconj(qconj(x)) == x
+        assert (x * y).conjugate() == y.conjugate() * x.conjugate()
+        assert x.conjugate().conjugate() == x
 
 
 def test_assignment_requires_pure_imaginary():
@@ -97,7 +97,7 @@ def test_reversion_conjugation_compatibility():
             a = random_assignment(3, seed)
             lhs = evaluate(p.reversion(), a)
             sign = 1 if len(word) % 2 == 0 else -1
-            assert lhs == qconj(evaluate(p, a)) * sign
+            assert lhs == evaluate(p, a).conjugate() * sign
 
 
 def test_bracket_parts_land_in_real_and_imaginary():
@@ -168,9 +168,17 @@ def test_dimension_check_wider_points():
     assert rep.ok and rep.total_words == 120 and rep.normal_by_rank == 21
 
 
-def test_dimension_check_guard():
+def test_dimension_check_guard(monkeypatch):
     with pytest.raises(ValueError):
         dimension_check(10, 9, [], gb_vector(2, 3))
+
+    def unbuilt(letters):
+        raise AssertionError("words built for a guarded slice")
+
+    # The guard counts the permutation words before building any.
+    monkeypatch.setattr(oracle, "_arrangements", unbuilt)
+    with pytest.raises(ValueError, match="479001600 permutation words"):
+        dimension_check(12, 12, [], gb_vector(2, 3), multiset=tuple(range(1, 13)))
 
 
 def test_corpus_contents():
@@ -375,3 +383,34 @@ def test_zero_test_rejects_letters_beyond_n():
     with pytest.raises(ValueError):
         zero_test(Polynomial({(1,): Scalar.symbol(4)}), n=3)
     assert zero_test(w(1, 1, 2) - w(2, 1, 1), n=4).passed
+
+
+def test_zero_test_rejects_letters_below_one():
+    # No draw exists for these letters; read as tuple indices they would
+    # alias letter n, and w(0) - w(3) would pass as an identity.
+    with pytest.raises(ValueError, match="below 1"):
+        zero_test(w(0) - w(3), n=3)
+    with pytest.raises(ValueError, match="below 1"):
+        zero_test(w(1, -1))
+
+
+def test_dimension_check_is_the_sum_of_its_multiset_blocks():
+    for n, d in ((3, 5), (2, 6), (4, 4)):
+        gens, base = gen_vector_syzygies(n), gb_vector(n, max(3, d))
+        whole = dimension_check(n, d, gens, base)
+        parts = [
+            dimension_check(n, d, gens, base, multiset=ms)
+            for ms in itertools.combinations_with_replacement(range(1, n + 1), d)
+        ]
+        for field_name in ("total_words", "rank", "normal_factorfree", "normal_structural"):
+            assert getattr(whole, field_name) == sum(getattr(r, field_name) for r in parts), (
+                n, d, field_name,
+            )
+        assert whole.total_words == n**d and all(r.ok for r in parts)
+
+
+def test_dimension_check_rejects_inhomogeneous_generators():
+    base = gb_vector(2, 3)
+    for multiset in (None, (1, 1, 2)):
+        with pytest.raises(ValueError, match="multiset-homogeneous"):
+            dimension_check(2, 3, [w(1, 1, 2) - w(1)], base, multiset=multiset)

@@ -12,7 +12,6 @@ from quatpoly.qvars import (
     QPolynomial,
     conjugation_image,
     normalize_q,
-    qconjugate,
     qword_conjugate,
     scalar_part,
     split,
@@ -35,15 +34,15 @@ def random_qword(rng, n=3, max_len=4, min_len=0):
 
 
 def test_conjugation_examples():
-    assert qconjugate(qw(1, 2)) == qw(-2, -1)
-    assert qconjugate(qw(-1)) == qw(1)
+    assert qw(1, 2).conjugate() == qw(-2, -1)
+    assert qw(-1).conjugate() == qw(1)
     assert qword_conjugate(qword_conjugate((1, -2, 3))) == (1, -2, 3)
     rng = random.Random(2)
     for _ in range(100):
         p = QPolynomial({random_qword(rng): rng.randint(1, 4)})
         q = QPolynomial({random_qword(rng): rng.randint(1, 4)})
-        assert qconjugate(qconjugate(p)) == p
-        assert qconjugate(p * q) == qconjugate(q) * qconjugate(p)
+        assert p.conjugate().conjugate() == p
+        assert (p * q).conjugate() == q.conjugate() * p.conjugate()
 
 
 def test_scalar_vector_parts():
@@ -55,7 +54,7 @@ def test_scalar_vector_parts():
     for _ in range(50):
         p = QPolynomial({random_qword(rng): rng.randint(-3, 3) or 1})
         assert scalar_part(p) + vector_part_q(p) == p
-        assert qconjugate(scalar_part(p)) == scalar_part(p)
+        assert scalar_part(p).conjugate() == scalar_part(p)
 
 
 def test_split_examples():
@@ -73,7 +72,7 @@ def test_split_is_homomorphism():
         q = QPolynomial({random_qword(rng): rng.randint(1, 3)})
         assert split(p * q) == split(p) * split(q)
         assert split(p + q) == split(p) + split(q)
-        assert split(qconjugate(p)) == conjugation_image(split(p))
+        assert split(p.conjugate()) == conjugation_image(split(p))
 
 
 def test_normalize_q_examples():
@@ -142,7 +141,7 @@ def test_normalize_q_commutes_with_conjugation():
     for _ in range(40):
         word = random_qword(rng, max_len=4, min_len=1)
         p = QPolynomial.from_word(word)
-        lhs = normalize_q(qconjugate(p), n=3, max_degree=4)
+        lhs = normalize_q(p.conjugate(), n=3, max_degree=4)
         rhs = normalize(conjugation_image(normalize_q(p, n=3, max_degree=4)), base)
         assert lhs == rhs
 
