@@ -15,6 +15,10 @@ reverses letter order, ``cross`` is the antisymmetrized half product; a
 trailing apostrophe conjugates a q-variable.  An expression is either all
 v/s-letters or all q-letters; mixing the two alphabets is rejected.
 
+A parsed value is a ``Fraction``, a ``Polynomial`` or a ``QPolynomial``;
+term-map arithmetic lifts a constant into either alphabet, and the type of
+the result gives the mode.
+
 Exit codes: 0 success / property verified, 1 verification finding,
 2 usage or parse error.
 """
@@ -27,7 +31,7 @@ import sys
 from fractions import Fraction
 
 from . import oracle, qvars, rewrite, syzygy
-from .freealg import Polynomial, bracket_poly, cross, vector_part_poly, word_str
+from .freealg import Polynomial, Scalar, bracket, cross, vector_part, word_str
 from .qvars import QPolynomial
 
 
@@ -64,35 +68,10 @@ def _tokenize(text):
     return tokens
 
 
-class _Value:
-    """Tagged expression value: mode 'c' (rational), 'v' or 'q'."""
-
-    __slots__ = ("mode", "data")
-
-    def __init__(self, mode, data):
-        self.mode = mode
-        self.data = data
-
-
-def _lift(value, mode):
-    if value.mode == mode:
-        return value.data
-    if value.mode == "c":
-        if mode == "v":
-            return Polynomial.constant(value.data)
-        return QPolynomial.constant(value.data)
-    raise ExpressionError("cannot mix v-variables and q-variables in one expression")
-
-
 def _combine(a, b, op):
-    mode = a.mode
-    if mode == "c":
-        mode = b.mode
-    if a.mode != "c" and b.mode != "c" and a.mode != b.mode:
+    if {type(a), type(b)} == {Polynomial, QPolynomial}:
         raise ExpressionError("cannot mix v-variables and q-variables in one expression")
-    if mode == "c":
-        return _Value("c", op(a.data, b.data))
-    return _Value(mode, op(_lift(a, mode), _lift(b, mode)))
+    return op(a, b)
 
 
 class _Parser:
@@ -129,7 +108,7 @@ class _Parser:
             negate = True
         out = self.term()
         if negate:
-            out = _Value(out.mode, -out.data)
+            out = -out
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
@@ -165,8 +144,8 @@ class _Parser:
                     raise ExpressionError("expected denominator digits", p2)
                 if den == 0:
                     raise ExpressionError("zero denominator", p2)
-                return _Value("c", Fraction(num, den))
-            return _Value("c", Fraction(num))
+                return Fraction(num, den)
+            return Fraction(num)
         if kind == "op" and value == "(":
             inner = self.expr()
             self.expect_op(")")
@@ -198,36 +177,27 @@ class _Parser:
             if index < 1:
                 raise ExpressionError("variable index must be >= 1", pos)
             if name == "v":
-                return _Value("v", Polynomial.variable(index))
+                return Polynomial.variable(index)
             if name == "s":
-                from .freealg import Scalar
-
-                return _Value("v", Polynomial.constant(Scalar.symbol(index)))
+                return Polynomial.constant(Scalar.symbol(index))
             barred = False
             kind, nxt, _ = self.peek()
             if kind == "op" and nxt == "'":
                 self.next()
                 barred = True
-            return _Value("q", QPolynomial.variable(index, barred=barred))
+            return QPolynomial.variable(index, barred=barred)
         raise ExpressionError("unknown name %r" % (name + idx), pos)
 
 
 def _apply_func(name, value):
-    if value.mode == "c":
-        if name == "S" or name == "rev":
-            return value
-        return _Value("c", Fraction(0))
-    if value.mode == "v":
-        if name == "S":
-            return _Value("v", bracket_poly(value.data))
-        if name == "A":
-            return _Value("v", vector_part_poly(value.data))
-        return _Value("v", value.data.reversion())
+    if isinstance(value, Fraction):
+        # A constant is the empty word: even, and its own reversal.
+        return Fraction(0) if name == "A" else value
     if name == "S":
-        return _Value("q", qvars.scalar_part(value.data))
+        return bracket(value)
     if name == "A":
-        return _Value("q", qvars.vector_part_q(value.data))
-    return _Value("q", value.data.reversion())
+        return vector_part(value)
+    return value.reversion()
 
 
 def parse_expression(text):
@@ -238,11 +208,11 @@ def parse_expression(text):
         value = _Parser(text).parse()
     except RecursionError:
         raise ExpressionError("expression nested too deeply") from None
-    if value.mode == "q":
-        return "q", value.data
-    if value.mode == "v":
-        return "v", value.data
-    return "v", Polynomial.constant(value.data)
+    if isinstance(value, QPolynomial):
+        return "q", value
+    if isinstance(value, Fraction):
+        value = Polynomial.constant(value)
+    return "v", value
 
 
 def _check_vars(n, indices):
@@ -356,17 +326,20 @@ def _cmd_zero_test(args, out):
 
 
 def _cmd_dim_check(args, out):
+    multiset = None
+    if args.multilinear:
+        if args.deg > args.vars:
+            raise ExpressionError("multilinear degree cannot exceed --vars")
+        multiset = tuple(range(1, args.deg + 1))
+    # The word-count guard trips before any generator or rule is built.
+    oracle._slice(args.vars, args.deg, multiset)
     if args.multilinear:
         gens = syzygy.gen_multilinear_syzygies(args.vars)
         base = syzygy.gb_multilinear(args.vars)
-        multiset = tuple(range(1, args.deg + 1))
-        if args.deg > args.vars:
-            raise ExpressionError("multilinear degree cannot exceed --vars")
-        report = oracle.dimension_check(args.vars, args.deg, gens, base, multiset=multiset)
     else:
         gens = syzygy.gen_vector_syzygies(args.vars)
         base = syzygy.gb_vector(args.vars, max(3, args.deg))
-        report = oracle.dimension_check(args.vars, args.deg, gens, base)
+    report = oracle.dimension_check(args.vars, args.deg, gens, base, multiset=multiset)
     out.write(
         "words %d  rank %d  normal %d  factor-free %d  structural %d\n"
         % (

@@ -6,6 +6,10 @@ coefficient is either a ``Fraction`` or a :class:`Scalar`, a commutative
 polynomial in the central symbols s1, s2, ...  Scalar symbols commute with
 every letter, so they live entirely inside the coefficients.
 
+Conjugation reverses products and sends every vector letter to its
+negative (``Polynomial.conjugate``).  ``bracket`` and ``vector_part`` are
+its even and odd parts, for q-polynomials (``QPolynomial.conjugate``) too.
+
 All values are immutable after construction and every operation is a pure
 function, so they are safe to share across threads.
 """
@@ -211,10 +215,6 @@ class Scalar(_TermMap):
         self._set(((tuple(sorted(m)), c) for m, c in terms.items()) if terms else ())
 
     @classmethod
-    def rational(cls, value) -> "Scalar":
-        return cls.constant(value)
-
-    @classmethod
     def symbol(cls, index: int) -> "Scalar":
         if index < 1:
             raise ValueError("scalar symbol index must be >= 1")
@@ -288,6 +288,12 @@ class Polynomial(_TermMap):
             return self.scale(other)
         return NotImplemented
 
+    def conjugate(self) -> "Polynomial":
+        """Anti-automorphism sending every letter v_i to -v_i: reverse each
+        word and negate it when its length is odd; an involution, and
+        ``qvars.split`` carries q-conjugation onto it."""
+        return Polynomial({w[::-1]: -c if len(w) % 2 else c for w, c in self.terms.items()})
+
     def leading_word(self) -> Word:
         if not self.terms:
             raise ValueError("the zero polynomial has no leading word")
@@ -337,33 +343,16 @@ def _format_term(w, coeff):
     return (False, body)
 
 
-def bracket(w: Word) -> Polynomial:
-    """Conjugation-even half of a word: (w + (-1)^k w reversed)/2 for a
-    word of length k."""
-    w = tuple(w)
-    sign = _HALF if len(w) % 2 == 0 else -_HALF
-    return Polynomial({w: _HALF}) + Polynomial({w[::-1]: sign})
+def bracket(p):
+    """Conjugation-even part (p + conjugate)/2 of a ``Polynomial`` or a
+    ``QPolynomial``; for a word of length k, (w + (-1)^k w reversed)/2."""
+    return (p + p.conjugate()).scale(_HALF)
 
 
-def vector_part(w: Word) -> Polynomial:
-    """Conjugation-odd half of a word; ``bracket(w) + vector_part(w)``
-    recovers the word."""
-    return Polynomial.from_word(w) - bracket(w)
-
-
-def bracket_poly(p: Polynomial) -> Polynomial:
-    """Linear extension of :func:`bracket` over the terms of ``p``."""
-    data = {}
-    for w, c in p.terms.items():
-        half = c * _HALF
-        data[w] = data.get(w, 0) + half
-        r = w[::-1]
-        data[r] = data.get(r, 0) + (half if len(w) % 2 == 0 else -half)
-    return Polynomial(data)
-
-
-def vector_part_poly(p: Polynomial) -> Polynomial:
-    return p - bracket_poly(p)
+def vector_part(p):
+    """Conjugation-odd part (p - conjugate)/2; ``bracket(p) +
+    vector_part(p)`` recovers ``p``."""
+    return (p - p.conjugate()).scale(_HALF)
 
 
 def inner(p: Polynomial, q: Polynomial) -> Polynomial:

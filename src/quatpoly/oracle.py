@@ -332,6 +332,31 @@ def _arrangements(letters: tuple) -> list:
 _WORD_GUARD = 10000
 
 
+def _slice(n: int, d: int, multiset: tuple | None = None):
+    """The mode, alphabet and block letter multisets of the degree-``d``
+    slice that ``dimension_check`` ranks, before any row is built; more
+    than ``_WORD_GUARD`` words raise ``ValueError``."""
+    if multiset is None:
+        if n**d > _WORD_GUARD:
+            raise ValueError(
+                "n^d = %d words exceeds the word-count guard %d" % (n**d, _WORD_GUARD)
+            )
+        alphabet = range(1, n + 1)
+        return "general", alphabet, itertools.combinations_with_replacement(alphabet, d)
+    multiset = tuple(sorted(multiset))
+    if len(multiset) != d:
+        raise ValueError("multiset size %d != degree %d" % (len(multiset), d))
+    count = factorial(d)
+    for k in Counter(multiset).values():
+        count //= factorial(k)
+    if count > _WORD_GUARD:
+        raise ValueError(
+            "%d permutation words exceeds the word-count guard %d" % (count, _WORD_GUARD)
+        )
+    mode = "multilinear" if len(set(multiset)) == len(multiset) else "general"
+    return mode, sorted(set(multiset)), [multiset]
+
+
 def dimension_check(
     n: int,
     d: int,
@@ -353,29 +378,7 @@ def dimension_check(
     the block of words sharing one letter multiset: the slice is the union
     of its blocks and its rank the sum of theirs.
     """
-    if multiset is None:
-        mode = "general"
-        if n**d > _WORD_GUARD:
-            raise ValueError(
-                "n^d = %d words exceeds the word-count guard %d" % (n**d, _WORD_GUARD)
-            )
-        alphabet = range(1, n + 1)
-        targets = itertools.combinations_with_replacement(alphabet, d)
-    else:
-        multiset = tuple(sorted(multiset))
-        if len(multiset) != d:
-            raise ValueError("multiset size %d != degree %d" % (len(multiset), d))
-        count = factorial(d)
-        for k in Counter(multiset).values():
-            count //= factorial(k)
-        if count > _WORD_GUARD:
-            raise ValueError(
-                "%d permutation words exceeds the word-count guard %d" % (count, _WORD_GUARD)
-            )
-        mode = "multilinear" if len(set(multiset)) == len(multiset) else "general"
-        alphabet = sorted(set(multiset))
-        targets = [multiset]
-
+    mode, alphabet, targets = _slice(n, d, multiset)
     gens = []
     for g in generator_polys(generators):
         if g.degree() > d:
@@ -462,41 +465,24 @@ def _expand_even_inner(w) -> Polynomial:
     out = Polynomial()
     k = len(w)
     for i in range(2, k + 1):
-        pair = bracket((w[0], w[i - 1]))
+        pair = bracket(_pw(w[0], w[i - 1]))
         rest = w[1 : i - 1] + w[i:]
         sign = 1 if i % 2 == 0 else -1
-        out = out + (pair * bracket(rest)).scale(sign)
+        out = out + (pair * bracket(_pw(*rest))).scale(sign)
     return out
 
 
-def _bipartitions(w, first_len: int):
-    """All order-preserving splits of ``w`` into subsequences of sizes
-    (first_len, rest), with the permutation sign of the reordering."""
+def _expand(w, first_len: int, right) -> Polynomial:
+    """Sum over the order-preserving splits of ``w`` into subsequences of
+    sizes (first_len, rest) of the bracket of the first times ``right`` of
+    the rest, signed by the permutation that reorders them."""
+    out = Polynomial()
     k = len(w)
     for sel in itertools.combinations(range(k), first_len):
         rest = tuple(i for i in range(k) if i not in sel)
-        sign = _perm_sign(sel + rest)
-        yield tuple(w[i] for i in sel), tuple(w[i] for i in rest), sign
-
-
-def _expand_odd_vector(w) -> Polynomial:
-    out = Polynomial()
-    for part1, part2, sign in _bipartitions(w, len(w) - 1):
-        out = out + (bracket(part1) * _pw(*part2)).scale(sign)
-    return out
-
-
-def _expand_even_vector(w) -> Polynomial:
-    out = Polynomial()
-    for part1, part2, sign in _bipartitions(w, len(w) - 2):
-        out = out + (bracket(part1) * vector_part(part2)).scale(sign)
-    return out
-
-
-def _expand_odd_inner(w) -> Polynomial:
-    out = Polynomial()
-    for part1, part2, sign in _bipartitions(w, len(w) - 3):
-        out = out + (bracket(part1) * bracket(part2)).scale(sign)
+        part1 = _pw(*(w[i] for i in sel))
+        part2 = _pw(*(w[i] for i in rest))
+        out = out + (bracket(part1) * right(part2)).scale(_perm_sign(sel + rest))
     return out
 
 
@@ -586,13 +572,16 @@ def identity_corpus():
     # graded expansions of brackets and vector parts
     for length in (4, 6):
         for idx in _index_patterns(length):
-            add(tag("eq13-even-inner", idx), bracket(idx) - _expand_even_inner(idx))
-            add(tag("eq13-even-vector", idx), vector_part(idx) - _expand_even_vector(idx))
+            add(tag("eq13-even-inner", idx), bracket(_pw(*idx)) - _expand_even_inner(idx))
+            add(
+                tag("eq13-even-vector", idx),
+                vector_part(_pw(*idx)) - _expand(idx, length - 2, vector_part),
+            )
     for idx in _index_patterns(3):
-        add(tag("eq13-odd-vector", idx), vector_part(idx) - _expand_odd_vector(idx))
+        add(tag("eq13-odd-vector", idx), vector_part(_pw(*idx)) - _expand(idx, 2, lambda p: p))
     for idx in _index_patterns(5):
-        add(tag("eq13-odd-vector", idx), vector_part(idx) - _expand_odd_vector(idx))
-        add(tag("eq13-odd-inner", idx), bracket(idx) - _expand_odd_inner(idx))
+        add(tag("eq13-odd-vector", idx), vector_part(_pw(*idx)) - _expand(idx, 4, lambda p: p))
+        add(tag("eq13-odd-inner", idx), bracket(_pw(*idx)) - _expand(idx, 2, bracket))
 
     # the two-variable quartic witness
     q = (_pw(1, 2, 1, 2) + _pw(2, 1, 2, 1) - _pw(1, 1, 2, 2).scale(2)) * Fraction(1, 4)
@@ -617,7 +606,7 @@ def identity_corpus():
             i = rng.randint(1, 6)
             add(
                 "prop1-shift[len%d-%d]" % (length, t),
-                bracket((i,) + w) - bracket(w + (i,)),
+                bracket(_pw(i, *w)) - bracket(_pw(*w, i)),
             )
 
     # left multiple of a degree-3 rule element

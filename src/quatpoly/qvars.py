@@ -1,5 +1,7 @@
 """Full quaternionic variables: the barred alphabet, conjugation, and the
 splitting q_i = s_i + v_i onto the free algebra with central symbols.
+The scalar and vector parts of a q-polynomial are ``freealg.bracket`` and
+``freealg.vector_part``, which work on either class.
 
 A q-word letter is a signed integer: ``+i`` is the plain variable, ``-i``
 its conjugate.  Canonical forms of q-polynomials are computed by splitting
@@ -9,13 +11,9 @@ lossless since q_i can be read back as s_i + v_i.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .freealg import Polynomial, Scalar, _coeff_body, _TermMap
 
 QWord = tuple
-
-_HALF = Fraction(1, 2)
 
 
 def qletter_str(x: int) -> str:
@@ -77,22 +75,12 @@ def _qterm(w, c):
     return (c < 0, _coeff_body(abs(c), [qletter_str(x) for x in w]))
 
 
-def scalar_part(p: QPolynomial) -> QPolynomial:
-    """Conjugation-even half (p + conjugate)/2."""
-    return (p + p.conjugate()) * _HALF
-
-
-def vector_part_q(p: QPolynomial) -> QPolynomial:
-    """Conjugation-odd half (p - conjugate)/2."""
-    return (p - p.conjugate()) * _HALF
-
-
 def split(p: QPolynomial) -> Polynomial:
     """Substitute q_i -> s_i + v_i and the barred letter -> s_i - v_i.
 
     A ring homomorphism onto the free algebra with central scalar
-    symbols; conjugation on the q side becomes reversion composed with
-    v_i -> -v_i on the image.  Each letter of a word of length k picks
+    symbols that carries ``QPolynomial.conjugate`` onto
+    ``Polynomial.conjugate``.  Each letter of a word of length k picks
     s_i or +-v_i, so the word expands to 2^k (vector word, scalar
     monomial) terms, gathered per vector word.
     """
@@ -117,13 +105,6 @@ def split(p: QPolynomial) -> Polynomial:
         coeff = Scalar(monos)
         out[word] = coeff.as_fraction() if coeff.is_rational() else coeff
     return Polynomial(out)
-
-
-def conjugation_image(p: Polynomial) -> Polynomial:
-    """The split-side automorphism matching q-conjugation: reversion
-    followed by negating every vector letter."""
-    rev = p.reversion()
-    return Polynomial({w: c if len(w) % 2 == 0 else -c for w, c in rev.terms.items()})
 
 
 def normalize_q(p: QPolynomial, n: int | None = None, max_degree: int | None = None) -> Polynomial:

@@ -110,10 +110,9 @@ def gen_quaternion_syzygies(n: int):
 
 
 def _bracket2(w) -> Polynomial:
-    """Twice the conjugation-even half of a word: w + (-1)^deg reversed."""
-    w = tuple(w)
-    sign = 1 if len(w) % 2 == 0 else -1
-    return Polynomial({w: 1}) + Polynomial({w[::-1]: sign})
+    """Twice the conjugation-even part of a word."""
+    p = _w(*w)
+    return p + p.conjugate()
 
 
 def _rule(element: Polynomial, family: str, indices: tuple, variant: int = 0) -> RewriteRule:

@@ -36,7 +36,7 @@ def test_parse_simple():
 
 def test_parse_bracket_function():
     mode, p = parse_expression("S(v1*v2*v3)")
-    assert mode == "v" and p == bracket((1, 2, 3))
+    assert mode == "v" and p == bracket(w(1, 2, 3))
 
 
 def test_parse_q_mode():
@@ -329,6 +329,17 @@ def test_dim_check_word_guards(capsys):
         assert capsys.readouterr().err == "error: %s\n" % message
 
 
+def test_dim_check_guards_trip_before_any_family_is_built(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("built a generator or rule family")
+
+    for name in ("gen_vector_syzygies", "gen_multilinear_syzygies", "gb_vector", "gb_multilinear"):
+        monkeypatch.setattr(syzygy, name, refuse)
+    for argv in (["--vars", "10", "--deg", "9"], ["--vars", "9", "--deg", "9", "--multilinear"]):
+        assert run(["dim-check", *argv]) == (2, "")
+        assert "exceeds the word-count guard 10000" in capsys.readouterr().err
+
+
 def test_zero_test_scalar_symbol_counterexample():
     assert run(["zero-test", "s1*v1*v2 - s1*v2*v1"]) == (
         1,
@@ -339,3 +350,39 @@ def test_zero_test_scalar_symbol_counterexample():
         1,
         "counterexample at trial 2: v1=(0, -8, -7, -7); s1=2 => (0, -24, -21, -21)\n",
     )
+
+
+@pytest.mark.parametrize(
+    "expr, expected",
+    [
+        ("S(q1*q2') - A(q2)*q1", "-3/2*v2*v1 - 1/2*v1*v2 - s1*v2 + s1*s2"),
+        ("S(3) + A(5)*v1 - rev(1/2)", "5/2"),
+        ("2*q1 - 1", "2*v1 + (2*s1 - 1)"),
+        ("1 - q1'", "v1 + (-s1 + 1)"),
+        ("rev(q1*q2') + 1/2", "-v2*v1 - s1*v2 + s2*v1 + (s1*s2 + 1/2)"),
+        ("A(s1*v1*v2)", "-1/2*s1*v2*v1 + 1/2*s1*v1*v2"),
+        ("cross(2,3)", "0"),
+        ("cross(2,v1)", "0"),
+        ("cross(1/2, q1)", "0"),
+        ("-S(5) - 3", "-8"),
+        ("A(q1)", "v1"),
+        ("S(s1) + A(s1)", "s1"),
+    ],
+)
+def test_normalize_constants_and_parts_are_pinned(expr, expected):
+    # Constants stay in either alphabet; S, A and rev act on them as on
+    # the empty word.
+    assert run(["normalize", expr]) == (0, expected + "\n")
+
+
+def test_mixing_alphabets_is_pinned(capsys):
+    for expr in ("cross(v1,q1)", "s1*q1"):
+        assert run(["normalize", expr]) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: cannot mix v-variables and q-variables in one expression\n"
+        )
+
+
+def test_zero_test_of_q_parts_is_pinned():
+    assert run(["zero-test", "S(q1*q2)-S(q2*q1)"]) == (0, "zero on all 100 trials\n")
+    assert run(["zero-test", "S(q1)*q2 - q2*S(q1)"]) == (0, "zero on all 100 trials\n")

@@ -62,9 +62,9 @@ def test_assignment_requires_pure_imaginary():
 
 def test_evaluate_examples():
     a = basis_assignment()
-    assert evaluate(bracket((1, 2, 3)), a) == Quaternion(-1)
+    assert evaluate(bracket(w(1, 2, 3)), a) == Quaternion(-1)
     assert evaluate(w(1, 1) + Polynomial.one(), Assignment({1: I}, {})) == Quaternion(0)
-    shift = bracket((1, 2, 3)) - bracket((3, 1, 2))
+    shift = bracket(w(1, 2, 3)) - bracket(w(3, 1, 2))
     assert evaluate(shift, a) == Quaternion(0)
     with pytest.raises(ValueError):
         evaluate(w(1, 2), Assignment({1: I}, {}))
@@ -106,8 +106,8 @@ def test_bracket_parts_land_in_real_and_imaginary():
         word = helpers.random_word(rng, n=3, max_degree=6)
         for seed in range(5):
             a = random_assignment(3, seed)
-            assert evaluate(bracket(word), a).is_real()
-            assert evaluate(vector_part(word), a).is_pure_imaginary()
+            assert evaluate(bracket(w(*word)), a).is_real()
+            assert evaluate(vector_part(w(*word)), a).is_pure_imaginary()
 
 
 def test_iota_value_at_standard_basis():

@@ -6,16 +6,13 @@ import pytest
 
 import helpers
 from quatpoly.cli import parse_expression
-from quatpoly.freealg import Polynomial, Scalar
+from quatpoly.freealg import Polynomial, Scalar, bracket, vector_part
 from quatpoly.oracle import evaluate, random_assignment
 from quatpoly.qvars import (
     QPolynomial,
-    conjugation_image,
     normalize_q,
     qword_conjugate,
-    scalar_part,
     split,
-    vector_part_q,
 )
 from quatpoly.syzygy import gen_quaternion_syzygies
 
@@ -48,13 +45,58 @@ def test_conjugation_examples():
 def test_scalar_vector_parts():
     q1 = qw(1)
     half = Fraction(1, 2)
-    assert scalar_part(q1) == (qw(1) + qw(-1)) * half
-    assert vector_part_q(qw(1, -1)) == QPolynomial.zero()
+    assert bracket(q1) == (qw(1) + qw(-1)) * half
+    assert vector_part(qw(1, -1)) == QPolynomial.zero()
     rng = random.Random(4)
     for _ in range(50):
         p = QPolynomial({random_qword(rng): rng.randint(-3, 3) or 1})
-        assert scalar_part(p) + vector_part_q(p) == p
-        assert scalar_part(p).conjugate() == scalar_part(p)
+        assert bracket(p) + vector_part(p) == p
+        assert bracket(p).conjugate() == bracket(p)
+
+
+def random_split_poly(rng, n=3, max_len=5):
+    """A Polynomial with fractional and Scalar coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        c = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+        if rng.random() < 0.5:
+            mono = tuple(rng.randint(1, n) for _ in range(rng.randint(1, 2)))
+            c = Scalar({mono: c, (): Fraction(rng.randint(-3, 3), 2)})
+        terms[helpers.random_word(rng, n=n, max_degree=max_len)] = c
+    return Polynomial(terms)
+
+
+def random_qpoly(rng):
+    return QPolynomial(
+        {random_qword(rng, max_len=5): Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)}
+    )
+
+
+def test_parts_commute_with_split():
+    rng = random.Random(41)
+    for _ in range(100):
+        q = random_qpoly(rng)
+        assert split(bracket(q)) == bracket(split(q))
+        assert split(vector_part(q)) == vector_part(split(q))
+
+
+def test_parts_are_the_conjugation_eigenparts():
+    rng = random.Random(43)
+    for _ in range(100):
+        for p in (random_split_poly(rng), random_qpoly(rng)):
+            even, odd = bracket(p), vector_part(p)
+            assert even + odd == p
+            assert even.conjugate() == even
+            assert odd.conjugate() == -odd
+            assert p.conjugate().conjugate() == p
+
+
+def test_conjugate_evaluates_to_the_quaternion_conjugate():
+    rng = random.Random(47)
+    for trial in range(60):
+        p = random_split_poly(rng)
+        a = random_assignment(3, trial)
+        assert evaluate(p.conjugate(), a) == evaluate(p, a).conjugate()
 
 
 def test_split_examples():
@@ -72,7 +114,7 @@ def test_split_is_homomorphism():
         q = QPolynomial({random_qword(rng): rng.randint(1, 3)})
         assert split(p * q) == split(p) * split(q)
         assert split(p + q) == split(p) + split(q)
-        assert split(p.conjugate()) == conjugation_image(split(p))
+        assert split(p.conjugate()) == split(p).conjugate()
 
 
 def test_normalize_q_examples():
@@ -103,11 +145,11 @@ def test_shift_invariance_exhaustive():
     for length in range(0, 5):
         for word in itertools.product(letters, repeat=length):
             p = QPolynomial.from_word(word)
-            sp = scalar_part(p)
+            sp = bracket(p)
             for pj in (qw(1), qw(-2)):
                 assert not normalize_q(pj * sp - sp * pj, n=3)
             pj = qw(3)
-            lhs = scalar_part(pj * p) - scalar_part(p * pj)
+            lhs = bracket(pj * p) - bracket(p * pj)
             assert not normalize_q(lhs, n=3)
 
 
@@ -142,7 +184,7 @@ def test_normalize_q_commutes_with_conjugation():
         word = random_qword(rng, max_len=4, min_len=1)
         p = QPolynomial.from_word(word)
         lhs = normalize_q(p.conjugate(), n=3, max_degree=4)
-        rhs = normalize(conjugation_image(normalize_q(p, n=3, max_degree=4)), base)
+        rhs = normalize(normalize_q(p, n=3, max_degree=4).conjugate(), base)
         assert lhs == rhs
 
 
@@ -202,7 +244,7 @@ def test_float_coefficients_rejected():
         lambda: QPolynomial({(1,): 0.1}),
         lambda: QPolynomial.constant(0.25),
         lambda: qw(1).scale(0.5),
-        lambda: Scalar.rational(0.1),
+        lambda: Scalar.constant(0.1),
     ):
         with pytest.raises(TypeError, match="exact rationals"):
             make()
