@@ -221,12 +221,6 @@ def _check_vars(n, indices):
         raise ExpressionError("variable index %d exceeds --vars %d" % (top, n))
 
 
-def _build_base(n, max_degree, multilinear):
-    if multilinear:
-        return syzygy.gb_multilinear(n)
-    return syzygy.gb_vector(n, max(3, max_degree))
-
-
 def _expr_arg(text):
     """Expression from the argument list, or from stdin when given '-'."""
     if text == "-":
@@ -244,7 +238,10 @@ def _cmd_normalize(args, out):
         if args.max_deg is not None and degree > args.max_deg:
             raise ExpressionError("input degree %d exceeds --max-deg %d" % (degree, args.max_deg))
         _check_vars(args.vars, value.variables())
-        result = syzygy._normal_form(value, args.multilinear)
+        repeated = [w for w in value.terms if args.multilinear and len(set(w)) != len(w)]
+        if repeated:
+            raise ExpressionError("multilinear mode requires distinct letters: %s" % word_str(repeated[0]))
+        result = syzygy._normal_form(value)
     out.write("%s\n" % result)
     return 0
 
@@ -267,7 +264,7 @@ def _cmd_check_normal(args, out):
     pmode = "multilinear" if args.multilinear else "general"
     structural = rewrite.is_normal_structural(w, pmode)
     # A reducible word normalizes to strictly smaller words.
-    factorfree = syzygy._normal_form(value, args.multilinear) == value
+    factorfree = syzygy._normal_form(value) == value
     verdict = "normal" if structural else "not normal"
     agree = "" if structural == factorfree else " (predicates disagree!)"
     out.write("%s%s\n" % (verdict, agree))
@@ -279,7 +276,7 @@ def _format_rule(rule):
 
 
 def _cmd_gb(args, out):
-    base = _build_base(args.vars, args.max_deg, args.multilinear)
+    base = syzygy._family(args.vars, args.max_deg, args.multilinear)
     if args.tail_reduce:
         base = rewrite.inter_reduce(base)
     for rule in base.rules:
@@ -288,11 +285,8 @@ def _cmd_gb(args, out):
 
 
 def _cmd_verify_groebner(args, out):
-    base = _build_base(args.vars, args.max_deg, args.multilinear)
-    if args.multilinear:
-        gens = syzygy.gen_multilinear_syzygies(args.vars)
-    else:
-        gens = syzygy.gen_vector_syzygies(args.vars)
+    base = syzygy._family(args.vars, args.max_deg, args.multilinear)
+    gens = syzygy._generators(args.vars, args.max_deg, args.multilinear)
     report = rewrite.check_groebner(
         base, args.max_deg, multilinear=args.multilinear, generators=gens
     )
@@ -333,12 +327,8 @@ def _cmd_dim_check(args, out):
         multiset = tuple(range(1, args.deg + 1))
     # The word-count guard trips before any generator or rule is built.
     oracle._slice(args.vars, args.deg, multiset)
-    if args.multilinear:
-        gens = syzygy.gen_multilinear_syzygies(args.vars)
-        base = syzygy.gb_multilinear(args.vars)
-    else:
-        gens = syzygy.gen_vector_syzygies(args.vars)
-        base = syzygy.gb_vector(args.vars, max(3, args.deg))
+    gens = syzygy._generators(args.vars, args.deg, args.multilinear)
+    base = syzygy._family(args.vars, args.deg, args.multilinear)
     report = oracle.dimension_check(args.vars, args.deg, gens, base, multiset=multiset)
     out.write(
         "words %d  rank %d  normal %d  factor-free %d  structural %d\n"
@@ -391,12 +381,7 @@ def _cmd_complete(args, out):
             gens.append(value)
     else:
         gens = [g.element for g in syzygy.gen_vector_syzygies(args.vars)]
-    try:
-        base = rewrite.complete(gens, args.max_deg)
-    except rewrite.CompletionLimitExceeded as exc:
-        out.write("completion failed: %s\n" % exc)
-        return 1
-    for rule in base.rules:
+    for rule in rewrite.complete(gens, args.max_deg).rules:
         out.write("%s\n" % _format_rule(rule))
     return 0
 

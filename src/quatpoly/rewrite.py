@@ -53,10 +53,6 @@ from fractions import Fraction
 from .freealg import Polynomial, Word, word_key, word_multiset, word_str
 
 
-class CompletionLimitExceeded(RuntimeError):
-    """Bounded completion hit its rule-count cap before closing."""
-
-
 @dataclass(frozen=True, eq=False)
 class RewriteRule:
     """Rewrite ``lead`` to ``rhs``; the underlying element is ``lead - rhs``."""
@@ -546,7 +542,7 @@ def _monic(p: Polynomial) -> Polynomial:
     return p if lc == 1 else p.scale(Fraction(1) / lc)
 
 
-def complete(generators, max_degree: int, max_rules: int = 1000) -> RuleSet:
+def complete(generators, max_degree: int) -> RuleSet:
     """Bounded two-sided completion of a homogeneous generator list.
 
     Rules and generators are homogeneous, and an overlap word is longer
@@ -558,9 +554,9 @@ def complete(generators, max_degree: int, max_rules: int = 1000) -> RuleSet:
 
     The inter-reduced output is re-verified by :func:`check_groebner`
     before returning, so a returned set is genuinely locally confluent to
-    the bound.  Exceeding ``max_rules`` raises
-    :class:`CompletionLimitExceeded`; an inhomogeneous generator or one of
-    degree above ``max_degree`` raises ``ValueError``.
+    the bound.  An inhomogeneous generator or one of degree above
+    ``max_degree`` raises ``ValueError``.  The degree bound alone bounds
+    the work: no rule is longer than ``max_degree``.
     """
     by_degree = {}
     for p in generator_polys(generators):
@@ -590,10 +586,6 @@ def complete(generators, max_degree: int, max_rules: int = 1000) -> RuleSet:
         if not pivots:
             continue
         rules += [RewriteRule(lead, Polynomial.from_word(lead) - p) for lead, p in pivots.items()]
-        if len(rules) > max_rules:
-            raise CompletionLimitExceeded(
-                "completion exceeded %d rules at degree bound %d" % (max_rules, max_degree)
-            )
         base = RuleSet(rules, degree_bound=max_degree)
 
     result = inter_reduce(base)

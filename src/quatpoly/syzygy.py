@@ -37,30 +37,39 @@ def _w(*letters) -> Polynomial:
     return Polynomial.from_word(letters)
 
 
-def gen_vector_syzygies(n: int):
-    """All V2/V3/V4 instances over pairwise-distinct indices in 1..n."""
+def _generators(n: int, d: int, multilinear: bool = False):
+    """The V2/V3/V4 instances of degree at most ``d`` over pairwise-distinct
+    indices in 1..n; with ``multilinear`` only V3 and V4, as squared letters
+    never occur there."""
     if n < 2:
         raise ValueError("need at least two vector variables, got n=%d" % n)
     out = []
     rng = range(1, n + 1)
-    for i, j in itertools.permutations(rng, 2):
-        el = _w(i, i, j) - _w(j, i, i)
-        out.append(GeneratorFamily("V2", (i, j), el))
-    for i, j, k in itertools.permutations(rng, 3):
-        sym = _w(i, j) + _w(j, i)
-        el = sym * _w(k) - _w(k) * sym
-        out.append(GeneratorFamily("V3", (i, j, k), el))
-    for i, j, k, l in itertools.permutations(rng, 4):
-        odd = _w(i, j, k) - _w(k, j, i)
-        el = odd * _w(l) - _w(l) * odd
-        out.append(GeneratorFamily("V4", (i, j, k, l), el))
+    if d >= 3 and not multilinear:
+        for i, j in itertools.permutations(rng, 2):
+            el = _w(i, i, j) - _w(j, i, i)
+            out.append(GeneratorFamily("V2", (i, j), el))
+    if d >= 3:
+        for i, j, k in itertools.permutations(rng, 3):
+            sym = _w(i, j) + _w(j, i)
+            el = sym * _w(k) - _w(k) * sym
+            out.append(GeneratorFamily("V3", (i, j, k), el))
+    if d >= 4:
+        for i, j, k, l in itertools.permutations(rng, 4):
+            odd = _w(i, j, k) - _w(k, j, i)
+            el = odd * _w(l) - _w(l) * odd
+            out.append(GeneratorFamily("V4", (i, j, k, l), el))
     return out
 
 
+def gen_vector_syzygies(n: int):
+    """All V2/V3/V4 instances over pairwise-distinct indices in 1..n."""
+    return _generators(n, 4)
+
+
 def gen_multilinear_syzygies(n: int):
-    """The generators that survive in the multilinear ring: the V3 and V4
-    instances (squared letters never occur there)."""
-    return [g for g in gen_vector_syzygies(n) if g.family in ("V3", "V4")]
+    """The V3 and V4 instances over pairwise-distinct indices in 1..n."""
+    return _generators(n, 4, multilinear=True)
 
 
 def _q(*letters) -> QPolynomial:
@@ -142,8 +151,8 @@ def gb_multilinear(n: int) -> RuleSet:
     """The reduced rule family for multilinear words in n variables:
     G3 pairs over strict triples and one Gm rule per strict m-tuple,
     4 <= m <= n."""
-    if n < 3:
-        raise ValueError("the multilinear family needs n >= 3, got %d" % n)
+    if n < 1:
+        raise ValueError("need n >= 1, got %d" % n)
     rng = range(1, n + 1)
     rules = []
     for a, b, c in itertools.combinations(rng, 3):
@@ -172,20 +181,21 @@ def _vg_index_chains(n: int, m: int):
 
 def gb_vector(n: int, max_degree: int) -> RuleSet:
     """The full rule family for words in n variables up to ``max_degree``:
-    the G3 pairs, the square-swap rules, and one VGm rule per admissible
-    index chain with 4 <= m <= max_degree."""
+    the G3 pairs and the square-swap rules once ``max_degree`` >= 3, and
+    one VGm rule per admissible index chain with 4 <= m <= max_degree."""
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
-    if max_degree < 3:
-        raise ValueError("max_degree must be >= 3, got %d" % max_degree)
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0, got %d" % max_degree)
     rng = range(1, n + 1)
     rules = []
-    for a, b, c in itertools.combinations(rng, 3):
-        for el, variant in _g3_elements(a, b, c):
-            rules.append(_rule(el, "G3", (a, b, c), variant))
-    for a, b in itertools.combinations(rng, 2):
-        rules.append(_rule(_w(b, b, a) - _w(a, b, b), "VG3sq", (a, b), 0))
-        rules.append(_rule(_w(b, a, a) - _w(a, a, b), "VG3sq", (a, b), 1))
+    if max_degree >= 3:
+        for a, b, c in itertools.combinations(rng, 3):
+            for el, variant in _g3_elements(a, b, c):
+                rules.append(_rule(el, "G3", (a, b, c), variant))
+        for a, b in itertools.combinations(rng, 2):
+            rules.append(_rule(_w(b, b, a) - _w(a, b, b), "VG3sq", (a, b), 0))
+            rules.append(_rule(_w(b, a, a) - _w(a, a, b), "VG3sq", (a, b), 1))
     for m in range(4, max_degree + 1):
         for idx in _vg_index_chains(n, m):
             rules.append(_rule(_gm_element(idx), "VGm", idx))
@@ -194,26 +204,32 @@ def gb_vector(n: int, max_degree: int) -> RuleSet:
 
 # Blocks of degree m <= 7 on k <= m letters need at most 25 vector families.
 @lru_cache(maxsize=32)
-def _family(k: int, m: int, multilinear: bool) -> RuleSet:
-    return gb_multilinear(m) if multilinear else gb_vector(k, m)
+def _family(n: int, d: int, multilinear: bool = False) -> RuleSet:
+    """The closed-form rule family on letters 1..n up to degree ``d``:
+    ``gb_vector(n, d)``, or with ``multilinear`` ``gb_multilinear(n)``."""
+    return gb_multilinear(n) if multilinear else gb_vector(n, d)
 
 
-def _normal_form(p: Polynomial, multilinear: bool = False) -> Polynomial:
-    """Normal form of ``p`` against ``gb_vector`` (or ``gb_multilinear``)
-    on any alphabet that holds its letters, with no number of variables.
+def _normal_form(p: Polynomial) -> Polynomial:
+    """Normal form of ``p`` against ``gb_vector`` on any alphabet that
+    holds its letters, with no number of variables.
 
     The terms are grouped by letter set.  A block of degree at most m on
     k distinct letters is relabeled order-preservingly onto 1..k,
-    normalized against ``gb_vector(k, m)`` (or ``gb_multilinear(m)``), and
-    mapped back.  This is exact: every rule is multiset-homogeneous, so a
-    block rewrites within itself, and a rule that fires inside a word uses
-    only that word's letters and has degree at most m.  The families are
-    closed under order-preserving relabeling (see ``rewrite``), so the
-    rules of ``gb_vector(n, D)`` on the block's letters, D >= m, map onto
-    those of ``gb_vector(k, m)`` (and those of ``gb_multilinear(n)``,
-    n >= m, onto those of ``gb_multilinear(m)``) in the same canonical
-    order, up to rules longer than m, which never fire.  A block of degree
-    below 3 is already normal, as every lead has degree 3 or more.
+    normalized against ``gb_vector(k, m)`` and mapped back.  This is
+    exact: every rule is multiset-homogeneous, so a block rewrites within
+    itself, and a rule that fires inside a word uses only that word's
+    letters and has degree at most m.  The family is closed under
+    order-preserving relabeling (see ``rewrite``), so the rules of
+    ``gb_vector(n, D)`` on the block's letters, D >= m, map onto those of
+    ``gb_vector(k, m)`` in the same canonical order, up to rules longer
+    than m, which never fire.  A block of degree below 3 is already
+    normal, as every lead has degree 3 or more.
+
+    A word with distinct letters normalizes the same against
+    ``gb_multilinear``: that family is the distinct-letter part of
+    ``gb_vector(m, m)``, in the same order, and only rules with distinct
+    letters fit inside such a word.
     """
     out = {}
     for letters, local in _relabel_blocks(p.terms.items()):
@@ -222,7 +238,6 @@ def _normal_form(p: Polynomial, multilinear: bool = False) -> Polynomial:
             nf = dict(local)
         else:
             # Every word of the block holds exactly the letters 1..k.
-            base = _family(max(local[0][0]), m, multilinear)
-            nf = normalize(Polynomial(dict(local)), base).terms
+            nf = normalize(Polynomial(dict(local)), _family(max(local[0][0]), m)).terms
         out.update(_unlabel(letters, nf))
     return Polynomial(out)

@@ -184,6 +184,9 @@ def test_usage_errors_exit_2():
     assert code == 2
     code, _ = run(["no-such-command"])
     assert code == 2
+    # A negative degree bound is a usage error, not an empty check.
+    for command in ("gb", "verify-groebner"):
+        assert run([command, "--vars", "3", "--max-deg", "-1"]) == (2, "")
 
 
 def test_vars_below_letter_index_is_an_error(capsys):
@@ -235,15 +238,22 @@ def test_large_letter_index_builds_families_on_few_letters(monkeypatch):
     assert built
 
 
-def test_multilinear_family_no_longer_depends_on_vars():
-    # These exited 2 while the family was built on --vars letters, too
-    # few for the input; they now print what a large enough --vars did.
-    assert run(["normalize", "--multilinear", "--vars", "3", "v1*v3*v2*v1"]) == (
-        0,
-        "-v1*v2*v3*v1 + v1*v1*v3*v2 + v1*v1*v2*v3\n",
-    )
-    assert run(["normalize", "--multilinear", "v1*v2*v1"]) == (0, "v1*v2*v1\n")
+def test_multilinear_family_no_longer_depends_on_vars(capsys):
+    # --multilinear only validates: a repeated letter is an error, as in
+    # check-normal, never a form that is not canonical.
+    for argv, word in (
+        (["--vars", "3", "v1*v3*v2*v1"], "v1*v3*v2*v1"),
+        (["v1*v2*v1"], "v1*v2*v1"),
+        (["v1*v2 + v2*v2*v1"], "v2*v2*v1"),
+    ):
+        assert run(["normalize", "--multilinear", *argv]) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: multilinear mode requires distinct letters: %s\n" % word
+        )
     assert run(["check-normal", "--multilinear", "v2*v1"]) == (0, "normal\n")
+    # Distinct letters print the vector family's normal form.
+    for expr in ("v3*v2*v1", "v4*v1*v3*v2 - 2*v2*v1", "v5*v3*v4*v1*v2"):
+        assert run(["normalize", "--multilinear", expr]) == run(["normalize", expr])
 
 
 def test_deep_nesting_is_a_parse_error():
@@ -310,10 +320,61 @@ def test_python_dash_m_runs_the_cli():
             ["--vars", "5", "--deg", "5", "--multilinear"],
             "words 120  rank 99  normal 21  factor-free 21  structural 21",
         ),
+        # Below degree 3 no generator or rule exists, however many letters.
+        (["--vars", "100", "--deg", "2"], "words 10000  rank 0  normal 10000  factor-free 10000  structural 10000"),
+        (["--vars", "10000", "--deg", "1"], "words 10000  rank 0  normal 10000  factor-free 10000  structural 10000"),
+        # The multilinear family on two letters is empty.
+        (["--vars", "2", "--deg", "2", "--multilinear"], "words 2  rank 0  normal 2  factor-free 2  structural 2"),
     ],
 )
 def test_dim_check_reports_are_pinned(argv, expected):
     assert run(["dim-check", *argv]) == (0, expected + "\ncounts agree\n")
+
+
+def test_dim_check_builds_only_what_its_degree_uses(monkeypatch):
+    # The V4 generators have degree 4 and the VGm rules degree >= 4: none
+    # of them enters a degree-3 slice, so none is built.
+    families, leads = [], []
+    real_family, real_rule = syzygy.GeneratorFamily, syzygy._rule
+
+    def family_spy(family, *args):
+        families.append(family)
+        return real_family(family, *args)
+
+    def rule_spy(element, *args):
+        rule = real_rule(element, *args)
+        leads.append(rule.lead)
+        return rule
+
+    monkeypatch.setattr(syzygy, "GeneratorFamily", family_spy)
+    monkeypatch.setattr(syzygy, "_rule", rule_spy)
+    syzygy._family.cache_clear()
+    assert run(["dim-check", "--vars", "21", "--deg", "3"]) == (
+        0,
+        "words 9261  rank 3080  normal 6181  factor-free 6181  structural 6181\ncounts agree\n",
+    )
+    assert sorted(set(families)) == ["V2", "V3"] and len(families) == 21 * 20 + 21 * 20 * 19
+    assert leads and max(len(lead) for lead in leads) == 3
+
+
+def test_families_below_degree_three_and_two_letter_multilinear_are_empty():
+    # gb stops at its degree bound, and the multilinear family on two
+    # letters is empty: both commands answer for the empty family.
+    assert run(["gb", "--vars", "3", "--max-deg", "2"]) == (0, "")
+    assert run(["gb", "--vars", "2", "--max-deg", "5", "--multilinear"]) == (0, "")
+    assert run(["verify-groebner", "--vars", "2", "--max-deg", "4", "--multilinear"]) == (
+        0,
+        "checked 0 obstructions up to degree 2\nall S-polynomials reduce to 0\n",
+    )
+
+
+def test_complete_has_no_rule_cap():
+    # 1,225 degree-2 commutators over 50 letters complete to themselves:
+    # the degree bound, not a rule count, bounds completion.
+    gens = ["v%d*v%d - v%d*v%d" % (j, i, i, j) for i in range(1, 51) for j in range(i + 1, 51)]
+    code, out = run(["complete", "--max-deg", "2", *gens])
+    assert code == 0 and len(out.splitlines()) == 1225
+    assert out.splitlines()[0] == "v2*v1 -> v1*v2"
 
 
 def test_dim_check_word_guards(capsys):
@@ -333,7 +394,7 @@ def test_dim_check_guards_trip_before_any_family_is_built(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("built a generator or rule family")
 
-    for name in ("gen_vector_syzygies", "gen_multilinear_syzygies", "gb_vector", "gb_multilinear"):
+    for name in ("_generators", "_family", "gen_vector_syzygies", "gen_multilinear_syzygies", "gb_vector", "gb_multilinear"):
         monkeypatch.setattr(syzygy, name, refuse)
     for argv in (["--vars", "10", "--deg", "9"], ["--vars", "9", "--deg", "9", "--multilinear"]):
         assert run(["dim-check", *argv]) == (2, "")

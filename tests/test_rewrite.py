@@ -251,7 +251,7 @@ def _rule_map(base):
 
 
 def test_complete_equals_the_reduced_closed_form_tails_included():
-    for n, d in ((3, 6), (4, 6), (5, 5), (5, 6), (6, 5)):
+    for n, d in ((3, 6), (4, 6), (5, 5), (5, 6), (6, 5), (6, 6)):
         gens = [g.element for g in gen_vector_syzygies(n)]
         out = complete(gens, d)
         assert _rule_map(out) == _rule_map(inter_reduce(gb_vector(n, d))), (n, d)
@@ -291,13 +291,6 @@ def test_complete_raises_when_its_final_check_fails(monkeypatch):
 def test_complete_rejects_inhomogeneous():
     with pytest.raises(ValueError):
         complete([w(1, 2) + w(1)], 4)
-
-
-def test_complete_rule_cap_is_explicit_failure():
-    from quatpoly.rewrite import CompletionLimitExceeded
-
-    with pytest.raises(CompletionLimitExceeded):
-        complete([g.element for g in gen_vector_syzygies(2)], 4, max_rules=1)
 
 
 def test_inter_reduce_gq_shape(base_m5):
