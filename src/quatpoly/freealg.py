@@ -1,10 +1,12 @@
 """Free associative algebra over exact rationals.
 
 Words are tuples of positive integers naming the vector letters v1, v2, ...
-A polynomial is a finite map from words to nonzero coefficients; a
-coefficient is either a ``Fraction`` or a :class:`Scalar`, a commutative
-polynomial in the central symbols s1, s2, ...  Scalar symbols commute with
-every letter, so they live entirely inside the coefficients.
+A polynomial is a finite map from words to nonzero coefficients.  This
+module alone fixes a coefficient's form: an ``int`` when the value is
+integral, a ``Fraction`` otherwise, and a :class:`Scalar`, a commutative
+polynomial in the central symbols s1, s2, ..., only while it holds a
+symbol.  Scalar symbols commute with every letter, so they live entirely
+inside the coefficients.
 
 Conjugation reverses products and sends every vector letter to its
 negative (``Polynomial.conjugate``).  ``bracket`` and ``vector_part`` are
@@ -37,10 +39,14 @@ def word_multiset(w: Word) -> tuple:
     return tuple(sorted(w))
 
 
-def _rational(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("coefficients must be exact rationals, not float")
-    return Fraction(value)
+def _rational(value):
+    """An exact rational in canonical form: ``int`` if integral, else
+    ``Fraction``."""
+    if type(value) is not Fraction:
+        if isinstance(value, float):
+            raise TypeError("coefficients must be exact rationals, not float")
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class _TermMap:
@@ -51,8 +57,10 @@ class _TermMap:
     ``terms`` iterates in descending ``_order`` of its keys, which keeps
     term scans and formatting deterministic.  A subclass states its key
     order, its coefficient ring (``_ring`` lists the operand types taken
-    as coefficients, ``_coeff`` coerces a non-``Fraction`` one), which
-    operands its ``__mul__`` accepts, and how one term prints.
+    as coefficients, ``_coeff`` puts a non-``int`` one in canonical form),
+    which operands its ``__mul__`` accepts, and how one term prints.
+    ``_set`` applies ``_coeff`` to every coefficient it stores, sums
+    included, so every stored coefficient is in canonical form.
     """
 
     __slots__ = ("terms",)
@@ -66,10 +74,10 @@ class _TermMap:
         coerce = self._coeff
         data = {}
         for k, c in pairs:
-            if type(c) is not Fraction:
-                c = coerce(c)
             if k in data:
                 c = data[k] + c
+            if type(c) is not int:
+                c = coerce(c)
             if c:
                 data[k] = c
             elif k in data:
@@ -157,7 +165,7 @@ class _TermMap:
         return NotImplemented
 
     def scale(self, c):
-        if type(c) is not Fraction:
+        if type(c) is not int:
             c = self._coeff(c)
         if not c:
             return type(self)()
@@ -188,7 +196,7 @@ class _TermMap:
         return "%s(%s)" % (type(self).__name__, self)
 
 
-def _coeff_body(mag: Fraction, factors) -> str:
+def _coeff_body(mag, factors) -> str:
     """Join a positive magnitude with symbol factors, omitting a unit
     coefficient unless it stands alone."""
     if mag != 1 or not factors:
@@ -219,16 +227,6 @@ class Scalar(_TermMap):
         if index < 1:
             raise ValueError("scalar symbol index must be >= 1")
         return cls({(index,): 1})
-
-    def is_rational(self) -> bool:
-        return not self.terms or set(self.terms) == {()}
-
-    def as_fraction(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if set(self.terms) == {()}:
-            return self.terms[()]
-        raise ValueError("scalar coefficient involves symbols: %s" % self)
 
     def symbols(self) -> set:
         out = set()
@@ -261,8 +259,8 @@ class Scalar(_TermMap):
 
 class Polynomial(_TermMap):
     """Sparse polynomial of the free algebra, keyed by words and
-    iterating in descending word order; coefficients are ``Fraction``
-    or :class:`Scalar`."""
+    iterating in descending word order; a coefficient is an ``int``, a
+    ``Fraction`` or a :class:`Scalar` that holds a symbol."""
 
     __slots__ = ()
 
@@ -270,7 +268,10 @@ class Polynomial(_TermMap):
 
     @staticmethod
     def _coeff(c):
-        return c if isinstance(c, Scalar) else _rational(c)
+        """A :class:`Scalar` with no symbol collapses to its number."""
+        if isinstance(c, Scalar):
+            return c if any(c.terms) else c.terms.get((), 0)
+        return _rational(c)
 
     def __init__(self, terms=None):
         self._set(terms.items() if terms else ())
@@ -329,9 +330,7 @@ class Polynomial(_TermMap):
 def _format_term(w, coeff):
     """Return ``(negative, body)`` for one term, body without sign."""
     letters = ["v%d" % i for i in w]
-    if isinstance(coeff, Scalar) and coeff.is_rational():
-        coeff = coeff.as_fraction()
-    if isinstance(coeff, Fraction):
+    if not isinstance(coeff, Scalar):
         return (coeff < 0, _coeff_body(abs(coeff), letters))
     if len(coeff.terms) == 1:
         (mono, q), = coeff.terms.items()

@@ -336,6 +336,8 @@ def _slice(n: int, d: int, multiset: tuple | None = None):
     """The mode, alphabet and block letter multisets of the degree-``d``
     slice that ``dimension_check`` ranks, before any row is built; more
     than ``_WORD_GUARD`` words raise ``ValueError``."""
+    if d < 0:
+        raise ValueError("degree must be >= 0, got %d" % d)
     if multiset is None:
         if n**d > _WORD_GUARD:
             raise ValueError(

@@ -100,11 +100,7 @@ def split(p: QPolynomial) -> Polynomial:
             scalar = images.setdefault(word, {})
             k = signed[odd]
             scalar[mono] = scalar[mono] + k if mono in scalar else k
-    out = {}
-    for word, monos in images.items():
-        coeff = Scalar(monos)
-        out[word] = coeff.as_fraction() if coeff.is_rational() else coeff
-    return Polynomial(out)
+    return Polynomial({word: Scalar(monos) for word, monos in images.items()})
 
 
 def normalize_q(p: QPolynomial, n: int | None = None, max_degree: int | None = None) -> Polynomial:

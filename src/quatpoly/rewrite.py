@@ -10,13 +10,9 @@ chosen for a word depends on the word alone.
 A rule set indexes its leads in one dict from lead word to canonical rule
 index.  Factor matching, the factor-free check and the factor-freeness of
 the rule set itself all probe that dict with the factors of a word, one
-lead length at a time.  Rule tails and memo entries keep integral
-coefficients as ``int`` and others as ``Fraction`` (or ``Scalar``), so the
-closed-form families, whose tails are all +-1, reduce in int arithmetic.
-The memo takes one rewrite step per word it enters, and ``normalize``
-sums the memo entries of its terms in one accumulate loop.
-``normalize`` and ``reduce_once`` return a :class:`Polynomial`, whose
-constructor turns the ints back into ``Fraction``.
+lead length at a time.  The memo takes one rewrite step per word it
+enters, and ``normalize`` sums the memo entries of its terms in one
+accumulate loop.
 
 An overlap's S-polynomial is read straight off the two rules' tails,
 placed between the head and tail of the overlap word, with no products;
@@ -50,7 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .freealg import Polynomial, Word, word_key, word_multiset, word_str
+from .freealg import Polynomial, Scalar, Word, word_key, word_multiset, word_str
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,13 +88,6 @@ class RewriteRule:
 
 def _rule_key(rule: RewriteRule):
     return (len(rule.lead), rule.family, rule.indices, rule.variant, rule.lead)
-
-
-def _memo_coeff(c):
-    # Integral Fractions become ints so closed-form tails multiply as ints.
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
 
 
 def _relabel_blocks(pairs, top=None):
@@ -148,7 +137,7 @@ def _closure_top(rules, tails) -> int:
             return 0
         local_tail = []
         for u, c in tail:
-            if not isinstance(c, (int, Fraction)):
+            if isinstance(c, Scalar):
                 # A Scalar tail names symbols that the relabeling would
                 # have to move as well.
                 return 0
@@ -171,8 +160,7 @@ class RuleSet:
     Canonical order sorts by lead length first, so probing the factors of
     a word one length at a time and keeping the lowest index finds the
     first matching rule in canonical order.  ``_tails`` holds each rule's
-    rhs as (word, coefficient) pairs with integral coefficients stored as
-    ``int``; the normal-form memo keeps the same representation.
+    rhs as (word, coefficient) pairs.
     ``_top`` is the largest lead letter N when the set is closed under
     order-preserving relabeling of 1..N, else 0; ``normalize`` then keys
     the memo by letter pattern.
@@ -201,9 +189,7 @@ class RuleSet:
                 raise ValueError(
                     "lead %s contains lead %s" % (word_str(r.lead), word_str(rules[j].lead))
                 )
-        self._tails = tuple(
-            [(u, _memo_coeff(c)) for u, c in r.rhs.terms.items()] for r in rules
-        )
+        self._tails = tuple(r.rhs.terms.items() for r in rules)
         self._top = _closure_top(rules, self._tails)
         self._nf_cache = {}
 
@@ -357,11 +343,10 @@ def normalize(p: Polynomial, base: RuleSet) -> Polynomial:
     1..k and mapped back (see the module docstring).
     """
     _check_bound(base, p.degree())
-    pairs = [(w, _memo_coeff(c)) for w, c in p.terms.items()]
     if not base._top:
-        return Polynomial(_accumulate(base, pairs))
+        return Polynomial(_accumulate(base, p.terms.items()))
     out = {}
-    for letters, local in _relabel_blocks(pairs, base._top):
+    for letters, local in _relabel_blocks(p.terms.items(), base._top):
         out.update(_unlabel(letters, _accumulate(base, local)))
     return Polynomial(out)
 
@@ -537,8 +522,8 @@ def check_groebner(
 
 def _monic(p: Polynomial) -> Polynomial:
     lc = p.leading_coeff()
-    if not isinstance(lc, Fraction):
-        lc = lc.as_fraction()
+    if isinstance(lc, Scalar):
+        raise ValueError("scalar coefficient involves symbols: %s" % lc)
     return p if lc == 1 else p.scale(Fraction(1) / lc)
 
 

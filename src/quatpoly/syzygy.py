@@ -151,17 +151,7 @@ def gb_multilinear(n: int) -> RuleSet:
     """The reduced rule family for multilinear words in n variables:
     G3 pairs over strict triples and one Gm rule per strict m-tuple,
     4 <= m <= n."""
-    if n < 1:
-        raise ValueError("need n >= 1, got %d" % n)
-    rng = range(1, n + 1)
-    rules = []
-    for a, b, c in itertools.combinations(rng, 3):
-        for el, variant in _g3_elements(a, b, c):
-            rules.append(_rule(el, "G3", (a, b, c), variant))
-    for m in range(4, n + 1):
-        for idx in itertools.combinations(rng, m):
-            rules.append(_rule(_gm_element(idx), "Gm", idx))
-    return RuleSet(rules, degree_bound=n)
+    return _closed_form(n, n, multilinear=True)
 
 
 def _vg_index_chains(n: int, m: int):
@@ -183,22 +173,33 @@ def gb_vector(n: int, max_degree: int) -> RuleSet:
     """The full rule family for words in n variables up to ``max_degree``:
     the G3 pairs and the square-swap rules once ``max_degree`` >= 3, and
     one VGm rule per admissible index chain with 4 <= m <= max_degree."""
+    return _closed_form(n, max_degree)
+
+
+def _closed_form(n: int, max_degree: int, multilinear: bool = False) -> RuleSet:
+    """The rules of ``gb_vector(n, max_degree)``; with ``multilinear``
+    only those on distinct letters, tagged G3 and Gm, up to degree
+    min(n, ``max_degree``), which is then the set's degree bound."""
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0, got %d" % max_degree)
+    if multilinear:
+        max_degree = min(n, max_degree)
     rng = range(1, n + 1)
     rules = []
     if max_degree >= 3:
         for a, b, c in itertools.combinations(rng, 3):
             for el, variant in _g3_elements(a, b, c):
                 rules.append(_rule(el, "G3", (a, b, c), variant))
+    if max_degree >= 3 and not multilinear:
         for a, b in itertools.combinations(rng, 2):
             rules.append(_rule(_w(b, b, a) - _w(a, b, b), "VG3sq", (a, b), 0))
             rules.append(_rule(_w(b, a, a) - _w(a, a, b), "VG3sq", (a, b), 1))
     for m in range(4, max_degree + 1):
-        for idx in _vg_index_chains(n, m):
-            rules.append(_rule(_gm_element(idx), "VGm", idx))
+        chains = itertools.combinations(rng, m) if multilinear else _vg_index_chains(n, m)
+        for idx in chains:
+            rules.append(_rule(_gm_element(idx), "Gm" if multilinear else "VGm", idx))
     return RuleSet(rules, degree_bound=max_degree)
 
 
@@ -206,8 +207,9 @@ def gb_vector(n: int, max_degree: int) -> RuleSet:
 @lru_cache(maxsize=32)
 def _family(n: int, d: int, multilinear: bool = False) -> RuleSet:
     """The closed-form rule family on letters 1..n up to degree ``d``:
-    ``gb_vector(n, d)``, or with ``multilinear`` ``gb_multilinear(n)``."""
-    return gb_multilinear(n) if multilinear else gb_vector(n, d)
+    ``gb_vector(n, d)``, or with ``multilinear`` the rules of
+    ``gb_multilinear(n)`` up to degree min(n, d)."""
+    return _closed_form(n, d, multilinear) if multilinear else gb_vector(n, d)
 
 
 def _normal_form(p: Polynomial) -> Polynomial:

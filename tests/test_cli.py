@@ -115,6 +115,12 @@ def test_gb_command():
     assert len(lines) == 8
     code, out2 = run(["gb", "--vars", "3", "--max-deg", "3", "--tail-reduce"])
     assert code == 0 and len(out2.splitlines()) == 8
+    # The multilinear family stops at the requested degree too: the 20
+    # G3 rules on five letters, no Gm rule of degree 4 or 5.
+    code, out3 = run(["gb", "--vars", "5", "--max-deg", "3", "--multilinear"])
+    assert code == 0 and len(out3.splitlines()) == 20
+    _, full = run(["gb", "--vars", "5", "--max-deg", "5", "--multilinear"])
+    assert set(out3.splitlines()) < set(full.splitlines())
 
 
 def test_verify_groebner_command():
@@ -177,7 +183,7 @@ def test_stdin_expression(monkeypatch):
     assert code == 0 and len(out.splitlines()) == 2
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
     code, _ = run(["normalize", "v1*q1"])
     assert code == 2
     code, _ = run(["normalize", "v1*+"])
@@ -187,6 +193,10 @@ def test_usage_errors_exit_2():
     # A negative degree bound is a usage error, not an empty check.
     for command in ("gb", "verify-groebner"):
         assert run([command, "--vars", "3", "--max-deg", "-1"]) == (2, "")
+    capsys.readouterr()
+    for flags in ([], ["--multilinear"]):
+        assert run(["dim-check", "--vars", "3", "--deg", "-1", *flags]) == (2, "")
+        assert capsys.readouterr().err == "error: degree must be >= 0, got -1\n"
 
 
 def test_vars_below_letter_index_is_an_error(capsys):
@@ -355,6 +365,32 @@ def test_dim_check_builds_only_what_its_degree_uses(monkeypatch):
     )
     assert sorted(set(families)) == ["V2", "V3"] and len(families) == 21 * 20 + 21 * 20 * 19
     assert leads and max(len(lead) for lead in leads) == 3
+
+
+def test_multilinear_dim_check_builds_only_what_its_degree_uses(monkeypatch):
+    # The multilinear family stops at the slice's degree: no Gm rule, and
+    # no V4 generator, enters a degree-3 slice on 14 letters.
+    families, leads = [], []
+    real_family, real_rule = syzygy.GeneratorFamily, syzygy._rule
+
+    def family_spy(family, *args):
+        families.append(family)
+        return real_family(family, *args)
+
+    def rule_spy(element, *args):
+        rule = real_rule(element, *args)
+        leads.append(rule.lead)
+        return rule
+
+    monkeypatch.setattr(syzygy, "GeneratorFamily", family_spy)
+    monkeypatch.setattr(syzygy, "_rule", rule_spy)
+    syzygy._family.cache_clear()
+    assert run(["dim-check", "--vars", "14", "--deg", "3", "--multilinear"]) == (
+        0,
+        "words 6  rank 2  normal 4  factor-free 4  structural 4\ncounts agree\n",
+    )
+    assert set(families) == {"V3"} and len(families) == 14 * 13 * 12
+    assert len(leads) == 2 * 364 and max(len(lead) for lead in leads) == 3
 
 
 def test_families_below_degree_three_and_two_letter_multilinear_are_empty():

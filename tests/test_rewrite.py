@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from quatpoly.freealg import Polynomial, Scalar, word_key
+from quatpoly.cli import parse_expression
+from quatpoly.freealg import Polynomial, Scalar, bracket, word_key
+from quatpoly.qvars import split
 from quatpoly.rewrite import (
     GroebnerReport,
     Obstruction,
@@ -396,15 +398,48 @@ def test_overlaps_match_all_pairs():
         assert overlaps(base, bound) == _naive_overlaps(base, bound)
 
 
-def test_normalize_returns_fraction_or_scalar_coefficients(base_v45):
+def _assert_canonical(p):
+    """int iff integral, Fraction only with a denominator above 1, and a
+    Scalar only while it holds a symbol."""
+    for c in p.terms.values():
+        if type(c) is Fraction:
+            assert c.denominator > 1, p
+        elif type(c) is Scalar:
+            assert any(c.terms), p
+        else:
+            assert type(c) is int, p
+
+
+def test_coefficients_take_one_canonical_form(base_v45):
     rng = random.Random(41)
     frac = _fractional_completion()
     cases = [(helpers.random_poly(rng), base_v45) for _ in range(40)]
     cases += [(helpers.random_poly(rng, n=3, max_degree=6), frac) for _ in range(40)]
     cases.append((Polynomial({(3, 2, 1): Scalar.symbol(1), (2, 2, 1): 2}), base_v45))
+    outputs = [r.rhs for r in frac.rules]
     for p, base in cases:
-        for out in (normalize(p, base), reduce_once(p, base)[0]):
-            assert all(type(c) in (Fraction, Scalar) for c in out.terms.values()), out
+        # bracket scales by 1/2, so an even coefficient gives an integral Fraction.
+        outputs += [normalize(p, base), reduce_once(p, base)[0], bracket(p), bracket(p.scale(2))]
+    for text in (
+        "(s1 + 1)*v3*v2*v1 - s1*v3*v2*v1",
+        "1/2*v1 + 3/2*v1 - 4/2",
+        "S(s1*v1*v2) + A(2*v1*v2)",
+        "q1*q1' + 1/2*q2*q1 - 1/2*q1*q2",
+        "S(q1*q2') - A(q2)*q1",
+    ):
+        mode, value = parse_expression(text)
+        outputs.append(value)
+        if mode == "q":
+            outputs.append(split(value))
+    for out in outputs:
+        _assert_canonical(out)
+    # A Scalar that loses its symbol prints as its number.
+    _, value = parse_expression("(s1 + 1)*v3*v2*v1 - s1*v3*v2*v1")
+    assert value.terms == {(3, 2, 1): 1} and str(value) == "v3*v2*v1"
+    two = Polynomial({(2, 1): Fraction(4, 2)})
+    assert two == Polynomial({(2, 1): 2}) and str(two) == str(Polynomial({(2, 1): 2})) == "2*v2*v1"
+    assert type(two.terms[(2, 1)]) is int
+    assert Polynomial({(1,): Scalar.symbol(1) - Scalar.symbol(1) + 3}).terms == {(1,): 3}
 
 
 def test_letters_above_255():
