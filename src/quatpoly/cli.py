@@ -228,19 +228,26 @@ def _expr_arg(text):
     return text
 
 
-def _cmd_normalize(args, out):
+def _input(args, multilinear=False):
+    """The parsed expression, checked against ``--vars`` and, with
+    ``multilinear``, for a word repeating an index (q_i' is q_i)."""
     mode, value = parse_expression(_expr_arg(args.expr))
+    _check_vars(args.vars, value.indices() if mode == "q" else value.variables())
+    for w in value.terms:
+        if multilinear and len({abs(x) for x in w}) != len(w):
+            word = type(value).from_word(w)
+            raise ExpressionError("multilinear mode requires distinct letters: %s" % word)
+    return mode, value
+
+
+def _cmd_normalize(args, out):
+    mode, value = _input(args, args.multilinear)
     if mode == "q":
-        _check_vars(args.vars, value.indices())
         result = qvars.normalize_q(value, max_degree=args.max_deg)
     else:
         degree = value.degree()
         if args.max_deg is not None and degree > args.max_deg:
             raise ExpressionError("input degree %d exceeds --max-deg %d" % (degree, args.max_deg))
-        _check_vars(args.vars, value.variables())
-        repeated = [w for w in value.terms if args.multilinear and len(set(w)) != len(w)]
-        if repeated:
-            raise ExpressionError("multilinear mode requires distinct letters: %s" % word_str(repeated[0]))
         result = syzygy._normal_form(value)
     out.write("%s\n" % result)
     return 0
@@ -302,12 +309,9 @@ def _cmd_verify_groebner(args, out):
 
 
 def _cmd_zero_test(args, out):
-    mode, value = parse_expression(_expr_arg(args.expr))
+    mode, value = _input(args)
     if mode == "q":
-        _check_vars(args.vars, value.indices())
         value = qvars.split(value)
-    else:
-        _check_vars(args.vars, value.variables())
     result = oracle.zero_test(value, trials=args.trials, seed=args.seed)
     if result.passed:
         out.write("zero on all %d trials\n" % result.trials)
@@ -380,7 +384,7 @@ def _cmd_complete(args, out):
                 raise ExpressionError("complete expects vector-letter generators")
             gens.append(value)
     else:
-        gens = [g.element for g in syzygy.gen_vector_syzygies(args.vars)]
+        gens = [g.element for g in syzygy._generators(args.vars, args.max_deg)]
     for rule in rewrite.complete(gens, args.max_deg).rules:
         out.write("%s\n" % _format_rule(rule))
     return 0

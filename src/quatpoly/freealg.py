@@ -342,10 +342,21 @@ def _format_term(w, coeff):
     return (False, body)
 
 
+def commutator(a, b):
+    """The commutator ab - ba, in either alphabet."""
+    return a * b - b * a
+
+
+def even(p):
+    """Twice the conjugation-even part, p + conjugate, of a ``Polynomial``
+    or a ``QPolynomial``: twice the real part."""
+    return p + p.conjugate()
+
+
 def bracket(p):
-    """Conjugation-even part (p + conjugate)/2 of a ``Polynomial`` or a
-    ``QPolynomial``; for a word of length k, (w + (-1)^k w reversed)/2."""
-    return (p + p.conjugate()).scale(_HALF)
+    """Conjugation-even part (p + conjugate)/2; for a word of length k,
+    (w + (-1)^k w reversed)/2."""
+    return even(p).scale(_HALF)
 
 
 def vector_part(p):
@@ -361,7 +372,7 @@ def inner(p: Polynomial, q: Polynomial) -> Polynomial:
 
 def cross(p: Polynomial, q: Polynomial) -> Polynomial:
     """Antisymmetrized product (pq - qp)/2 of two vector-valued elements."""
-    return (p * q - q * p) * _HALF
+    return commutator(p, q) * _HALF
 
 
 def bracket3(p: Polynomial, q: Polynomial, r: Polynomial) -> Polynomial:

@@ -28,7 +28,9 @@ from .freealg import (
     Scalar,
     bracket,
     bracket3,
+    commutator,
     cross,
+    even,
     inner,
     vector_part,
 )
@@ -511,9 +513,9 @@ def identity_corpus():
 
     half = Fraction(1, 2)
 
-    # squared letters slide through: vi*vi*vj - vj*vi*vi
+    # squared letters slide through: vi*vi commutes with vj
     for i, j in _index_patterns(2):
-        add(tag("eq7", (i, j)), _pw(i, i, j) - _pw(j, i, i))
+        add(tag("eq7", (i, j)), commutator(_pw(i, i), _pw(j)))
 
     # four-point expansion of a triple bracket against a fourth letter
     for i, j, k, l in _index_patterns(4):
@@ -646,23 +648,15 @@ def identity_corpus():
         _pw(3, 2, 4) * (_pw(6, 1, 5) - _pw(5, 1, 6) - _pw(5, 6, 1) + _pw(1, 6, 5)),
     )
 
-    # commutation of even/odd symmetrized words, and the reversed-pair form
+    # a real part commutes with every word, and a commutator has no real part
     rng = random.Random(1)
     for j in range(1, 6):
         for k in range(1, 7 - j):
             for t in range(2):
-                wj = _random_word(rng, j)
-                wk = _random_word(rng, k)
-                sk = 1 if k % 2 == 0 else -1
-                sym = _pw(*wk) + _pw(*wk[::-1]).scale(sk)
-                add(
-                    "eq25a[j%d-k%d-%d]" % (j, k, t),
-                    sym * _pw(*wj) - _pw(*wj) * sym,
-                )
-                sjk = 1 if (j + k) % 2 == 0 else -1
-                com = _pw(*wj) * _pw(*wk) - _pw(*wk) * _pw(*wj)
-                com_rev = _pw(*wj[::-1]) * _pw(*wk[::-1]) - _pw(*wk[::-1]) * _pw(*wj[::-1])
-                add("eq25b[j%d-k%d-%d]" % (j, k, t), com - com_rev.scale(sjk))
+                pj = _pw(*_random_word(rng, j))
+                pk = _pw(*_random_word(rng, k))
+                add("eq25a[j%d-k%d-%d]" % (j, k, t), commutator(even(pk), pj))
+                add("eq25b[j%d-k%d-%d]" % (j, k, t), even(commutator(pj, pk)))
 
     # pushing a high letter across a low pair
     rng = random.Random(2)

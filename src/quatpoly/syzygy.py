@@ -5,6 +5,8 @@ Families are tagged V2/V3/V4 (vector generators), Q0..Q4 (quaternionic
 generators over the barred alphabet), G3/Gm (multilinear rules) and
 VG3sq/VGm (the extra rules needed once letters may repeat).  Rule elements
 are stored scaled by two, which makes them monic with integer tails.
+Every generator commutes a real element (a square, a norm or the real
+part ``even`` of a word) with a letter.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .freealg import Polynomial
+from .freealg import Polynomial, commutator, even
 from .qvars import QPolynomial
 from .rewrite import RewriteRule, RuleSet, normalize, _relabel_blocks, _unlabel
 
@@ -47,18 +49,11 @@ def _generators(n: int, d: int, multilinear: bool = False):
     rng = range(1, n + 1)
     if d >= 3 and not multilinear:
         for i, j in itertools.permutations(rng, 2):
-            el = _w(i, i, j) - _w(j, i, i)
-            out.append(GeneratorFamily("V2", (i, j), el))
-    if d >= 3:
-        for i, j, k in itertools.permutations(rng, 3):
-            sym = _w(i, j) + _w(j, i)
-            el = sym * _w(k) - _w(k) * sym
-            out.append(GeneratorFamily("V3", (i, j, k), el))
-    if d >= 4:
-        for i, j, k, l in itertools.permutations(rng, 4):
-            odd = _w(i, j, k) - _w(k, j, i)
-            el = odd * _w(l) - _w(l) * odd
-            out.append(GeneratorFamily("V4", (i, j, k, l), el))
+            out.append(GeneratorFamily("V2", (i, j), commutator(_w(i, i), _w(j))))
+    for m in range(3, min(d, 4) + 1):
+        for idx in itertools.permutations(rng, m):
+            el = commutator(even(_w(*idx[:-1])), _w(idx[-1]))
+            out.append(GeneratorFamily("V%d" % m, idx, el))
     return out
 
 
@@ -84,44 +79,20 @@ def gen_quaternion_syzygies(n: int):
     out = []
     rng = range(1, n + 1)
     for i in rng:
-        out.append(GeneratorFamily("Q0", (i,), _q(i, -i) - _q(-i, i)))
-    for i, j in itertools.permutations(rng, 2):
-        real = _q(i) + _q(-i)
-        for bj in (0, 1):
-            pj = _q(-j if bj else j)
-            out.append(
-                GeneratorFamily("Q1", (i, j), real * pj - pj * real, choices=(bj,))
-            )
-    for i, j in itertools.permutations(rng, 2):
-        norm = _q(i, -i)
-        for bj in (0, 1):
-            pj = _q(-j if bj else j)
-            out.append(
-                GeneratorFamily("Q2", (i, j), norm * pj - pj * norm, choices=(bj,))
-            )
-    for i, j, k in itertools.permutations(rng, 3):
-        for bits in itertools.product((0, 1), repeat=3):
-            pi, pj, pk = (_q(-x if b else x) for x, b in zip((i, j, k), bits))
-            pib, pjb = (_q(x if b else -x) for x, b in zip((i, j), bits[:2]))
-            sym = pi * pj + pjb * pib
-            out.append(
-                GeneratorFamily("Q3", (i, j, k), sym * pk - pk * sym, choices=bits)
-            )
-    for i, j, k, l in itertools.permutations(rng, 4):
-        for bits in itertools.product((0, 1), repeat=4):
-            pi, pj, pk, pl = (_q(-x if b else x) for x, b in zip((i, j, k, l), bits))
-            pib, pjb, pkb = (_q(x if b else -x) for x, b in zip((i, j, k), bits[:3]))
-            sym = pi * pj * pk + pkb * pjb * pib
-            out.append(
-                GeneratorFamily("Q4", (i, j, k, l), sym * pl - pl * sym, choices=bits)
-            )
+        out.append(GeneratorFamily("Q0", (i,), commutator(_q(i), _q(-i))))
+    # Q1 commutes a real part with a letter, Q2 a norm.
+    for family, real in (("Q1", even), ("Q2", lambda p: p * p.conjugate())):
+        for i, j in itertools.permutations(rng, 2):
+            for bj in (0, 1):
+                el = commutator(real(_q(i)), _q(-j if bj else j))
+                out.append(GeneratorFamily(family, (i, j), el, choices=(bj,)))
+    for m in (3, 4):
+        for idx in itertools.permutations(rng, m):
+            for bits in itertools.product((0, 1), repeat=m):
+                word = [-x if b else x for x, b in zip(idx, bits)]
+                el = commutator(even(_q(*word[:-1])), _q(word[-1]))
+                out.append(GeneratorFamily("Q%d" % m, idx, el, choices=bits))
     return out
-
-
-def _bracket2(w) -> Polynomial:
-    """Twice the conjugation-even part of a word."""
-    p = _w(*w)
-    return p + p.conjugate()
 
 
 def _rule(element: Polynomial, family: str, indices: tuple, variant: int = 0) -> RewriteRule:
@@ -134,17 +105,14 @@ def _rule(element: Polynomial, family: str, indices: tuple, variant: int = 0) ->
 
 def _g3_elements(a: int, b: int, c: int):
     """The two degree-3 bracket-commutation elements for a < b < c."""
-    yield _bracket2((c, b, a)) - _bracket2((a, c, b)), 0
-    yield _bracket2((c, a, b)) - _bracket2((b, c, a)), 1
+    yield even(_w(c, b, a)) - even(_w(a, c, b)), 0
+    yield even(_w(c, a, b)) - even(_w(b, c, a)), 1
 
 
 def _gm_element(idx: tuple) -> Polynomial:
     """The four-term commutation element for an index tuple of length >= 4."""
-    i1, i2, i3 = idx[0], idx[1], idx[2]
-    mid = idx[3:]
-    w1 = (i3, i2) + mid + (i1,)
-    w2 = (i2,) + mid + (i1, i3)
-    return _bracket2(w1) - _bracket2(w2)
+    i1, i2, i3, *mid = idx
+    return even(_w(i3, i2, *mid, i1)) - even(_w(i2, *mid, i1, i3))
 
 
 def gb_multilinear(n: int) -> RuleSet:
@@ -194,8 +162,8 @@ def _closed_form(n: int, max_degree: int, multilinear: bool = False) -> RuleSet:
                 rules.append(_rule(el, "G3", (a, b, c), variant))
     if max_degree >= 3 and not multilinear:
         for a, b in itertools.combinations(rng, 2):
-            rules.append(_rule(_w(b, b, a) - _w(a, b, b), "VG3sq", (a, b), 0))
-            rules.append(_rule(_w(b, a, a) - _w(a, a, b), "VG3sq", (a, b), 1))
+            rules.append(_rule(commutator(_w(b, b), _w(a)), "VG3sq", (a, b), 0))
+            rules.append(_rule(commutator(_w(b), _w(a, a)), "VG3sq", (a, b), 1))
     for m in range(4, max_degree + 1):
         chains = itertools.combinations(rng, m) if multilinear else _vg_index_chains(n, m)
         for idx in chains:
@@ -209,7 +177,7 @@ def _family(n: int, d: int, multilinear: bool = False) -> RuleSet:
     """The closed-form rule family on letters 1..n up to degree ``d``:
     ``gb_vector(n, d)``, or with ``multilinear`` the rules of
     ``gb_multilinear(n)`` up to degree min(n, d)."""
-    return _closed_form(n, d, multilinear) if multilinear else gb_vector(n, d)
+    return _closed_form(n, d, multilinear)
 
 
 def _normal_form(p: Polynomial) -> Polynomial:

@@ -233,8 +233,7 @@ def test_large_letter_index_builds_families_on_few_letters(monkeypatch):
 
         return build
 
-    monkeypatch.setattr(syzygy, "gb_vector", spy(syzygy.gb_vector))
-    monkeypatch.setattr(syzygy, "gb_multilinear", spy(syzygy.gb_multilinear))
+    monkeypatch.setattr(syzygy, "_closed_form", spy(syzygy._closed_form))
     syzygy._family.cache_clear()
     expected = "-v2*v300*v1 + v1*v300*v2 + v1*v2*v300\n"
     assert run(["normalize", "v300*v2*v1"]) == (0, expected)
@@ -260,6 +259,13 @@ def test_multilinear_family_no_longer_depends_on_vars(capsys):
         assert capsys.readouterr().err == (
             "error: multilinear mode requires distinct letters: %s\n" % word
         )
+    # q_i and q_i' are one letter, and q-words print as typed.
+    for expr, word in (("q1*q1'", "q1*q1'"), ("q2*q1 + q2'*q3*q2", "q2'*q3*q2")):
+        assert run(["normalize", "--multilinear", expr]) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: multilinear mode requires distinct letters: %s\n" % word
+        )
+    assert run(["normalize", "--multilinear", "q1*q2'"]) == run(["normalize", "q1*q2'"])
     assert run(["check-normal", "--multilinear", "v2*v1"]) == (0, "normal\n")
     # Distinct letters print the vector family's normal form.
     for expr in ("v3*v2*v1", "v4*v1*v3*v2 - 2*v2*v1", "v5*v3*v4*v1*v2"):
@@ -295,11 +301,22 @@ def test_report_digests_are_pinned(argv, digest):
 
 
 def test_complete_below_a_generator_degree_is_an_error(capsys):
-    code, out = run(["complete", "--vars", "2", "--max-deg", "0"])
+    code, out = run(["complete", "--max-deg", "0", "v1*v1*v2 - v2*v1*v1"])
     assert code == 2 and out == ""
     assert "exceeds the degree bound 0" in capsys.readouterr().err
     code, out = run(["complete", "--max-deg", "2", "v1*v1*v2 - v2*v1*v1"])
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("n, d", [(4, 3), (5, 3), (6, 3), (2, 3), (3, 2), (2, 0)])
+def test_complete_default_generators_stop_at_the_degree(n, d):
+    # The default generators are those of degree at most --max-deg, so a
+    # degree below 4 answers, with the closed-form family's rules.
+    argv = ["--vars", str(n), "--max-deg", str(d)]
+    code, out = run(["complete", *argv])
+    assert code == 0
+    assert sorted(out.splitlines()) == sorted(run(["gb", *argv, "--tail-reduce"])[1].splitlines())
+    assert bool(out) == (d >= 3)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -315,7 +332,7 @@ def test_python_dash_m_runs_the_cli():
     proc = python_m("complete", "--vars", "2", "--max-deg", "4")
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["v2*v1*v1 -> v1*v1*v2", "v2*v2*v1 -> v1*v2*v2"]
-    proc = python_m("complete", "--vars", "2", "--max-deg", "0")
+    proc = python_m("complete", "--max-deg", "0", "v1*v1*v2 - v2*v1*v1")
     assert proc.returncode == 2 and proc.stdout == ""
 
 
