@@ -242,14 +242,10 @@ def _input(args, multilinear=False):
 
 def _cmd_normalize(args, out):
     mode, value = _input(args, args.multilinear)
-    if mode == "q":
-        result = qvars.normalize_q(value, max_degree=args.max_deg)
-    else:
-        degree = value.degree()
-        if args.max_deg is not None and degree > args.max_deg:
-            raise ExpressionError("input degree %d exceeds --max-deg %d" % (degree, args.max_deg))
-        result = syzygy._normal_form(value)
-    out.write("%s\n" % result)
+    degree = value.degree()
+    if args.max_deg is not None and degree > args.max_deg:
+        raise ExpressionError("input degree %d exceeds --max-deg %d" % (degree, args.max_deg))
+    out.write("%s\n" % syzygy._normal_form(qvars.split(value) if mode == "q" else value))
     return 0
 
 
@@ -397,8 +393,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, vars_required=False, max_deg=False, seed=False):
-        p.add_argument("--vars", type=int, required=vars_required, default=None,
+    def common(p, max_deg=False, seed=False):
+        p.add_argument("--vars", type=int, default=None,
                        help="number of variables (only checked against the letter indices)")
         if max_deg:
             p.add_argument("--max-deg", dest="max_deg", type=int, default=None,

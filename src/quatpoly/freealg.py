@@ -6,7 +6,9 @@ module alone fixes a coefficient's form: an ``int`` when the value is
 integral, a ``Fraction`` otherwise, and a :class:`Scalar`, a commutative
 polynomial in the central symbols s1, s2, ..., only while it holds a
 symbol.  Scalar symbols commute with every letter, so they live entirely
-inside the coefficients.
+inside the coefficients, and this module alone evaluates them:
+``Polynomial.scalar_symbols`` names them and ``Polynomial.substitute``
+sets them to values, leaving rational coefficients.
 
 Conjugation reverses products and sends every vector letter to its
 negative (``Polynomial.conjugate``).  ``bracket`` and ``vector_part`` are
@@ -235,12 +237,16 @@ class Scalar(_TermMap):
         return out
 
     def substitute(self, values) -> Fraction:
-        """Evaluate at ``values[i]`` for each symbol index ``i``."""
+        """Evaluate at ``values[i]`` for each symbol index ``i``; a symbol
+        that ``values`` lacks raises ``ValueError``."""
         total = Fraction(0)
         for mono, coeff in self.terms.items():
             prod = coeff
             for i in mono:
-                prod *= values[i]
+                try:
+                    prod *= values[i]
+                except (KeyError, IndexError):
+                    raise ValueError("unassigned scalar symbol s%d" % i) from None
             total += prod
         return total
 
@@ -322,6 +328,13 @@ class Polynomial(_TermMap):
             if isinstance(c, Scalar):
                 out.update(c.symbols())
         return out
+
+    def substitute(self, values) -> "Polynomial":
+        """``self`` with each symbol s_i set to ``values[i]``, so every
+        coefficient is rational; rational coefficients pass through."""
+        return Polynomial({
+            w: c.substitute(values) if isinstance(c, Scalar) else c for w, c in self.terms.items()
+        })
 
     def __str__(self):
         return self._format(_format_term)

@@ -25,7 +25,6 @@ from math import factorial, gcd, lcm
 
 from .freealg import (
     Polynomial,
-    Scalar,
     bracket,
     bracket3,
     commutator,
@@ -136,15 +135,6 @@ class Assignment:
         return "; ".join(x for x in (vs, ss) if x)
 
 
-def _coeff_value(c, scalars) -> Fraction:
-    if isinstance(c, Scalar):
-        try:
-            return c.substitute(scalars)
-        except KeyError as exc:
-            raise ValueError("unassigned scalar symbol s%s" % exc.args[0]) from None
-    return c
-
-
 def evaluate(p: Polynomial, assignment: Assignment) -> Quaternion:
     """Ring homomorphism sending each letter to its assigned value; the
     empty word maps to 1."""
@@ -156,8 +146,7 @@ def evaluate(p: Polynomial, assignment: Assignment) -> Quaternion:
         if not q.is_pure_imaginary():
             raise ValueError("vector v%d assigned a non-pure-imaginary value %s" % (letter, q))
         vecs[letter] = (q.b, q.c, q.d)
-    terms = [(w, _coeff_value(c, assignment.scalars)) for w, c in p.terms.items()]
-    return Quaternion(*_evaluate_int(terms, vecs))
+    return Quaternion(*_evaluate_int(p.substitute(assignment.scalars).terms.items(), vecs))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -202,19 +191,10 @@ class ZeroTestResult:
 
 
 def _integer_terms(p: Polynomial):
-    """Terms of ``p`` scaled by the common coefficient denominator, with
-    rational coefficients as ints."""
-    den = 1
-    for c in p.terms.values():
-        if isinstance(c, Scalar):
-            for q in c.terms.values():
-                den = lcm(den, q.denominator)
-        else:
-            den = lcm(den, c.denominator)
-    return [
-        (w, c * den if isinstance(c, Scalar) else int(c * den))
-        for w, c in p.terms.items()
-    ]
+    """Terms of ``p``, whose coefficients are rational, scaled to ints by
+    their common denominator."""
+    den = lcm(*[c.denominator for c in p.terms.values()])
+    return [(w, int(c * den)) for w, c in p.terms.items()]
 
 
 def _evaluate_int(terms, vecs):
@@ -248,7 +228,8 @@ def zero_test(p: Polynomial, trials: int = 100, seed: int = 0, n: int | None = N
     ``random_assignment(n, seed + t)``."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    letters = p.variables() | p.scalar_symbols()
+    symbols = p.scalar_symbols()
+    letters = p.variables() | symbols
     if min(letters, default=1) < 1:
         raise ValueError("letter index %d is below 1" % min(letters))
     top = max(letters, default=0)
@@ -256,14 +237,10 @@ def zero_test(p: Polynomial, trials: int = 100, seed: int = 0, n: int | None = N
         n = top
     elif top > n:
         raise ValueError("letter index %d exceeds n = %d" % (top, n))
-    terms = _integer_terms(p)
-    symbolic = any(isinstance(c, Scalar) for _, c in terms)
+    terms = None if symbols else _integer_terms(p)
     for t in range(trials):
         vecs, scals = _int_assignment(n, seed + t)
-        if symbolic:
-            drawn = [(w, int(c.substitute(scals)) if isinstance(c, Scalar) else c) for w, c in terms]
-        else:
-            drawn = terms
+        drawn = _integer_terms(p.substitute(scals)) if symbols else terms
         if any(_evaluate_int(drawn, vecs)):
             assignment = random_assignment(n, seed + t)
             return ZeroTestResult(False, trials, t, assignment, evaluate(p, assignment))

@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .freealg import Polynomial, Scalar, Word, word_key, word_multiset, word_str
+from .freealg import Polynomial, Word, word_key, word_multiset, word_str
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,6 +127,10 @@ def _closure_top(rules, tails) -> int:
     classes = {}
     top = 0
     for r, tail in zip(rules, tails):
+        if r.rhs.scalar_symbols():
+            # A tail with symbols names symbols that the relabeling would
+            # have to move as well.
+            return 0
         letters = sorted(set(r.lead))
         if letters[0] < 1:
             return 0
@@ -135,14 +139,8 @@ def _closure_top(rules, tails) -> int:
             indices = tuple([rank[x] for x in r.indices])
         except KeyError:
             return 0
-        local_tail = []
-        for u, c in tail:
-            if isinstance(c, Scalar):
-                # A Scalar tail names symbols that the relabeling would
-                # have to move as well.
-                return 0
-            local_tail.append((tuple([rank[x] for x in u]), c))
-        key = (tuple([rank[x] for x in r.lead]), tuple(local_tail), r.family, indices, r.variant)
+        local_tail = tuple([(tuple([rank[x] for x in u]), c) for u, c in tail])
+        key = (tuple([rank[x] for x in r.lead]), local_tail, r.family, indices, r.variant)
         classes[key] = classes.get(key, 0) + 1
         top = max(top, letters[-1])
     # Leads are distinct, so a class has at most one member per letter
@@ -522,7 +520,7 @@ def check_groebner(
 
 def _monic(p: Polynomial) -> Polynomial:
     lc = p.leading_coeff()
-    if isinstance(lc, Scalar):
+    if not isinstance(lc, (int, Fraction)):
         raise ValueError("scalar coefficient involves symbols: %s" % lc)
     return p if lc == 1 else p.scale(Fraction(1) / lc)
 

@@ -2,6 +2,8 @@
 reduction strategy used to probe confluence, and a naive q -> (s, v)
 split used as a reference."""
 
+from fractions import Fraction
+
 from quatpoly.freealg import Polynomial, Scalar
 from quatpoly.rewrite import RuleSet
 
@@ -15,6 +17,21 @@ def random_poly(rng, n=4, max_degree=5, max_terms=5, coeff_range=5):
         while c == 0:
             c = rng.randint(-coeff_range, coeff_range)
         terms[w] = terms.get(w, 0) + c
+    return Polynomial(terms)
+
+
+def random_scalar_poly(rng, n=3, symbols=3, max_degree=3, max_terms=4):
+    """A random polynomial whose coefficients are :class:`Scalar` values:
+    up to three monomials of degree <= 2 in s1..s_symbols, each with a
+    rational coefficient."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        w = random_word(rng, n, max_degree)
+        monos = {}
+        for _ in range(rng.randint(1, 3)):
+            mono = tuple(rng.randint(1, symbols) for _ in range(rng.randint(0, 2)))
+            monos[mono] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        terms[w] = terms.get(w, 0) + Scalar(monos)
     return Polynomial(terms)
 
 

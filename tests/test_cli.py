@@ -11,7 +11,7 @@ import pytest
 
 import helpers
 import quatpoly
-from quatpoly import syzygy
+from quatpoly import rewrite, syzygy
 from quatpoly.cli import ExpressionError, main, parse_expression
 from quatpoly.freealg import Polynomial, Scalar, bracket
 from quatpoly.qvars import QPolynomial, normalize_q
@@ -164,6 +164,24 @@ def test_complete_command():
     ]
     code, out = run(["complete", "--max-deg", "4", "v1*v1*v2 - v2*v1*v1"])
     assert code == 0 and "v2*v1*v1 -> v1*v1*v2" in out
+
+
+def test_complete_keeps_symbols_out_of_leading_coefficients(capsys):
+    # A symbolic tail is allowed; a symbolic leading coefficient cannot
+    # be made monic.
+    assert run(["complete", "--max-deg", "3", "s1*v1*v2 - v2*v1"]) == (0, "v2*v1 -> s1*v1*v2\n")
+    assert run(["complete", "--max-deg", "3", "v1*v2 - s1*v2*v1"]) == (2, "")
+    assert capsys.readouterr().err == "error: scalar coefficient involves symbols: -s1\n"
+    _, g = parse_expression("v1*v2 - s1*v2*v1")
+    with pytest.raises(ValueError, match="^scalar coefficient involves symbols: -s1$"):
+        rewrite.complete([g], 3)
+
+
+def test_max_deg_error_is_worded_once_for_both_alphabets(capsys):
+    for expr in ("v1*v2", "q1*q2"):
+        assert run(["normalize", "--max-deg", "1", expr]) == (2, "")
+        assert capsys.readouterr().err == "error: input degree 2 exceeds --max-deg 1\n"
+    assert run(["normalize", "--max-deg", "2", "q1*q2"]) == run(["normalize", "q1*q2"])
 
 
 def test_reports_are_deterministic():

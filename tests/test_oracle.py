@@ -84,8 +84,10 @@ def test_evaluate_scalar_symbols():
     p = Polynomial({(1,): Scalar.symbol(2)})
     a = Assignment({1: I}, {2: Fraction(3)})
     assert evaluate(p, a) == Quaternion(0, 3, 0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unassigned scalar symbol s2$"):
         evaluate(p, Assignment({1: I}, {}))
+    with pytest.raises(ValueError, match="^unassigned scalar symbol s2$"):
+        evaluate(p, Assignment({1: I}, {1: Fraction(3)}))
 
 
 def test_reversion_conjugation_compatibility():
@@ -375,6 +377,46 @@ def test_zero_test_pinned_witnesses():
     assert res.value == Quaternion(0, -24, -21, -21)
     assert res.witness == random_assignment(1, 2)
     assert zero_test(p, seed=1).witness_trial == 1
+
+
+def _reference_zero_test(p, trials, seed):
+    """The first trial whose assignment gives ``p`` a nonzero value, as
+    ``(trial, assignment, value)``, or ``None``."""
+    n = max(p.variables() | p.scalar_symbols(), default=0)
+    for t in range(trials):
+        a = random_assignment(n, seed + t)
+        value = evaluate(p, a)
+        if value:
+            return t, a, value
+    return None
+
+
+def test_symbolic_zero_test_matches_the_reference_loop():
+    # zero_test evaluates integer draws scaled by a common denominator;
+    # the reference evaluates each seeded assignment exactly.
+    rng = random.Random(37)
+    identity = w(1, 1, 2) - w(2, 1, 1)
+    outcomes = set()
+    for case in range(120):
+        p = helpers.random_scalar_poly(rng)
+        if case % 4 == 1:
+            # Roots at several draws of one symbol push the witness later.
+            j = Scalar.symbol(rng.randint(1, 3))
+            for k in rng.sample(range(-9, 10), rng.randint(8, 16)):
+                p = p * (j - k)
+        elif case % 4 == 2:
+            p = p * identity
+        elif case % 4 == 3:
+            # Values below 1 in size: only exact scaling keeps them nonzero.
+            p = p * Fraction(1, 97)
+        seed = rng.randint(0, 50)
+        res = zero_test(p, trials=12, seed=seed)
+        ref = _reference_zero_test(p, 12, seed)
+        assert res.passed == (ref is None), p
+        if ref is not None:
+            assert (res.witness_trial, res.witness, res.value) == ref, p
+        outcomes.add("pass" if ref is None else "first" if ref[0] == 0 else "later")
+    assert outcomes == {"pass", "first", "later"}
 
 
 def test_zero_test_rejects_letters_beyond_n():
