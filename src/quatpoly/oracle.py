@@ -7,10 +7,14 @@ Zero testing is probabilistic evidence; reduction to the zero normal form
 is the syntactic certificate.  The two routes are kept independent so each
 can catch the other out.
 
-Letters are multiplied as quaternions in one place, ``_evaluate_int``:
-``evaluate`` feeds it an assignment's rational coordinates, ``zero_test``
-its cached integer draws.  ``dimension_check`` builds its rows block by
-block, one block per letter multiset of the slice.
+Letters are multiplied as quaternions in one place, in two steps.
+``_compile`` turns a polynomial's words, once, into a plan: a prefix trie
+over the words cut into letter pairs, and the distinct pairs it uses.
+``_evaluate_int`` runs the plan at one assignment: one product per
+distinct pair, one per trie node.  ``evaluate`` runs it at an
+assignment's rational coordinates, ``zero_test`` compiles once and runs
+it at each trial's cached integer draws.  ``dimension_check`` builds its
+rows block by block, one block per letter multiset of the slice.
 """
 
 from __future__ import annotations
@@ -99,6 +103,9 @@ class Quaternion:
         return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
 
     def __hash__(self):
+        # A real quaternion equals its rational value, so hashes as that value.
+        if self.is_real():
+            return hash(self.a)
         return hash((self.a, self.b, self.c, self.d))
 
     def __repr__(self):
@@ -146,7 +153,8 @@ def evaluate(p: Polynomial, assignment: Assignment) -> Quaternion:
         if not q.is_pure_imaginary():
             raise ValueError("vector v%d assigned a non-pure-imaginary value %s" % (letter, q))
         vecs[letter] = (q.b, q.c, q.d)
-    return Quaternion(*_evaluate_int(p.substitute(assignment.scalars).terms.items(), vecs))
+    terms = p.substitute(assignment.scalars).terms
+    return Quaternion(*_evaluate_int(_compile(terms), terms.values(), vecs))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -197,28 +205,68 @@ def _integer_terms(p: Polynomial):
     return [(w, int(c * den)) for w, c in p.terms.items()]
 
 
-def _evaluate_int(terms, vecs):
-    """Evaluate ``(word, coefficient)`` terms with letter i sent to the
-    pure-imaginary quaternion whose (i, j, k) coordinates are ``vecs[i]``;
-    returns the coordinate 4-tuple.  The one place letters are multiplied
-    as quaternions: exact for int draws and rational values alike."""
-    ta = tb = tc = td = 0
-    for w, cv in terms:
-        if not cv:
-            continue
-        a, b, c, d = 1, 0, 0, 0
-        for letter in w:
-            e, f, g = vecs[letter]
-            a, b, c, d = (
-                -b * e - c * f - d * g,
-                a * e + c * g - d * f,
-                a * f - b * g + d * e,
-                a * g + b * f - c * e,
+def _compile(words):
+    """The plan ``(chunks, steps, leaves)`` that evaluates ``words``.
+
+    Each word is cut into letter pairs, the last letter alone when the
+    length is odd; ``chunks`` lists the distinct pieces, the empty word
+    being the piece ``()``.  Node k < len(chunks) is the value of chunk
+    k; node len(chunks) + m is the product of the two nodes ``steps[m]``,
+    a trie prefix times its next chunk, so words that share a prefix of
+    whole pairs share its products.  ``leaves[i]`` is the node of word i.
+    """
+    cut = [[w[k : k + 2] for k in range(0, max(len(w), 1), 2)] for w in words]
+    chunks = {c: i for i, c in enumerate(dict.fromkeys(c for pieces in cut for c in pieces))}
+    nodes = {}  # (prefix node, chunk) -> node, numbered after the chunks
+    leaves = []
+    for pieces in cut:
+        node = chunks[pieces[0]]
+        for piece in pieces[1:]:
+            node = nodes.setdefault((node, chunks[piece]), len(chunks) + len(nodes))
+        leaves.append(node)
+    return tuple(chunks), tuple(nodes), tuple(leaves)
+
+
+def _evaluate_int(plan, coeffs, vecs):
+    """Sum ``coeffs[i]`` times the value of the plan's word i, with letter
+    i sent to the pure-imaginary quaternion whose (i, j, k) coordinates
+    are ``vecs[i]``; returns the coordinate 4-tuple.
+
+    Compiling a plan once per polynomial and calling this once per
+    assignment is the one place letters are multiplied as quaternions,
+    exact for int draws and rational values alike: each distinct letter
+    pair v v' = -(e . e') + e x e' once, then one product per trie node.
+    """
+    chunks, steps, leaves = plan
+    vals = []
+    for chunk in chunks:
+        if len(chunk) == 2:
+            e, f, g = vecs[chunk[0]]
+            x, y, z = vecs[chunk[1]]
+            vals.append((-e * x - f * y - g * z, f * z - g * y, g * x - e * z, e * y - f * x))
+        elif chunk:
+            vals.append((0, *vecs[chunk[0]]))
+        else:
+            vals.append((1, 0, 0, 0))
+    for left, right in steps:
+        a, b, c, d = vals[left]
+        e, f, g, h = vals[right]
+        vals.append(
+            (
+                a * e - b * f - c * g - d * h,
+                a * f + b * e + c * h - d * g,
+                a * g - b * h + c * e + d * f,
+                a * h + b * g - c * f + d * e,
             )
-        ta += cv * a
-        tb += cv * b
-        tc += cv * c
-        td += cv * d
+        )
+    ta = tb = tc = td = 0
+    for node, cv in zip(leaves, coeffs):
+        if cv:
+            a, b, c, d = vals[node]
+            ta += cv * a
+            tb += cv * b
+            tc += cv * c
+            td += cv * d
     return ta, tb, tc, td
 
 
@@ -237,11 +285,16 @@ def zero_test(p: Polynomial, trials: int = 100, seed: int = 0, n: int | None = N
         n = top
     elif top > n:
         raise ValueError("letter index %d exceeds n = %d" % (top, n))
-    terms = None if symbols else _integer_terms(p)
+    words = list(p.terms)
+    plan = _compile(words)
+    coeffs = None if symbols else [c for _, c in _integer_terms(p)]
     for t in range(trials):
         vecs, scals = _int_assignment(n, seed + t)
-        drawn = _integer_terms(p.substitute(scals)) if symbols else terms
-        if any(_evaluate_int(drawn, vecs)):
+        if symbols:
+            # Substitution drops the terms whose coefficient vanishes.
+            drawn = dict(_integer_terms(p.substitute(scals)))
+            coeffs = [drawn.get(w, 0) for w in words]
+        if any(_evaluate_int(plan, coeffs, vecs)):
             assignment = random_assignment(n, seed + t)
             return ZeroTestResult(False, trials, t, assignment, evaluate(p, assignment))
     return ZeroTestResult(True, trials)

@@ -1,10 +1,11 @@
 """Shared test utilities: seeded random polynomials, a randomized
-reduction strategy used to probe confluence, and a naive q -> (s, v)
-split used as a reference."""
+reduction strategy used to probe confluence, and naive references for
+the q -> (s, v) split and for quaternion evaluation."""
 
 from fractions import Fraction
 
 from quatpoly.freealg import Polynomial, Scalar
+from quatpoly.oracle import Quaternion
 from quatpoly.rewrite import RuleSet
 
 
@@ -89,3 +90,15 @@ def split_reference(p):
             prod = prod * Polynomial({(): Scalar.symbol(i), (i,): 1 if x > 0 else -1})
         out = out + prod
     return out
+
+
+def evaluate_reference(p, assignment):
+    """The value of ``p`` at ``assignment``, each word multiplied letter
+    by letter as :class:`Quaternion` objects."""
+    total = Quaternion()
+    for w, c in p.substitute(assignment.scalars).terms.items():
+        prod = Quaternion(1)
+        for letter in w:
+            prod = prod * assignment.vectors[letter]
+        total = total + prod * c
+    return total

@@ -46,6 +46,14 @@ def test_hamilton_table():
     assert (K * J) * I == ONE  # kji = 1
 
 
+def test_quaternion_hash_agrees_with_equality():
+    half = Fraction(1, 2)
+    assert Quaternion(1) == 1 and len({Quaternion(1), 1}) == 1
+    assert Quaternion(half) == half and len({Quaternion(half), half}) == 1
+    assert hash(Quaternion(-3)) == hash(-3) == hash(Fraction(-3))
+    assert len({Quaternion(0, 1), Quaternion(0, Fraction(2, 2)), Quaternion(1, 1)}) == 2
+
+
 def test_conjugation_antihomomorphism():
     rng = random.Random(5)
     for _ in range(100):
@@ -381,11 +389,12 @@ def test_zero_test_pinned_witnesses():
 
 def _reference_zero_test(p, trials, seed):
     """The first trial whose assignment gives ``p`` a nonzero value, as
-    ``(trial, assignment, value)``, or ``None``."""
+    ``(trial, assignment, value)``, or ``None``; values come from
+    ``helpers.evaluate_reference``, not from ``evaluate``."""
     n = max(p.variables() | p.scalar_symbols(), default=0)
     for t in range(trials):
         a = random_assignment(n, seed + t)
-        value = evaluate(p, a)
+        value = helpers.evaluate_reference(p, a)
         if value:
             return t, a, value
     return None
@@ -417,6 +426,66 @@ def test_symbolic_zero_test_matches_the_reference_loop():
             assert (res.witness_trial, res.witness, res.value) == ref, p
         outcomes.add("pass" if ref is None else "first" if ref[0] == 0 else "later")
     assert outcomes == {"pass", "first", "later"}
+
+
+def _differential_poly(rng, letters):
+    """Random words over ``letters``, half of them on a shared stem, with
+    rational coefficients."""
+    stem = tuple(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        tail = tuple(rng.choice(letters) for _ in range(rng.randint(0, 4)))
+        word = stem + tail if rng.random() < 0.5 else tail
+        terms[word] = terms.get(word, 0) + Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return Polynomial(terms)
+
+
+def test_evaluate_and_zero_test_match_the_quaternion_reference():
+    rng = random.Random(41)
+    identity = w(1, 1, 2) - w(2, 1, 1)
+    seen = set()
+    for case in range(100):
+        letters = (1, 2, 3, 5000) if case % 40 == 0 else (1, 2, 3)
+        p = _differential_poly(rng, letters)
+        vectors = {
+            i: Quaternion(0, *(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)))
+            for i in letters
+        }
+        a = Assignment(vectors, {})
+        assert evaluate(p, a) == helpers.evaluate_reference(p, a), p
+        if case % 3 == 1:
+            p = p * identity
+        trials = 2 if 5000 in letters else 6
+        seed = rng.randint(0, 50)
+        res = zero_test(p, trials=trials, seed=seed)
+        ref = _reference_zero_test(p, trials, seed)
+        assert res.passed == (ref is None), p
+        if ref is not None:
+            assert (res.witness_trial, res.witness, res.value) == ref, p
+        seen.add("pass" if ref is None else "fail")
+        for u in p.terms:
+            seen.add("empty" if not u else "odd" if len(u) % 2 else "even")
+            if len(set(u)) < len(u):
+                seen.add("repeat")
+            if 5000 in u:
+                seen.add("v5000")
+            if any(u[:2] == x[:2] for x in p.terms if x != u and len(x) >= len(u) >= 2):
+                seen.add("shared prefix")
+    assert seen == {"pass", "fail", "empty", "odd", "even", "repeat", "v5000", "shared prefix"}
+
+
+def test_plan_shares_whole_pair_prefixes():
+    # Letter by letter these words take 4 + 5 + 3 + 4 + 2 + 1 = 19
+    # products; the plan takes one per distinct piece and one per node
+    # below the first pair: v1v2.v3v4, v1v2v3v4.v1, v1v2.v3, v1v2.v4v3.
+    words = [(1, 2, 3, 4), (1, 2, 3, 4, 1), (1, 2, 3), (1, 2, 4, 3), (1, 2), (3,), ()]
+    chunks, steps, leaves = oracle._compile(words)
+    assert sorted(chunks) == [(), (1,), (1, 2), (3,), (3, 4), (4, 3)]
+    assert len(steps) == 4
+    assert leaves[4] == chunks.index((1, 2))
+    p = Polynomial({u: i + 1 for i, u in enumerate(words)})
+    a = random_assignment(4, 5)
+    assert evaluate(p, a) == helpers.evaluate_reference(p, a)
 
 
 def test_zero_test_rejects_letters_beyond_n():
