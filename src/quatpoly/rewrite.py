@@ -535,12 +535,24 @@ def complete(generators, max_degree: int) -> RuleSet:
     the rules so far and echelonizes it on leading words; a new lead is
     normal, so it never contains an existing lead.
 
-    The inter-reduced output is re-verified by :func:`check_groebner`
-    before returning, so a returned set is genuinely locally confluent to
-    the bound.  An inhomogeneous generator or one of degree above
+    The new pivots are kept in reduced echelon form: no pivot's tail holds
+    another pivot's lead.  Their tails are already normal for the rules of
+    lower degree, and no longer rule fits inside a degree-``t`` word, so
+    every intermediate set is the reduced base truncated at degree ``t``.
+    That base is unique, whatever the generator order, so it is closed
+    under relabeling whenever the generators are, and ``normalize`` keys
+    its memo by letter pattern at every degree.  The set is reduced as
+    built, with no ``inter_reduce`` pass.
+
+    The last degree's set, its memo warm, is re-verified by
+    :func:`check_groebner` before a fresh copy is returned, so a returned
+    set is genuinely locally confluent to the bound.  A negative
+    ``max_degree``, an inhomogeneous generator or one of degree above
     ``max_degree`` raises ``ValueError``.  The degree bound alone bounds
     the work: no rule is longer than ``max_degree``.
     """
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0, got %d" % max_degree)
     by_degree = {}
     for p in generator_polys(generators):
         if not p.is_multiset_homogeneous():
@@ -568,14 +580,20 @@ def complete(generators, max_degree: int) -> RuleSet:
                 pivots[p.leading_word()] = _monic(p)
         if not pivots:
             continue
+        # Back-substitute in ascending lead order: a tail holds only words
+        # below its lead, and a reduced pivot's tail holds no pivot lead.
+        for lead in sorted(pivots, key=word_key):
+            p = pivots[lead]
+            for u in [u for u in p.terms if u != lead and u in pivots]:
+                p = p - pivots[u].scale(p.terms[u])
+            pivots[lead] = p
         rules += [RewriteRule(lead, Polynomial.from_word(lead) - p) for lead, p in pivots.items()]
         base = RuleSet(rules, degree_bound=max_degree)
 
-    result = inter_reduce(base)
-    if not check_groebner(result, max_degree).ok:
+    if not check_groebner(base, max_degree).ok:
         raise RuntimeError("completion left an overlap residue at degree bound %d" % max_degree)
-    # The check filled the memo of ``result``; the caller gets an empty one.
-    return RuleSet(result.rules, degree_bound=max_degree)
+    # The check filled the memo of ``base``; the caller gets an empty one.
+    return RuleSet(base.rules, degree_bound=max_degree)
 
 
 def inter_reduce(base: RuleSet) -> RuleSet:

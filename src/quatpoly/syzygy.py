@@ -42,9 +42,9 @@ def _w(*letters) -> Polynomial:
 def _generators(n: int, d: int, multilinear: bool = False):
     """The V2/V3/V4 instances of degree at most ``d`` over pairwise-distinct
     indices in 1..n; with ``multilinear`` only V3 and V4, as squared letters
-    never occur there."""
-    if n < 2:
-        raise ValueError("need at least two vector variables, got n=%d" % n)
+    never occur there.  One letter has no relations: n = 1 gives none."""
+    if n < 1:
+        raise ValueError("need n >= 1, got %d" % n)
     out = []
     rng = range(1, n + 1)
     if d >= 3 and not multilinear:

@@ -208,10 +208,11 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     code, _ = run(["no-such-command"])
     assert code == 2
-    # A negative degree bound is a usage error, not an empty check.
-    for command in ("gb", "verify-groebner"):
-        assert run([command, "--vars", "3", "--max-deg", "-1"]) == (2, "")
     capsys.readouterr()
+    # A negative degree bound is a usage error, not an empty check.
+    for command in ("gb", "verify-groebner", "complete"):
+        assert run([command, "--vars", "3", "--max-deg", "-1"]) == (2, "")
+        assert capsys.readouterr().err == "error: max_degree must be >= 0, got -1\n"
     for flags in ([], ["--multilinear"]):
         assert run(["dim-check", "--vars", "3", "--deg", "-1", *flags]) == (2, "")
         assert capsys.readouterr().err == "error: degree must be >= 0, got -1\n"
@@ -437,6 +438,24 @@ def test_families_below_degree_three_and_two_letter_multilinear_are_empty():
         0,
         "checked 0 obstructions up to degree 2\nall S-polynomials reduce to 0\n",
     )
+
+
+def test_one_letter_has_no_relations(capsys):
+    # A single pure-imaginary letter commutes with its own square: no
+    # generators, no rules, and every word is normal.
+    argv = ["--vars", "1", "--max-deg", "4"]
+    assert run(["complete", *argv]) == run(["gb", *argv, "--tail-reduce"]) == (0, "")
+    assert run(["verify-groebner", *argv]) == (
+        0,
+        "checked 0 obstructions up to degree 4\nall S-polynomials reduce to 0\n",
+    )
+    assert run(["dim-check", "--vars", "1", "--deg", "3"]) == (
+        0,
+        "words 1  rank 0  normal 1  factor-free 1  structural 1\ncounts agree\n",
+    )
+    for command in (["complete", "--max-deg", "4"], ["dim-check", "--deg", "3"]):
+        assert run([command[0], "--vars", "0", *command[1:]]) == (2, "")
+        assert capsys.readouterr().err == "error: need n >= 1, got 0\n"
 
 
 def test_complete_has_no_rule_cap():

@@ -265,6 +265,28 @@ def test_complete_equals_the_reduced_closed_form_tails_included():
             assert [(r.lead, r.rhs) for r in complete(shuffled, d).rules] == rules, (n, d, seed)
 
 
+def test_complete_keeps_every_intermediate_set_closed_in_any_order(monkeypatch):
+    # Each degree's set is the reduced base truncated there, whatever the
+    # generator order, so the letter-pattern memo serves every degree.
+    import quatpoly.rewrite as rewrite
+
+    built = []
+    real = rewrite.RuleSet
+
+    def recording(*args, **kw):
+        base = real(*args, **kw)
+        built.append(base)
+        return base
+
+    monkeypatch.setattr(rewrite, "RuleSet", recording)
+    gens = [g.element for g in gen_vector_syzygies(5)]
+    random.Random(3).shuffle(gens)
+    out = complete(gens, 6)
+    tops = [base._top for base in built if len(base)]
+    assert len(tops) >= 4 and all(top == 5 for top in tops), tops
+    assert out._top == 5 and out._nf_cache == {}
+
+
 def test_complete_from_degree_two_generators():
     gens = [w(2, 1) - w(1, 2), w(3, 1) - w(1, 3), w(3, 2) - w(2, 3)]
     out = complete(gens, 4)

@@ -60,8 +60,10 @@ def test_vector_generators_are_homogeneous_and_vanish():
 
 
 def test_generator_domain_errors():
-    with pytest.raises(ValueError):
-        gen_vector_syzygies(1)
+    with pytest.raises(ValueError, match="need n >= 1, got 0"):
+        gen_vector_syzygies(0)
+    # One pure-imaginary letter has no relations.
+    assert gen_vector_syzygies(1) == []
     with pytest.raises(ValueError):
         gen_quaternion_syzygies(1)
     # No degree floor: below degree 3 the families are empty, not errors.
