@@ -15,9 +15,10 @@ reverses letter order, ``cross`` is the antisymmetrized half product; a
 trailing apostrophe conjugates a q-variable.  An expression is either all
 v/s-letters or all q-letters; mixing the two alphabets is rejected.
 
-A parsed value is a ``Fraction``, a ``Polynomial`` or a ``QPolynomial``;
-term-map arithmetic lifts a constant into either alphabet, and the type of
-the result gives the mode.
+A parsed value is an ``int``, a ``Fraction`` (only an ``a/b`` literal
+makes one), a ``Polynomial`` or a ``QPolynomial``; term-map arithmetic
+lifts a constant into either alphabet, and the type of the result gives
+the mode.
 
 Exit codes: 0 success / property verified, 1 verification finding,
 2 usage or parse error.
@@ -45,25 +46,26 @@ class ExpressionError(ValueError):
         self.pos = pos
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z]+)(?P<idx>\d*)|(?P<op>[()+\-*,/'])|(?P<bad>\S))")
+_TOKEN = re.compile(
+    r"(?P<int>\d+)|(?P<name>(?P<letters>[A-Za-z]+)(?P<idx>\d*))|(?P<op>[()+\-*,/'])|(?P<bad>\S)"
+)
 
 
 def _tokenize(text):
+    """``(kind, value, offset)`` tokens in one pass, keyed by the
+    outermost group that matched; whitespace separates tokens and is
+    otherwise skipped."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            break
-        if m.group("bad"):
-            raise ExpressionError("unexpected character %r" % m.group("bad"), m.start("bad"))
-        if m.group("int"):
-            tokens.append(("int", int(m.group("int")), m.start("int")))
-        elif m.group("name"):
-            tokens.append(("name", (m.group("name"), m.group("idx")), m.start("name")))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "int":
+            tokens.append((kind, int(m.group()), m.start()))
+        elif kind == "name":
+            tokens.append((kind, m.group("letters", "idx"), m.start()))
+        elif kind == "op":
+            tokens.append((kind, m.group(), m.start()))
         else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+            raise ExpressionError("unexpected character %r" % m.group(), m.start())
     tokens.append(("end", None, len(text)))
     return tokens
 
@@ -145,7 +147,7 @@ class _Parser:
                 if den == 0:
                     raise ExpressionError("zero denominator", p2)
                 return Fraction(num, den)
-            return Fraction(num)
+            return num
         if kind == "op" and value == "(":
             inner = self.expr()
             self.expect_op(")")
@@ -190,9 +192,9 @@ class _Parser:
 
 
 def _apply_func(name, value):
-    if isinstance(value, Fraction):
+    if isinstance(value, (int, Fraction)):
         # A constant is the empty word: even, and its own reversal.
-        return Fraction(0) if name == "A" else value
+        return 0 if name == "A" else value
     if name == "S":
         return bracket(value)
     if name == "A":
@@ -210,7 +212,7 @@ def parse_expression(text):
         raise ExpressionError("expression nested too deeply") from None
     if isinstance(value, QPolynomial):
         return "q", value
-    if isinstance(value, Fraction):
+    if isinstance(value, (int, Fraction)):
         value = Polynomial.constant(value)
     return "v", value
 

@@ -6,16 +6,19 @@ module alone fixes a coefficient's form: an ``int`` when the value is
 integral, a ``Fraction`` otherwise, and a :class:`Scalar`, a commutative
 polynomial in the central symbols s1, s2, ..., only while it holds a
 symbol.  Scalar symbols commute with every letter, so they live entirely
-inside the coefficients, and this module alone evaluates them:
-``Polynomial.scalar_symbols`` names them and ``Polynomial.substitute``
-sets them to values, leaving rational coefficients.
+inside the coefficients, and this module alone holds them:
+``Polynomial.scalar_symbols`` names them, ``Polynomial.substitute`` sets
+them to values, leaving rational coefficients, and
+``Polynomial._by_monomial`` hands the terms out per symbol monomial, an
+index tuple, to the callers that sum rationals per monomial.
 
 Conjugation reverses products and sends every vector letter to its
 negative (``Polynomial.conjugate``).  ``bracket`` and ``vector_part`` are
 its even and odd parts, for q-polynomials (``QPolynomial.conjugate``) too.
 
 All values are immutable after construction and every operation is a pure
-function, so they are safe to share across threads.
+function, so they are safe to share across threads; the one write after
+construction, the lazy sort of ``terms``, swaps in an equal dict.
 """
 
 from __future__ import annotations
@@ -56,23 +59,30 @@ class _TermMap:
     shared by :class:`Scalar`, :class:`Polynomial` and
     ``qvars.QPolynomial``.
 
-    ``terms`` iterates in descending ``_order`` of its keys, which keeps
-    term scans and formatting deterministic.  A subclass states its key
-    order, its coefficient ring (``_ring`` lists the operand types taken
-    as coefficients, ``_coeff`` puts a non-``int`` one in canonical form),
-    which operands its ``__mul__`` accepts, and how one term prints.
-    ``_set`` applies ``_coeff`` to every coefficient it stores, sums
-    included, so every stored coefficient is in canonical form.
+    Construction stores the summed, zero-free map in ``_data``, in no
+    particular order.  ``terms`` is the same map in descending key order,
+    which keeps term scans and formatting deterministic: it is sorted on
+    its first read, and then only the sorted dict is kept.  Arithmetic,
+    equality and the order-free queries read ``_data``, as do the hot
+    readers in ``rewrite``, ``syzygy``, ``qvars`` and ``oracle`` that sum or
+    look terms up, so a map that is never printed or scanned in order is
+    never sorted.
+
+    A subclass states its key order (``_sort_keys``), its coefficient ring
+    (``_ring`` lists the operand types taken as coefficients, ``_coeff``
+    puts a non-``int`` one in canonical form), which operands its
+    ``__mul__`` accepts, and how one term prints.  ``_set`` applies
+    ``_coeff`` to every coefficient it stores, sums included, so every
+    stored coefficient is in canonical form.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_data", "_sorted")
 
-    _order = staticmethod(word_key)
     _ring = (int, Fraction)
     _coeff = staticmethod(_rational)
 
     def _set(self, pairs):
-        """Sum ``(key, coefficient)`` pairs, drop zeros and sort."""
+        """Sum ``(key, coefficient)`` pairs and drop zeros, in no order."""
         coerce = self._coeff
         data = {}
         for k, c in pairs:
@@ -84,7 +94,25 @@ class _TermMap:
                 data[k] = c
             elif k in data:
                 del data[k]
-        self.terms = {k: data[k] for k in sorted(data, key=self._order, reverse=True)}
+        self._data = data
+        self._sorted = len(data) < 2
+
+    @staticmethod
+    def _sort_keys(keys):
+        """``keys`` in descending ``word_key`` order, sorted with C-level
+        keys: letterwise, then stably by length."""
+        keys = sorted(keys, reverse=True)
+        keys.sort(key=len, reverse=True)
+        return keys
+
+    @property
+    def terms(self) -> dict:
+        """The terms in descending key order, sorted on first read."""
+        if not self._sorted:
+            data = self._data
+            self._data = {k: data[k] for k in self._sort_keys(data)}
+            self._sorted = True
+        return self._data
 
     @classmethod
     def zero(cls):
@@ -112,13 +140,13 @@ class _TermMap:
         return None
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._data)
 
     def __eq__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self.terms == o.terms
+        return self._data == o._data
 
     __hash__ = None
 
@@ -126,8 +154,8 @@ class _TermMap:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        data = dict(self.terms)
-        for k, c in o.terms.items():
+        data = dict(self._data)
+        for k, c in o._data.items():
             data[k] = data.get(k, 0) + c
         return type(self)(data)
 
@@ -137,8 +165,8 @@ class _TermMap:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        data = dict(self.terms)
-        for k, c in o.terms.items():
+        data = dict(self._data)
+        for k, c in o._data.items():
             data[k] = data.get(k, 0) - c
         return type(self)(data)
 
@@ -149,14 +177,15 @@ class _TermMap:
         return o - self
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
+        return type(self)({k: -c for k, c in self._data.items()})
 
     def _product(self, other):
         """Bilinear product joining keys by concatenation; a subclass
         whose keys need more canonicalizes them on construction."""
         data = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
+        other = other._data
+        for k1, c1 in self._data.items():
+            for k2, c2 in other.items():
                 k = k1 + k2
                 data[k] = data.get(k, 0) + c1 * c2
         return type(self)(data)
@@ -171,19 +200,19 @@ class _TermMap:
             c = self._coeff(c)
         if not c:
             return type(self)()
-        return type(self)({k: cc * c for k, cc in self.terms.items()})
+        return type(self)({k: cc * c for k, cc in self._data.items()})
 
     def reversion(self):
         """Reverse the letter order of every key; an anti-automorphism."""
-        return type(self)({k[::-1]: c for k, c in self.terms.items()})
+        return type(self)({k[::-1]: c for k, c in self._data.items()})
 
     def degree(self) -> int:
         """Largest key length; 0 for the zero map."""
-        return len(next(iter(self.terms))) if self.terms else 0
+        return max(map(len, self._data), default=0)
 
     def _format(self, term) -> str:
         """Join ``term(key, coeff) -> (negative, body)`` over the terms."""
-        if not self.terms:
+        if not self._data:
             return "0"
         out = []
         for k, c in self.terms.items():
@@ -232,15 +261,16 @@ class Scalar(_TermMap):
 
     def symbols(self) -> set:
         out = set()
-        for mono in self.terms:
+        for mono in self._data:
             out.update(mono)
         return out
 
-    def substitute(self, values) -> Fraction:
-        """Evaluate at ``values[i]`` for each symbol index ``i``; a symbol
-        that ``values`` lacks raises ``ValueError``."""
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
+    def substitute(self, values):
+        """Evaluate at ``values[i]`` for each symbol index ``i``, an ``int``
+        while every coefficient and value is one; a symbol that ``values``
+        lacks raises ``ValueError``."""
+        total = 0
+        for mono, coeff in self._data.items():
             prod = coeff
             for i in mono:
                 try:
@@ -276,7 +306,7 @@ class Polynomial(_TermMap):
     def _coeff(c):
         """A :class:`Scalar` with no symbol collapses to its number."""
         if isinstance(c, Scalar):
-            return c if any(c.terms) else c.terms.get((), 0)
+            return c if any(c._data) else c._data.get((), 0)
         return _rational(c)
 
     def __init__(self, terms=None):
@@ -299,7 +329,7 @@ class Polynomial(_TermMap):
         """Anti-automorphism sending every letter v_i to -v_i: reverse each
         word and negate it when its length is odd; an involution, and
         ``qvars.split`` carries q-conjugation onto it."""
-        return Polynomial({w[::-1]: -c if len(w) % 2 else c for w, c in self.terms.items()})
+        return Polynomial({w[::-1]: -c if len(w) % 2 else c for w, c in self._data.items()})
 
     def leading_word(self) -> Word:
         if not self.terms:
@@ -311,29 +341,53 @@ class Polynomial(_TermMap):
 
     def multidegree(self) -> set:
         """The set of letter multisets occurring among the words."""
-        return {word_multiset(w) for w in self.terms}
+        return {word_multiset(w) for w in self._data}
 
     def is_multiset_homogeneous(self) -> bool:
         return len(self.multidegree()) <= 1
 
     def variables(self) -> set:
         out = set()
-        for w in self.terms:
+        for w in self._data:
             out.update(w)
         return out
 
     def scalar_symbols(self) -> set:
         out = set()
-        for c in self.terms.values():
+        for c in self._data.values():
             if isinstance(c, Scalar):
                 out.update(c.symbols())
         return out
+
+    def _by_monomial(self) -> dict:
+        """The terms grouped by scalar monomial, in no order: ``{monomial:
+        [(word, rational), ...]}``, a rational coefficient counting as the
+        empty monomial ``()``."""
+        groups = {}
+        for w, c in self._data.items():
+            if type(c) is Scalar:
+                for mono, q in c._data.items():
+                    groups.setdefault(mono, []).append((w, q))
+            else:
+                groups.setdefault((), []).append((w, c))
+        return groups
+
+    @classmethod
+    def _from_monomials(cls, images: dict) -> "Polynomial":
+        """The polynomial with coefficient ``Scalar(monos)`` at each word of
+        ``{word: {monomial: rational}}``, a monomial being a tuple of
+        symbol indices in any order; a word with only ``()`` takes its
+        rational."""
+        return cls({
+            w: monos[()] if len(monos) == 1 and () in monos else Scalar(monos)
+            for w, monos in images.items()
+        })
 
     def substitute(self, values) -> "Polynomial":
         """``self`` with each symbol s_i set to ``values[i]``, so every
         coefficient is rational; rational coefficients pass through."""
         return Polynomial({
-            w: c.substitute(values) if isinstance(c, Scalar) else c for w, c in self.terms.items()
+            w: c.substitute(values) if isinstance(c, Scalar) else c for w, c in self._data.items()
         })
 
     def __str__(self):
@@ -345,8 +399,8 @@ def _format_term(w, coeff):
     letters = ["v%d" % i for i in w]
     if not isinstance(coeff, Scalar):
         return (coeff < 0, _coeff_body(abs(coeff), letters))
-    if len(coeff.terms) == 1:
-        (mono, q), = coeff.terms.items()
+    if len(coeff._data) == 1:
+        (mono, q), = coeff._data.items()
         factors = ["s%d" % i for i in mono] + letters
         return (q < 0, _coeff_body(abs(q), factors))
     body = "(%s)" % coeff

@@ -153,7 +153,7 @@ def evaluate(p: Polynomial, assignment: Assignment) -> Quaternion:
         if not q.is_pure_imaginary():
             raise ValueError("vector v%d assigned a non-pure-imaginary value %s" % (letter, q))
         vecs[letter] = (q.b, q.c, q.d)
-    terms = p.substitute(assignment.scalars).terms
+    terms = p.substitute(assignment.scalars)._data
     return Quaternion(*_evaluate_int(_compile(terms), terms.values(), vecs))
 
 
@@ -201,8 +201,35 @@ class ZeroTestResult:
 def _integer_terms(p: Polynomial):
     """Terms of ``p``, whose coefficients are rational, scaled to ints by
     their common denominator."""
-    den = lcm(*[c.denominator for c in p.terms.values()])
-    return [(w, int(c * den)) for w, c in p.terms.items()]
+    den = lcm(*[c.denominator for c in p._data.values()])
+    return [(w, int(c * den)) for w, c in p._data.items()]
+
+
+def _integer_rows(p: Polynomial, words) -> list:
+    """The coefficients of ``p``, whose words ``words`` lists, as one
+    ``(monomial, [(word position, int), ...])`` row per scalar monomial,
+    all scaled to ints by one common denominator."""
+    groups = p._by_monomial()
+    den = lcm(*[c.denominator for pairs in groups.values() for _, c in pairs])
+    at = {w: k for k, w in enumerate(words)}
+    return [
+        (mono, [(at[w], c.numerator * (den // c.denominator)) for w, c in pairs])
+        for mono, pairs in groups.items()
+    ]
+
+
+def _draw_coefficients(rows, size: int, scals) -> list:
+    """The int coefficient of each word with symbol s_i set to
+    ``scals[i]``."""
+    coeffs = [0] * size
+    for mono, row in rows:
+        m = 1
+        for i in mono:
+            m *= scals[i]
+        if m:
+            for k, c in row:
+                coeffs[k] += c * m
+    return coeffs
 
 
 def _compile(words):
@@ -285,15 +312,16 @@ def zero_test(p: Polynomial, trials: int = 100, seed: int = 0, n: int | None = N
         n = top
     elif top > n:
         raise ValueError("letter index %d exceeds n = %d" % (top, n))
-    words = list(p.terms)
+    words = list(p._data)
     plan = _compile(words)
-    coeffs = None if symbols else [c for _, c in _integer_terms(p)]
+    rows = _integer_rows(p, words)
+    coeffs = None
     for t in range(trials):
         vecs, scals = _int_assignment(n, seed + t)
-        if symbols:
-            # Substitution drops the terms whose coefficient vanishes.
-            drawn = dict(_integer_terms(p.substitute(scals)))
-            coeffs = [drawn.get(w, 0) for w in words]
+        if symbols or coeffs is None:
+            # A symbol-free input has the one row of monomial (), and a
+            # common positive scale leaves every verdict as it is.
+            coeffs = _draw_coefficients(rows, len(words), scals)
         if any(_evaluate_int(plan, coeffs, vecs)):
             assignment = random_assignment(n, seed + t)
             return ZeroTestResult(False, trials, t, assignment, evaluate(p, assignment))

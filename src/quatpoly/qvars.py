@@ -11,7 +11,7 @@ lossless since q_i can be read back as s_i + v_i.
 
 from __future__ import annotations
 
-from .freealg import Polynomial, Scalar, _coeff_body, _TermMap
+from .freealg import Polynomial, _coeff_body, _TermMap
 
 QWord = tuple
 
@@ -39,7 +39,9 @@ class QPolynomial(_TermMap):
 
     __slots__ = ()
 
-    _order = staticmethod(qword_key)
+    @staticmethod
+    def _sort_keys(keys):
+        return sorted(keys, key=qword_key, reverse=True)
 
     def __init__(self, terms=None):
         self._set(terms.items() if terms else ())
@@ -59,11 +61,11 @@ class QPolynomial(_TermMap):
 
     def conjugate(self) -> "QPolynomial":
         """Anti-automorphism barring every word; an involution."""
-        return QPolynomial({qword_conjugate(w): c for w, c in self.terms.items()})
+        return QPolynomial({qword_conjugate(w): c for w, c in self._data.items()})
 
     def indices(self) -> set:
         out = set()
-        for w in self.terms:
+        for w in self._data:
             out.update(abs(x) for x in w)
         return out
 
@@ -85,7 +87,7 @@ def split(p: QPolynomial) -> Polynomial:
     monomial) terms, gathered per vector word.
     """
     images = {}
-    for w, c in p.terms.items():
+    for w, c in p._data.items():
         signed = (c, -c)
         picks = [((), (), 0)]  # (vector word, scalar monomial, parity of -v_i picks)
         for x in w:
@@ -100,7 +102,7 @@ def split(p: QPolynomial) -> Polynomial:
             scalar = images.setdefault(word, {})
             k = signed[odd]
             scalar[mono] = scalar[mono] + k if mono in scalar else k
-    return Polynomial({word: Scalar(monos) for word, monos in images.items()})
+    return Polynomial._from_monomials(images)
 
 
 def normalize_q(p: QPolynomial, n: int | None = None, max_degree: int | None = None) -> Polynomial:

@@ -12,7 +12,11 @@ index.  Factor matching, the factor-free check and the factor-freeness of
 the rule set itself all probe that dict with the factors of a word, one
 lead length at a time.  The memo takes one rewrite step per word it
 enters, and ``normalize`` sums the memo entries of its terms in one
-accumulate loop.
+accumulate loop.  The closed-form families have tails of +-1, so their
+memo entries are ints, and ``normalize`` keeps its sums in ints as well:
+it scales each scalar-monomial group of its input to ints and divides
+once.  It reads its input's terms in no particular order, so it never
+sorts them.
 
 An overlap's S-polynomial is read straight off the two rules' tails,
 placed between the head and tail of the overlap word, with no products;
@@ -332,21 +336,39 @@ def _accumulate(base: RuleSet, pairs) -> dict:
     return acc
 
 
+def _reduce(base: RuleSet, pairs) -> dict:
+    """The raw normal form of ``(word, coefficient)`` pairs; against a
+    closed rule set each letter-set block is reduced on 1..k and mapped
+    back (see the module docstring)."""
+    if not base._top:
+        return _accumulate(base, pairs)
+    out = {}
+    for letters, local in _relabel_blocks(pairs, base._top):
+        out.update(_unlabel(letters, _accumulate(base, local)))
+    return out
+
+
 def normalize(p: Polynomial, base: RuleSet) -> Polynomial:
     """The unique fixed point of :func:`reduce_once`.
 
     Termination follows from the well-founded word order; every rewrite
     replaces a word by strictly smaller words of the same letter multiset.
-    Against a closed rule set each letter-set block is normalized on
-    1..k and mapped back (see the module docstring).
+    An input with only ``int`` coefficients is summed against the memo as
+    it is.  Any other input is grouped by scalar monomial, and each group
+    is scaled to ints by its common denominator, summed, divided once and
+    regrouped into one coefficient per output word.
     """
     _check_bound(base, p.degree())
-    if not base._top:
-        return Polynomial(_accumulate(base, p.terms.items()))
-    out = {}
-    for letters, local in _relabel_blocks(p.terms.items(), base._top):
-        out.update(_unlabel(letters, _accumulate(base, local)))
-    return Polynomial(out)
+    data = p._data
+    if all(type(c) is int for c in data.values()):
+        return Polynomial(_reduce(base, data.items()))
+    images = {}
+    for mono, pairs in p._by_monomial().items():
+        den = math.lcm(*[c.denominator for _, c in pairs])
+        ints = [(w, c.numerator * (den // c.denominator)) for w, c in pairs]
+        for u, c in _reduce(base, ints).items():
+            images.setdefault(u, {})[mono] = c if den == 1 else Fraction(c, den)
+    return Polynomial._from_monomials(images)
 
 
 def is_normal_factorfree(w: Word, base: RuleSet) -> bool:

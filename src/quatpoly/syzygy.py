@@ -202,12 +202,12 @@ def _normal_form(p: Polynomial) -> Polynomial:
     letters fit inside such a word.
     """
     out = {}
-    for letters, local in _relabel_blocks(p.terms.items()):
+    for letters, local in _relabel_blocks(p._data.items()):
         m = max(len(w) for w, _ in local)
         if m < 3:
             nf = dict(local)
         else:
             # Every word of the block holds exactly the letters 1..k.
-            nf = normalize(Polynomial(dict(local)), _family(max(local[0][0]), m)).terms
+            nf = normalize(Polynomial(dict(local)), _family(max(local[0][0]), m))._data
         out.update(_unlabel(letters, nf))
     return Polynomial(out)

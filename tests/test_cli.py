@@ -71,6 +71,45 @@ def test_parse_errors():
         parse_expression("1/0")
 
 
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # Recorded from the tokenizer that matched one token at a time.
+        ("v1 # v2", "unexpected character '#' (column 4)"),
+        ("v1 + $", "unexpected character '$' (column 6)"),
+        ("\tv1\n*\n v2 ?", "unexpected character '?' (column 11)"),
+        ("v1*v2 )", "trailing input (column 7)"),
+        ("v1 v2", "trailing input (column 4)"),
+        ("q1''", "trailing input (column 4)"),
+        ("v1 + * v2", "expected a factor (column 6)"),
+        ("v1 + ", "expected a factor (column 6)"),
+        ("  ", "expected a factor (column 3)"),
+        ("", "expected a factor (column 1)"),
+        ("-", "expected a factor (column 2)"),
+        ("3/0*v1", "zero denominator (column 3)"),
+        ("3/ 0", "zero denominator (column 4)"),
+        ("12 / 0 * v1", "zero denominator (column 6)"),
+        ("1/v2", "expected denominator digits (column 3)"),
+        ("S v1", "expected '(' (column 3)"),
+        ("cross(v1,v2", "expected ')' (column 12)"),
+        ("x1", "unknown name 'x1' (column 1)"),
+    ],
+)
+def test_parse_error_messages_and_columns_are_pinned(text, message):
+    with pytest.raises(ExpressionError) as err:
+        parse_expression(text)
+    assert str(err.value) == message
+
+
+def test_whitespace_around_tokens_is_skipped():
+    assert parse_expression("  v1 *\tv2  ") == ("v", w(1, 2))
+    mode, p = parse_expression(" 2 / 4 * q1 ' ")
+    assert mode == "q" and p == QPolynomial({(-1,): Fraction(1, 2)})
+    # Coefficients come out in canonical form: an integral a/b is an int.
+    assert [type(c) for c in parse_expression("2*3 - 7")[1].terms.values()] == [int]
+    assert parse_expression("4/2*v1")[1].terms == {(1,): 2}
+
 def test_roundtrip_random_polynomials():
     rng = random.Random(6)
     for _ in range(150):

@@ -1,8 +1,11 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatpoly.freealg import (
     Polynomial,
@@ -14,6 +17,7 @@ from quatpoly.freealg import (
     vector_part,
     word_key,
 )
+from quatpoly.qvars import QPolynomial, qword_key
 
 
 def w(*letters):
@@ -206,3 +210,62 @@ def test_terms_iterate_descending():
     p = w(1, 2) + w(2, 1) + w(1) + Polynomial.one()
     assert list(p.terms) == [(2, 1), (1, 2), (1,), ()]
     assert list(p.terms) == sorted(p.terms, key=word_key, reverse=True)
+
+
+# Keys and key order of each term-map class: sorted symbol monomials,
+# words, and q-words over the barred alphabet.
+_KEYS = {
+    Scalar: (st.lists(st.integers(1, 3), max_size=3).map(lambda m: tuple(sorted(m))), word_key),
+    Polynomial: (st.lists(st.integers(1, 3), max_size=4).map(tuple), word_key),
+    QPolynomial: (st.lists(st.sampled_from((1, 2, 3, -1, -2, -3)), max_size=4).map(tuple), qword_key),
+}
+_RATIONALS = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+def _maps(cls):
+    coeffs = _RATIONALS
+    if cls is Polynomial:
+        scalars = st.dictionaries(_KEYS[Scalar][0], _RATIONALS, max_size=2).map(Scalar)
+        coeffs = st.one_of(_RATIONALS, scalars)
+    return st.dictionaries(_KEYS[cls][0], coeffs, max_size=5).map(cls)
+
+
+@st.composite
+def _built_maps(draw):
+    """A term map of a drawn class, built through a drawn chain of ring
+    operations, conjugation and reversion."""
+    cls = draw(st.sampled_from(list(_KEYS)))
+    p = draw(_maps(cls))
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(("+", "-", "*", "scale", "conjugate", "reversion")))
+        if op in ("+", "-", "*"):
+            q = draw(_maps(cls))
+            p = p + q if op == "+" else p - q if op == "-" else p * q
+        elif op == "scale":
+            p = p.scale(draw(_RATIONALS))
+        elif op == "conjugate" and cls is not Scalar:
+            p = p.conjugate()
+        else:
+            p = p.reversion()
+    return cls, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_built_maps())
+def test_terms_sort_once_on_first_ordered_read(built):
+    cls, p = built
+    # Construction and arithmetic leave the map unsorted.
+    assert p._sorted == (len(p._data) < 2)
+    eager = cls(dict(p._data))
+    eager.terms
+    assert p == eager and eager == p
+    keys = list(p.terms)
+    assert keys == sorted(keys, key=_KEYS[cls][1], reverse=True)
+    assert p.degree() == (len(keys[0]) if keys else 0)
+    assert str(p) == str(eager)
+    # After the read only the sorted dict is kept.
+    assert p._sorted
+    assert [r for r in gc.get_referents(p) if type(r) is dict] == [p.terms]
+    assert list(p._data) == keys

@@ -432,6 +432,34 @@ def _assert_canonical(p):
             assert type(c) is int, p
 
 
+def _mixed_poly(rng, n, degree):
+    """A random polynomial whose coefficients are ints, Fractions and
+    Scalars, some of them sharing a symbol monomial."""
+    def rational():
+        return rng.choice((rng.randint(-4, 4), Fraction(rng.randint(-4, 4), rng.randint(1, 6))))
+
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        word = helpers.random_word(rng, n, degree)
+        kind = rng.randrange(3)
+        if kind == 2:
+            c = Scalar({tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 2))): rational()
+                        for _ in range(rng.randint(1, 3))})
+        else:
+            c = rng.randint(-4, 4) if kind == 0 else rational()
+        terms[word] = terms.get(word, 0) + c
+    return Polynomial(terms)
+
+
+def _typed_terms(p):
+    """The terms of ``p`` in order with their coefficient types, down to
+    the terms of a Scalar coefficient."""
+    return [
+        (w, type(c), [(m, type(q), q) for m, q in c.terms.items()] if type(c) is Scalar else c)
+        for w, c in p.terms.items()
+    ]
+
+
 def test_coefficients_take_one_canonical_form(base_v45):
     rng = random.Random(41)
     frac = _fractional_completion()
@@ -455,6 +483,18 @@ def test_coefficients_take_one_canonical_form(base_v45):
             outputs.append(split(value))
     for out in outputs:
         _assert_canonical(out)
+    # normalize on int, Fraction and Scalar coefficients mixed in one input
+    # is the reduce_once fixed point, coefficient types included, against a
+    # closed family, one missing a rule and a set with fractional tails.
+    square = next(r for r in base_v45.rules if r.family == "VG3sq")
+    not_closed = RuleSet([r for r in base_v45.rules if r is not square], degree_bound=5)
+    assert base_v45._top and not not_closed._top
+    for base, n, degree in ((base_v45, 5, 5), (not_closed, 5, 5), (frac, 3, 6)):
+        for _ in range(40):
+            p = _mixed_poly(rng, n, degree)
+            out = normalize(p, base)
+            assert _typed_terms(out) == _typed_terms(_reduce_once_fixed_point(p, base)), p
+            _assert_canonical(out)
     # A Scalar that loses its symbol prints as its number.
     _, value = parse_expression("(s1 + 1)*v3*v2*v1 - s1*v3*v2*v1")
     assert value.terms == {(3, 2, 1): 1} and str(value) == "v3*v2*v1"
