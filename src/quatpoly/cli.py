@@ -70,12 +70,6 @@ def _tokenize(text):
     return tokens
 
 
-def _combine(a, b, op):
-    if {type(a), type(b)} == {Polynomial, QPolynomial}:
-        raise ExpressionError("cannot mix v-variables and q-variables in one expression")
-    return op(a, b)
-
-
 class _Parser:
     def __init__(self, text):
         self.text = text
@@ -116,10 +110,7 @@ class _Parser:
             if kind == "op" and value in "+-":
                 self.next()
                 rhs = self.term()
-                if value == "+":
-                    out = _combine(out, rhs, lambda a, b: a + b)
-                else:
-                    out = _combine(out, rhs, lambda a, b: a - b)
+                out = out + rhs if value == "+" else out - rhs
             else:
                 return out
 
@@ -129,8 +120,7 @@ class _Parser:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.next()
-                rhs = self.factor()
-                out = _combine(out, rhs, lambda a, b: a * b)
+                out = out * self.factor()
             else:
                 return out
 
@@ -158,22 +148,16 @@ class _Parser:
 
     def named(self, name_idx, pos):
         name, idx = name_idx
-        if name in ("S", "A", "rev"):
+        if name in ("S", "A", "rev", "cross"):
             if idx:
                 raise ExpressionError("unknown variable %r" % (name + idx), pos)
             self.expect_op("(")
-            inner = self.expr()
+            args = [self.expr()]
+            if name == "cross":
+                self.expect_op(",")
+                args.append(self.expr())
             self.expect_op(")")
-            return _apply_func(name, inner)
-        if name == "cross":
-            if idx:
-                raise ExpressionError("unknown variable %r" % (name + idx), pos)
-            self.expect_op("(")
-            a = self.expr()
-            self.expect_op(",")
-            b = self.expr()
-            self.expect_op(")")
-            return _combine(a, b, cross)
+            return cross(*args) if name == "cross" else _apply_func(name, args[0])
         if name in ("v", "s", "q") and idx:
             index = int(idx)
             if index < 1:
@@ -210,6 +194,9 @@ def parse_expression(text):
         value = _Parser(text).parse()
     except RecursionError:
         raise ExpressionError("expression nested too deeply") from None
+    except TypeError:
+        # Term-map arithmetic takes no operand of the other alphabet.
+        raise ExpressionError("cannot mix v-variables and q-variables in one expression") from None
     if isinstance(value, QPolynomial):
         return "q", value
     if isinstance(value, (int, Fraction)):
@@ -235,10 +222,11 @@ def _input(args, multilinear=False):
     ``multilinear``, for a word repeating an index (q_i' is q_i)."""
     mode, value = parse_expression(_expr_arg(args.expr))
     _check_vars(args.vars, value.indices() if mode == "q" else value.variables())
-    for w in value.terms:
-        if multilinear and len({abs(x) for x in w}) != len(w):
-            word = type(value).from_word(w)
-            raise ExpressionError("multilinear mode requires distinct letters: %s" % word)
+    if multilinear:
+        for w in value.terms:
+            if len({abs(x) for x in w}) != len(w):
+                word = type(value).from_word(w)
+                raise ExpressionError("multilinear mode requires distinct letters: %s" % word)
     return mode, value
 
 

@@ -10,7 +10,7 @@ inside the coefficients, and this module alone holds them:
 ``Polynomial.scalar_symbols`` names them, ``Polynomial.substitute`` sets
 them to values, leaving rational coefficients, and
 ``Polynomial._by_monomial`` hands the terms out per symbol monomial, an
-index tuple, to the callers that sum rationals per monomial.
+index tuple, scaled to ints by one common denominator for every caller.
 
 Conjugation reverses products and sends every vector letter to its
 negative (``Polynomial.conjugate``).  ``bracket`` and ``vector_part`` are
@@ -24,6 +24,7 @@ construction, the lazy sort of ``terms``, swaps in an equal dict.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 Word = tuple
 
@@ -359,10 +360,11 @@ class Polynomial(_TermMap):
                 out.update(c.symbols())
         return out
 
-    def _by_monomial(self) -> dict:
-        """The terms grouped by scalar monomial, in no order: ``{monomial:
-        [(word, rational), ...]}``, a rational coefficient counting as the
-        empty monomial ``()``."""
+    def _by_monomial(self):
+        """``(den, groups)``: the terms scaled to ints by their common
+        denominator ``den`` and grouped by scalar monomial, in no order,
+        ``{monomial: [(word, int), ...]}``; a rational coefficient counts as
+        the empty monomial ``()``."""
         groups = {}
         for w, c in self._data.items():
             if type(c) is Scalar:
@@ -370,7 +372,11 @@ class Polynomial(_TermMap):
                     groups.setdefault(mono, []).append((w, q))
             else:
                 groups.setdefault((), []).append((w, c))
-        return groups
+        den = lcm(*[c.denominator for pairs in groups.values() for _, c in pairs])
+        return den, {
+            mono: [(w, c.numerator * (den // c.denominator)) for w, c in pairs]
+            for mono, pairs in groups.items()
+        }
 
     @classmethod
     def _from_monomials(cls, images: dict) -> "Polynomial":

@@ -12,9 +12,10 @@ Letters are multiplied as quaternions in one place, in two steps.
 over the words cut into letter pairs, and the distinct pairs it uses.
 ``_evaluate_int`` runs the plan at one assignment: one product per
 distinct pair, one per trie node.  ``evaluate`` runs it at an
-assignment's rational coordinates, ``zero_test`` compiles once and runs
-it at each trial's cached integer draws.  ``dimension_check`` builds its
-rows block by block, one block per letter multiset of the slice.
+assignment's rational coordinates, ``zero_test`` compiles once, runs it
+at each trial's cached integer draws and reports a failing trial's own
+value.  ``dimension_check`` builds its rows block by block, one block
+per letter multiset of the slice.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 
 from .freealg import (
     Polynomial,
@@ -198,29 +199,10 @@ class ZeroTestResult:
         return self.passed
 
 
-def _integer_terms(p: Polynomial):
-    """Terms of ``p``, whose coefficients are rational, scaled to ints by
-    their common denominator."""
-    den = lcm(*[c.denominator for c in p._data.values()])
-    return [(w, int(c * den)) for w, c in p._data.items()]
-
-
-def _integer_rows(p: Polynomial, words) -> list:
-    """The coefficients of ``p``, whose words ``words`` lists, as one
-    ``(monomial, [(word position, int), ...])`` row per scalar monomial,
-    all scaled to ints by one common denominator."""
-    groups = p._by_monomial()
-    den = lcm(*[c.denominator for pairs in groups.values() for _, c in pairs])
-    at = {w: k for k, w in enumerate(words)}
-    return [
-        (mono, [(at[w], c.numerator * (den // c.denominator)) for w, c in pairs])
-        for mono, pairs in groups.items()
-    ]
-
-
 def _draw_coefficients(rows, size: int, scals) -> list:
     """The int coefficient of each word with symbol s_i set to
-    ``scals[i]``."""
+    ``scals[i]``, from one ``(monomial, [(word position, int), ...])``
+    row per scalar monomial."""
     coeffs = [0] * size
     for mono, row in rows:
         m = 1
@@ -314,17 +296,20 @@ def zero_test(p: Polynomial, trials: int = 100, seed: int = 0, n: int | None = N
         raise ValueError("letter index %d exceeds n = %d" % (top, n))
     words = list(p._data)
     plan = _compile(words)
-    rows = _integer_rows(p, words)
+    at = {w: k for k, w in enumerate(words)}
+    den, groups = p._by_monomial()
+    rows = [(mono, [(at[w], c) for w, c in pairs]) for mono, pairs in groups.items()]
     coeffs = None
     for t in range(trials):
         vecs, scals = _int_assignment(n, seed + t)
         if symbols or coeffs is None:
-            # A symbol-free input has the one row of monomial (), and a
-            # common positive scale leaves every verdict as it is.
+            # A symbol-free input has one row, of monomial (): drawn once.
             coeffs = _draw_coefficients(rows, len(words), scals)
-        if any(_evaluate_int(plan, coeffs, vecs)):
-            assignment = random_assignment(n, seed + t)
-            return ZeroTestResult(False, trials, t, assignment, evaluate(p, assignment))
+        value = _evaluate_int(plan, coeffs, vecs)
+        if any(value):
+            # The draws are ints, so ``value`` is exactly ``den`` times p's value.
+            value = Quaternion(*[Fraction(x, den) for x in value])
+            return ZeroTestResult(False, trials, t, random_assignment(n, seed + t), value)
     return ZeroTestResult(True, trials)
 
 
@@ -445,10 +430,12 @@ def dimension_check(
     for g in generator_polys(generators):
         if g.degree() > d:
             continue
+        if g.scalar_symbols():
+            raise ValueError("generator has scalar symbols")
         mds = g.multidegree()
         if len(mds) != 1:
             raise ValueError("generator is not multiset-homogeneous")
-        gens.append((next(iter(mds)), _integer_terms(g)))
+        gens.append((next(iter(mds)), g._by_monomial()[1][()]))
 
     # block letter multiset -> (column of each word, rows)
     blocks = {t: ({w: i for i, w in enumerate(_arrangements(t))}, []) for t in targets}
@@ -476,14 +463,14 @@ def dimension_check(
 # ---------------------------------------------------------------------------
 
 
-def _index_patterns(k: int, cap: int = 60, samples: int = 10, seed: int = 0):
+def _index_patterns(k: int):
     """Index tuples covering coincidence patterns of k slots: every
-    restricted-growth tuple when there are at most ``cap``, otherwise the
-    all-distinct tuple plus seeded random draws."""
+    restricted-growth tuple when there are at most 60, otherwise the
+    all-distinct tuple plus 10 random draws seeded with 0."""
     patterns = []
 
     def grow(prefix, mx):
-        if len(patterns) > cap:
+        if len(patterns) > 60:
             return
         if len(prefix) == k:
             patterns.append(tuple(prefix))
@@ -492,12 +479,12 @@ def _index_patterns(k: int, cap: int = 60, samples: int = 10, seed: int = 0):
             grow(prefix + [v], max(mx, v))
 
     grow([], 0)
-    if len(patterns) <= cap:
+    if len(patterns) <= 60:
         return patterns
-    rng = random.Random(seed)
+    rng = random.Random(0)
     out = [tuple(range(1, k + 1))]
     seen = set(out)
-    while len(out) < samples + 1:
+    while len(out) < 11:
         t = tuple(rng.randint(1, k) for _ in range(k))
         if t not in seen:
             seen.add(t)

@@ -354,18 +354,18 @@ def normalize(p: Polynomial, base: RuleSet) -> Polynomial:
     Termination follows from the well-founded word order; every rewrite
     replaces a word by strictly smaller words of the same letter multiset.
     An input with only ``int`` coefficients is summed against the memo as
-    it is.  Any other input is grouped by scalar monomial, and each group
-    is scaled to ints by its common denominator, summed, divided once and
-    regrouped into one coefficient per output word.
+    it is.  Any other input is grouped by scalar monomial and scaled to
+    ints by one common denominator (``Polynomial._by_monomial``); each
+    group is summed, divided once and regrouped into one coefficient per
+    output word.
     """
     _check_bound(base, p.degree())
     data = p._data
     if all(type(c) is int for c in data.values()):
         return Polynomial(_reduce(base, data.items()))
+    den, groups = p._by_monomial()
     images = {}
-    for mono, pairs in p._by_monomial().items():
-        den = math.lcm(*[c.denominator for _, c in pairs])
-        ints = [(w, c.numerator * (den // c.denominator)) for w, c in pairs]
+    for mono, ints in groups.items():
         for u, c in _reduce(base, ints).items():
             images.setdefault(u, {})[mono] = c if den == 1 else Fraction(c, den)
     return Polynomial._from_monomials(images)
@@ -566,9 +566,9 @@ def complete(generators, max_degree: int) -> RuleSet:
     its memo by letter pattern at every degree.  The set is reduced as
     built, with no ``inter_reduce`` pass.
 
-    The last degree's set, its memo warm, is re-verified by
-    :func:`check_groebner` before a fresh copy is returned, so a returned
-    set is genuinely locally confluent to the bound.  A negative
+    The last degree's set is re-verified by :func:`check_groebner` and
+    returned with its memo emptied, so a returned set is genuinely
+    locally confluent to the bound.  A negative
     ``max_degree``, an inhomogeneous generator or one of degree above
     ``max_degree`` raises ``ValueError``.  The degree bound alone bounds
     the work: no rule is longer than ``max_degree``.
@@ -615,7 +615,8 @@ def complete(generators, max_degree: int) -> RuleSet:
     if not check_groebner(base, max_degree).ok:
         raise RuntimeError("completion left an overlap residue at degree bound %d" % max_degree)
     # The check filled the memo of ``base``; the caller gets an empty one.
-    return RuleSet(base.rules, degree_bound=max_degree)
+    base._nf_cache.clear()
+    return base
 
 
 def inter_reduce(base: RuleSet) -> RuleSet:

@@ -12,7 +12,7 @@ import pytest
 import helpers
 import quatpoly
 from quatpoly import rewrite, syzygy
-from quatpoly.cli import ExpressionError, main, parse_expression
+from quatpoly.cli import ExpressionError, _input, build_parser, main, parse_expression
 from quatpoly.freealg import Polynomial, Scalar, bracket
 from quatpoly.qvars import QPolynomial, normalize_q
 
@@ -94,6 +94,12 @@ def test_parse_errors():
         ("S v1", "expected '(' (column 3)"),
         ("cross(v1,v2", "expected ')' (column 12)"),
         ("x1", "unknown name 'x1' (column 1)"),
+        ("S2(", "unknown variable 'S2' (column 1)"),
+        ("A3(", "unknown variable 'A3' (column 1)"),
+        ("rev1(", "unknown variable 'rev1' (column 1)"),
+        ("cross4(", "unknown variable 'cross4' (column 1)"),
+        ("cross(v1)", "expected ',' (column 9)"),
+        ("S(v1, v2)", "expected ')' (column 5)"),
     ],
 )
 def test_parse_error_messages_and_columns_are_pinned(text, message):
@@ -540,6 +546,11 @@ def test_zero_test_scalar_symbol_counterexample():
         1,
         "counterexample at trial 2: v1=(0, -8, -7, -7); s1=2 => (0, -24, -21, -21)\n",
     )
+    assert run(["zero-test", "1/3*v3*v1 - 2/5*s2*v1*v3"]) == (
+        1,
+        "counterexample at trial 0: v1=(0, 3, 4, -8), v2=(0, -1, 7, 6), v3=(0, 3, 0, 6);"
+        " s1=2, s2=9, s3=-3 => (-637/5, -472/5, 826/5, 236/5)\n",
+    )
 
 
 @pytest.mark.parametrize(
@@ -566,11 +577,21 @@ def test_normalize_constants_and_parts_are_pinned(expr, expected):
 
 
 def test_mixing_alphabets_is_pinned(capsys):
-    for expr in ("cross(v1,q1)", "s1*q1"):
+    # One operand of each alphabet at every operator position.
+    for expr in (
+        "cross(v1,q1)", "s1*q1", "v1 + q1", "v1 - q1", "q1*v1", "S(q1) * v2", "(v1 + q2)*v3",
+    ):
         assert run(["normalize", expr]) == (2, "")
         assert capsys.readouterr().err == (
             "error: cannot mix v-variables and q-variables in one expression\n"
         )
+
+
+def test_input_reads_the_words_only_for_multilinear():
+    # The words are scanned, and so sorted, only to check --multilinear.
+    args = build_parser().parse_args(["normalize", "v1 + v2*v1"])
+    assert not _input(args)[1]._sorted
+    assert _input(args, multilinear=True)[1]._sorted
 
 
 def test_zero_test_of_q_parts_is_pinned():

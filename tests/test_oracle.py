@@ -474,6 +474,21 @@ def test_evaluate_and_zero_test_match_the_quaternion_reference():
     assert seen == {"pass", "fail", "empty", "odd", "even", "repeat", "v5000", "shared prefix"}
 
 
+def test_failing_zero_test_reports_the_value_at_its_witness():
+    # The reported value is the failing trial's own evaluation divided by
+    # one denominator common to the rational and the symbolic terms; the
+    # reference multiplies Quaternion objects at the reported witness.
+    rng = random.Random(43)
+    failed = 0
+    for _ in range(60):
+        p = helpers.random_scalar_poly(rng) + _differential_poly(rng, (1, 2, 3))
+        res = zero_test(p, trials=4, seed=rng.randint(0, 50))
+        if not res.passed:
+            failed += 1
+            assert res.value == helpers.evaluate_reference(p, res.witness), p
+    assert failed >= 50
+
+
 def test_plan_shares_whole_pair_prefixes():
     # Letter by letter these words take 4 + 5 + 3 + 4 + 2 + 1 = 19
     # products; the plan takes one per distinct piece and one per node
@@ -525,3 +540,13 @@ def test_dimension_check_rejects_inhomogeneous_generators():
     for multiset in (None, (1, 1, 2)):
         with pytest.raises(ValueError, match="multiset-homogeneous"):
             dimension_check(2, 3, [w(1, 1, 2) - w(1)], base, multiset=multiset)
+
+
+def test_dimension_check_rejects_generators_with_scalar_symbols():
+    # Its rows hold rational coefficients only: a symbolic term must not
+    # be dropped, which would rank v1*v2 + s1*v2*v1 as v1*v2 alone.
+    base = gb_vector(2, 3)
+    g = w(1, 2) + Polynomial({(2, 1): Scalar.symbol(1)})
+    for multiset in (None, (1, 2)):
+        with pytest.raises(ValueError, match="generator has scalar symbols"):
+            dimension_check(2, 2, [g], base, multiset=multiset)
