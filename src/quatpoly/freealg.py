@@ -6,11 +6,10 @@ module alone fixes a coefficient's form: an ``int`` when the value is
 integral, a ``Fraction`` otherwise, and a :class:`Scalar`, a commutative
 polynomial in the central symbols s1, s2, ..., only while it holds a
 symbol.  Scalar symbols commute with every letter, so they live entirely
-inside the coefficients, and this module alone holds them:
-``Polynomial.scalar_symbols`` names them, ``Polynomial.substitute`` sets
-them to values, leaving rational coefficients, and
-``Polynomial._by_monomial`` hands the terms out per symbol monomial, an
-index tuple, scaled to ints by one common denominator for every caller.
+inside the coefficients.  ``Polynomial._by_monomial`` is the one view of
+them: it hands the terms out per symbol monomial, an index tuple, scaled
+to ints by one common denominator, and every caller that names, checks or
+evaluates the symbols reads them there.
 
 Conjugation reverses products and sends every vector letter to its
 negative (``Polynomial.conjugate``).  ``bracket`` and ``vector_part`` are
@@ -260,27 +259,6 @@ class Scalar(_TermMap):
             raise ValueError("scalar symbol index must be >= 1")
         return cls({(index,): 1})
 
-    def symbols(self) -> set:
-        out = set()
-        for mono in self._data:
-            out.update(mono)
-        return out
-
-    def substitute(self, values):
-        """Evaluate at ``values[i]`` for each symbol index ``i``, an ``int``
-        while every coefficient and value is one; a symbol that ``values``
-        lacks raises ``ValueError``."""
-        total = 0
-        for mono, coeff in self._data.items():
-            prod = coeff
-            for i in mono:
-                try:
-                    prod *= values[i]
-                except (KeyError, IndexError):
-                    raise ValueError("unassigned scalar symbol s%d" % i) from None
-            total += prod
-        return total
-
     def __mul__(self, other):
         if isinstance(other, Scalar):
             return self._product(other)
@@ -353,13 +331,6 @@ class Polynomial(_TermMap):
             out.update(w)
         return out
 
-    def scalar_symbols(self) -> set:
-        out = set()
-        for c in self._data.values():
-            if isinstance(c, Scalar):
-                out.update(c.symbols())
-        return out
-
     def _by_monomial(self):
         """``(den, groups)``: the terms scaled to ints by their common
         denominator ``den`` and grouped by scalar monomial, in no order,
@@ -387,13 +358,6 @@ class Polynomial(_TermMap):
         return cls({
             w: monos[()] if len(monos) == 1 and () in monos else Scalar(monos)
             for w, monos in images.items()
-        })
-
-    def substitute(self, values) -> "Polynomial":
-        """``self`` with each symbol s_i set to ``values[i]``, so every
-        coefficient is rational; rational coefficients pass through."""
-        return Polynomial({
-            w: c.substitute(values) if isinstance(c, Scalar) else c for w, c in self._data.items()
         })
 
     def __str__(self):

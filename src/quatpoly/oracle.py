@@ -11,11 +11,14 @@ Letters are multiplied as quaternions in one place, in two steps.
 ``_compile`` turns a polynomial's words, once, into a plan: a prefix trie
 over the words cut into letter pairs, and the distinct pairs it uses.
 ``_evaluate_int`` runs the plan at one assignment: one product per
-distinct pair, one per trie node.  ``evaluate`` runs it at an
-assignment's rational coordinates, ``zero_test`` compiles once, runs it
-at each trial's cached integer draws and reports a failing trial's own
-value.  ``dimension_check`` builds its rows block by block, one block
-per letter multiset of the slice.
+distinct pair, one per trie node.  Scalar symbols are set in one place
+too: ``_prepare`` reads the int rows of ``Polynomial._by_monomial``, one
+per symbol monomial, and ``_draw_coefficients`` multiplies them out at
+given symbol values.  ``evaluate`` runs both once at an assignment's
+rational values and divides by the common denominator; ``zero_test``
+prepares once, runs them at each trial's cached integer draws and
+reports a failing trial's own value.  ``dimension_check`` builds its
+rows block by block, one block per letter multiset of the slice.
 """
 
 from __future__ import annotations
@@ -154,8 +157,12 @@ def evaluate(p: Polynomial, assignment: Assignment) -> Quaternion:
         if not q.is_pure_imaginary():
             raise ValueError("vector v%d assigned a non-pure-imaginary value %s" % (letter, q))
         vecs[letter] = (q.b, q.c, q.d)
-    terms = p.substitute(assignment.scalars)._data
-    return Quaternion(*_evaluate_int(_compile(terms), terms.values(), vecs))
+    plan, den, rows = _prepare(p)
+    missing = [i for mono, _ in rows for i in mono if i not in assignment.scalars]
+    if missing:
+        raise ValueError("unassigned scalar symbol s%d" % min(missing))
+    coeffs = _draw_coefficients(rows, len(p._data), assignment.scalars)
+    return Quaternion(*[Fraction(x, den) for x in _evaluate_int(plan, coeffs, vecs)])
 
 
 @functools.lru_cache(maxsize=1024)
@@ -279,37 +286,41 @@ def _evaluate_int(plan, coeffs, vecs):
     return ta, tb, tc, td
 
 
-def zero_test(p: Polynomial, trials: int = 100, seed: int = 0, n: int | None = None) -> ZeroTestResult:
+def _prepare(p: Polynomial):
+    """``(plan, den, rows)``: the plan of ``p``'s words, in ``p._data``
+    order, and ``Polynomial._by_monomial``'s common denominator and int
+    groups as one ``(monomial, [(word position, int), ...])`` row per
+    scalar monomial; all an evaluation needs besides its values."""
+    at = {w: k for k, w in enumerate(p._data)}
+    den, groups = p._by_monomial()
+    rows = [(mono, [(at[w], c) for w, c in pairs]) for mono, pairs in groups.items()]
+    return _compile(list(at)), den, rows
+
+
+def zero_test(p: Polynomial, trials: int = 100, seed: int = 0) -> ZeroTestResult:
     """Evaluate ``p`` exactly at ``trials`` seeded assignments; returns the
     first nonzero witness or a pass verdict.  Trial t uses
-    ``random_assignment(n, seed + t)``."""
+    ``random_assignment(top, seed + t)``, ``top`` the largest letter or
+    symbol index."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    symbols = p.scalar_symbols()
+    plan, den, rows = _prepare(p)
+    symbols = {i for mono, _ in rows for i in mono}
     letters = p.variables() | symbols
     if min(letters, default=1) < 1:
         raise ValueError("letter index %d is below 1" % min(letters))
     top = max(letters, default=0)
-    if n is None:
-        n = top
-    elif top > n:
-        raise ValueError("letter index %d exceeds n = %d" % (top, n))
-    words = list(p._data)
-    plan = _compile(words)
-    at = {w: k for k, w in enumerate(words)}
-    den, groups = p._by_monomial()
-    rows = [(mono, [(at[w], c) for w, c in pairs]) for mono, pairs in groups.items()]
     coeffs = None
     for t in range(trials):
-        vecs, scals = _int_assignment(n, seed + t)
+        vecs, scals = _int_assignment(top, seed + t)
         if symbols or coeffs is None:
             # A symbol-free input has one row, of monomial (): drawn once.
-            coeffs = _draw_coefficients(rows, len(words), scals)
+            coeffs = _draw_coefficients(rows, len(p._data), scals)
         value = _evaluate_int(plan, coeffs, vecs)
         if any(value):
             # The draws are ints, so ``value`` is exactly ``den`` times p's value.
             value = Quaternion(*[Fraction(x, den) for x in value])
-            return ZeroTestResult(False, trials, t, random_assignment(n, seed + t), value)
+            return ZeroTestResult(False, trials, t, random_assignment(top, seed + t), value)
     return ZeroTestResult(True, trials)
 
 
@@ -393,6 +404,9 @@ def _slice(n: int, d: int, multiset: tuple | None = None):
     multiset = tuple(sorted(multiset))
     if len(multiset) != d:
         raise ValueError("multiset size %d != degree %d" % (len(multiset), d))
+    for x in multiset:
+        if not 1 <= x <= n:
+            raise ValueError("multiset letter %d is outside 1..%d" % (x, n))
     count = factorial(d)
     for k in Counter(multiset).values():
         count //= factorial(k)
@@ -430,12 +444,13 @@ def dimension_check(
     for g in generator_polys(generators):
         if g.degree() > d:
             continue
-        if g.scalar_symbols():
+        groups = g._by_monomial()[1]
+        if groups.keys() - {()}:
             raise ValueError("generator has scalar symbols")
         mds = g.multidegree()
         if len(mds) != 1:
             raise ValueError("generator is not multiset-homogeneous")
-        gens.append((next(iter(mds)), g._by_monomial()[1][()]))
+        gens.append((next(iter(mds)), groups[()]))
 
     # block letter multiset -> (column of each word, rows)
     blocks = {t: ({w: i for i, w in enumerate(_arrangements(t))}, []) for t in targets}

@@ -131,7 +131,7 @@ def _closure_top(rules, tails) -> int:
     classes = {}
     top = 0
     for r, tail in zip(rules, tails):
-        if r.rhs.scalar_symbols():
+        if not all(isinstance(c, (int, Fraction)) for _, c in tail):
             # A tail with symbols names symbols that the relabeling would
             # have to move as well.
             return 0
@@ -519,6 +519,8 @@ def check_groebner(
     catches a base that resolves all its overlaps but generates too small
     an ideal, which pairwise S-polynomials alone cannot see.
     """
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0, got %d" % max_degree)
     if base.degree_bound is not None:
         max_degree = min(max_degree, base.degree_bound)
     residues = []
@@ -602,7 +604,7 @@ def complete(generators, max_degree: int) -> RuleSet:
                 pivots[p.leading_word()] = _monic(p)
         if not pivots:
             continue
-        # Back-substitute in ascending lead order: a tail holds only words
+        # Back-reduce in ascending lead order: a tail holds only words
         # below its lead, and a reduced pivot's tail holds no pivot lead.
         for lead in sorted(pivots, key=word_key):
             p = pivots[lead]

@@ -92,11 +92,23 @@ def split_reference(p):
     return out
 
 
+def scalar_symbols(p):
+    """The indices of the scalar symbols in ``p``'s coefficients."""
+    return {i for c in p.terms.values() if isinstance(c, Scalar) for mono in c.terms for i in mono}
+
+
 def evaluate_reference(p, assignment):
-    """The value of ``p`` at ``assignment``, each word multiplied letter
-    by letter as :class:`Quaternion` objects."""
+    """The value of ``p`` at ``assignment``: each symbol set term by term,
+    each word multiplied letter by letter as :class:`Quaternion` objects."""
     total = Quaternion()
-    for w, c in p.substitute(assignment.scalars).terms.items():
+    for w, c in p.terms.items():
+        if isinstance(c, Scalar):
+            value = 0
+            for mono, q in c.terms.items():
+                for i in mono:
+                    q *= assignment.scalars[i]
+                value += q
+            c = value
         prod = Quaternion(1)
         for letter in w:
             prod = prod * assignment.vectors[letter]

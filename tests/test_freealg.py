@@ -122,28 +122,6 @@ def test_scalar_coefficients_commute():
     assert s1 * s2 == s2 * s1
 
 
-def test_substitute_sets_symbols_and_keeps_rationals():
-    s1, s2 = Scalar.symbol(1), Scalar.symbol(2)
-    p = Polynomial({
-        (1, 2): Fraction(1, 3),
-        (2,): 4,
-        (1,): s1 * s2 + 1,
-        (): s2 * Fraction(1, 2),
-    })
-    out = p.substitute({1: 2, 2: Fraction(3)})
-    assert out.terms == {(1, 2): Fraction(1, 3), (2,): 4, (1,): 7, (): Fraction(3, 2)}
-    assert [type(c) for c in out.terms.values()] == [Fraction, int, int, Fraction]
-    assert not out.scalar_symbols()
-    # A coefficient that evaluates to zero drops its term.
-    assert p.substitute((None, 0, 0)).terms == {(1, 2): Fraction(1, 3), (2,): 4, (1,): 1}
-    rational = w(2, 1) * Fraction(1, 2) - w(1) * 3
-    assert rational.substitute({}).terms == rational.terms
-    assert [type(c) for c in rational.substitute({}).terms.values()] == [Fraction, int]
-    for values in ({1: 1}, (None, 1)):
-        with pytest.raises(ValueError, match="^unassigned scalar symbol s2$"):
-            p.substitute(values)
-
-
 def test_reversion():
     assert w(1, 2, 3).reversion() == w(3, 2, 1)
     assert w(1).reversion() == w(1)

@@ -96,6 +96,47 @@ def test_evaluate_scalar_symbols():
         evaluate(p, Assignment({1: I}, {}))
     with pytest.raises(ValueError, match="^unassigned scalar symbol s2$"):
         evaluate(p, Assignment({1: I}, {1: Fraction(3)}))
+    # int, Fraction and Scalar coefficients side by side.
+    s1, s2 = Scalar.symbol(1), Scalar.symbol(2)
+    p = Polynomial({
+        (1, 2): Fraction(1, 3),
+        (2,): 4,
+        (1,): s1 * s2 + 1,
+        (): s2 * Fraction(1, 2),
+    })
+    vectors = {1: I, 2: J}
+    # v1*v2 = K; the coefficients take 1/3, 4, 2*3 + 1 and 3/2.
+    value = evaluate(p, Assignment(vectors, {1: 2, 2: Fraction(3)}))
+    assert value == Quaternion(Fraction(3, 2), 7, 4, Fraction(1, 3))
+    # A symbol set to 0 drops the monomials it occurs in.
+    assert evaluate(p, Assignment(vectors, {1: 0, 2: 0})) == Quaternion(0, 1, 4, Fraction(1, 3))
+    rational = w(2, 1) * Fraction(1, 2) - w(1) * 3
+    assert evaluate(rational, Assignment(vectors, {})) == Quaternion(0, -3, 0, Fraction(-1, 2))
+    # The smallest unassigned symbol is named.
+    for scalars, missing in (({1: 1}, 2), ({2: 1}, 1), ({}, 1)):
+        with pytest.raises(ValueError, match="^unassigned scalar symbol s%d$" % missing):
+            evaluate(p, Assignment(vectors, scalars))
+
+
+def test_evaluate_matches_the_reference_at_rational_symbols():
+    # evaluate draws the int rows of Polynomial._by_monomial; the reference
+    # sets each Scalar's terms itself and multiplies Quaternion objects.
+    rng = random.Random(53)
+    nonzero = 0
+    for case in range(150):
+        p = helpers.random_scalar_poly(rng)
+        if case % 3 == 0:
+            p = p + helpers.random_poly(rng, n=3, max_degree=3, max_terms=3)
+        vectors = {
+            i: Quaternion(0, *(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)))
+            for i in (1, 2, 3)
+        }
+        scalars = {i: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for i in (1, 2, 3)}
+        a = Assignment(vectors, scalars)
+        value = evaluate(p, a)
+        assert value == helpers.evaluate_reference(p, a), p
+        nonzero += bool(value)
+    assert nonzero >= 140
 
 
 def test_reversion_conjugation_compatibility():
@@ -361,7 +402,7 @@ def test_random_assignment_returns_fresh_dicts():
     assert b.vectors[1] == Quaternion(0, -6, -9, -1)
     assert b.vectors[2] == Quaternion(0, -2, -2, -5)
     assert b.scalars == {1: 9, 2: 4, 3: -8}
-    res = zero_test(w(1, 2) - w(2, 1), seed=42, n=3)
+    res = zero_test(w(1, 2, 3) - w(3, 2, 1), seed=42)
     assert res.witness_trial == 0 and res.witness == b
 
 
@@ -391,7 +432,7 @@ def _reference_zero_test(p, trials, seed):
     """The first trial whose assignment gives ``p`` a nonzero value, as
     ``(trial, assignment, value)``, or ``None``; values come from
     ``helpers.evaluate_reference``, not from ``evaluate``."""
-    n = max(p.variables() | p.scalar_symbols(), default=0)
+    n = max(p.variables() | helpers.scalar_symbols(p), default=0)
     for t in range(trials):
         a = random_assignment(n, seed + t)
         value = helpers.evaluate_reference(p, a)
@@ -503,19 +544,11 @@ def test_plan_shares_whole_pair_prefixes():
     assert evaluate(p, a) == helpers.evaluate_reference(p, a)
 
 
-def test_zero_test_rejects_letters_beyond_n():
-    with pytest.raises(ValueError):
-        zero_test(w(1, 3), n=2)
-    with pytest.raises(ValueError):
-        zero_test(Polynomial({(1,): Scalar.symbol(4)}), n=3)
-    assert zero_test(w(1, 1, 2) - w(2, 1, 1), n=4).passed
-
-
 def test_zero_test_rejects_letters_below_one():
     # No draw exists for these letters; read as tuple indices they would
-    # alias letter n, and w(0) - w(3) would pass as an identity.
+    # alias the largest letter, and w(0) - w(3) would pass as an identity.
     with pytest.raises(ValueError, match="below 1"):
-        zero_test(w(0) - w(3), n=3)
+        zero_test(w(0) - w(3))
     with pytest.raises(ValueError, match="below 1"):
         zero_test(w(1, -1))
 
@@ -533,6 +566,14 @@ def test_dimension_check_is_the_sum_of_its_multiset_blocks():
                 n, d, field_name,
             )
         assert whole.total_words == n**d and all(r.ok for r in parts)
+
+
+def test_dimension_check_rejects_multiset_letters_outside_the_alphabet():
+    gens, base = gen_vector_syzygies(2), gb_vector(2, 3)
+    for multiset, letter in (((1, 2, 5), 5), ((0, 1, 2), 0)):
+        with pytest.raises(ValueError, match="^multiset letter %d is outside 1..2$" % letter):
+            dimension_check(2, 3, gens, base, multiset=multiset)
+    assert dimension_check(2, 3, gens, base, multiset=(1, 2, 2)).ok
 
 
 def test_dimension_check_rejects_inhomogeneous_generators():

@@ -227,6 +227,13 @@ def test_check_groebner_negative_control(base_m4):
     assert (3, 2, 4, 1) in leads
 
 
+def test_check_groebner_rejects_a_negative_degree_bound():
+    # A bound below 0 checks nothing, so an ok report would be vacuous.
+    with pytest.raises(ValueError, match=r"^max_degree must be >= 0, got -1$"):
+        check_groebner(gb_vector(3, 3), -1)
+    assert check_groebner(gb_vector(3, 3), 0).ok
+
+
 def test_complete_empty():
     base = complete([], 5)
     assert len(base) == 0
