@@ -17,6 +17,7 @@ from quatpoly.freealg import (
     vector_part,
     word_key,
 )
+from quatpoly.oracle import Assignment, I, J, Quaternion, evaluate
 from quatpoly.qvars import QPolynomial, qword_key
 
 
@@ -120,6 +121,30 @@ def test_scalar_coefficients_commute():
     q = w(1, 2).scale(s1 * s2)
     assert p == q
     assert s1 * s2 == s2 * s1
+
+
+def test_substitute_sets_symbols_and_keeps_rationals():
+    # Scalar symbols are set to values only through oracle.evaluate, which
+    # multiplies out the int rows of Polynomial._by_monomial.
+    s1, s2 = Scalar.symbol(1), Scalar.symbol(2)
+    p = Polynomial({
+        (1, 2): Fraction(1, 3),
+        (2,): 4,
+        (1,): s1 * s2 + 1,
+        (): s2 * Fraction(1, 2),
+    })
+    vectors = {1: I, 2: J}
+    # v1*v2 = K; the coefficients take 1/3, 4, 2*3 + 1 and 3/2.
+    value = evaluate(p, Assignment(vectors, {1: 2, 2: Fraction(3)}))
+    assert value == Quaternion(Fraction(3, 2), 7, 4, Fraction(1, 3))
+    # A symbol set to 0 drops the monomials it occurs in.
+    assert evaluate(p, Assignment(vectors, {1: 0, 2: 0})) == Quaternion(0, 1, 4, Fraction(1, 3))
+    rational = w(2, 1) * Fraction(1, 2) - w(1) * 3
+    assert evaluate(rational, Assignment(vectors, {})) == Quaternion(0, -3, 0, Fraction(-1, 2))
+    # The smallest unassigned symbol is named.
+    for scalars, missing in (({1: 1}, 2), ({2: 1}, 1), ({}, 1)):
+        with pytest.raises(ValueError, match="^unassigned scalar symbol s%d$" % missing):
+            evaluate(p, Assignment(vectors, scalars))
 
 
 def test_reversion():
