@@ -3,20 +3,21 @@ structural normality predicates, overlap detection and bounded completion.
 
 A :class:`RewriteRule` is a monic polynomial split as ``lead -> rhs``; a
 :class:`RuleSet` is an immutable, canonically ordered family of such rules
-whose leads are pairwise factor-free.  Normal-form computation memoizes
-per-word results on the rule set, which is sound because the rewrite step
-chosen for a word depends on the word alone.
+whose leads are pairwise factor-free.  A word is rewritten at its
+leftmost lead occurrence.  At most one lead starts at any offset, so the
+rewrite step depends only on the word and the set of leads, and
+normal-form computation memoizes per-word results on the rule set.
 
 A rule set indexes its leads in one dict from lead word to canonical rule
 index.  Factor matching, the factor-free check and the factor-freeness of
-the rule set itself all probe that dict with the factors of a word, one
-lead length at a time.  The memo takes one rewrite step per word it
-enters, and ``normalize`` sums the memo entries of its terms in one
-accumulate loop.  The closed-form families have tails of +-1, so their
-memo entries are ints, and ``normalize`` keeps its sums in ints as well:
-it scales each scalar-monomial group of its input to ints and divides
-once.  It reads its input's terms in no particular order, so it never
-sorts them.
+the rule set itself all probe that dict at each offset of a word, left to
+right, with one factor per lead length.  The memo takes one rewrite step
+per word it enters, and ``normalize`` sums the memo entries of its terms
+in one accumulate loop.  The closed-form families have tails of +-1, so
+their memo entries are ints, and ``normalize`` keeps its sums in ints as
+well: it scales each scalar-monomial group of its input to ints and
+divides once.  It reads its input's terms in no particular order, so it
+never sorts them.
 
 An overlap's S-polynomial is read straight off the two rules' tails,
 placed between the head and tail of the overlap word, with no products;
@@ -26,22 +27,21 @@ rule set per degree.
 
 A rule set is *closed* when it is invariant under every order-preserving
 relabeling of its alphabet 1..N, N its largest lead letter: grouping the
-rules by their pattern on letters 1..k (lead, tail, ``family``, relabeled
-``indices`` and ``variant``), each class has exactly C(N, k) members, so
-it holds the pattern on every k-subset of 1..N.  ``RuleSet`` decides this
-from its rules alone.  ``normalize`` against a closed set groups the
-terms by letter set, relabels each block on letters T, all <= N,
-order-preservingly onto 1..|T|, normalizes it there and maps the result
-back, so one memo entry serves a letter pattern on every letter set.
-This is exact.  A rule that fires inside a word uses only the word's
-letters.  Closure maps the rules inside T one-to-one onto the rules
-inside 1..|T|, and the relabeling preserves ``_rule_key`` order, since
-every rule's indices are letters of its lead.  So ``_first_match`` picks
-the corresponding rule at the same offset, and even a set that is not
-confluent takes the same rewrite path on the relabeled word.  A letter
-outside 1..N occurs in no lead and blocks the matches across it;
-relabeling it into 1..N would expose them, so a block with such a letter
-is not relabeled.
+rules by their pattern on letters 1..k (lead and tail), each class has
+exactly C(N, k) members, so it holds the pattern on every k-subset of
+1..N.  ``RuleSet`` decides this from its rules alone.  ``normalize``
+against a closed set groups the terms by letter set, relabels each block
+on letters T, all <= N, order-preservingly onto 1..|T|, normalizes it
+there and maps the result back, so one memo entry serves a letter pattern
+on every letter set.  This is exact.  A lead that occurs inside a word
+uses only the word's letters.  Closure maps the rules inside T
+one-to-one onto the rules inside 1..|T|, lead to lead and tail to tail,
+so the leftmost lead occurrence of the relabeled word is the relabeled
+occurrence, at the same offset.  The rewrite step depends on nothing
+else, so even a set that is not confluent takes the same rewrite path on
+the relabeled word.  A letter outside 1..N occurs in no lead and blocks
+the matches across it; relabeling it into 1..N would expose them, so a
+block with such a letter is not relabeled.
 """
 
 from __future__ import annotations
@@ -139,12 +139,8 @@ def _closure_top(rules, tails) -> int:
         if letters[0] < 1:
             return 0
         rank = {x: i for i, x in enumerate(letters, 1)}
-        try:
-            indices = tuple([rank[x] for x in r.indices])
-        except KeyError:
-            return 0
         local_tail = tuple([(tuple([rank[x] for x in u]), c) for u, c in tail])
-        key = (tuple([rank[x] for x in r.lead]), local_tail, r.family, indices, r.variant)
+        key = (tuple([rank[x] for x in r.lead]), local_tail)
         classes[key] = classes.get(key, 0) + 1
         top = max(top, letters[-1])
     # Leads are distinct, so a class has at most one member per letter
@@ -159,9 +155,10 @@ class RuleSet:
 
     ``_index`` maps each lead word to its canonical rule index and
     ``_lengths`` lists the distinct lead lengths in ascending order.
-    Canonical order sorts by lead length first, so probing the factors of
-    a word one length at a time and keeping the lowest index finds the
-    first matching rule in canonical order.  ``_tails`` holds each rule's
+    Leads are pairwise factor-free, so at most one starts at any offset of
+    a word: probing each offset in turn with one factor per lead length
+    finds the leftmost lead occurrence.  Canonical order only numbers the
+    rules, for ``overlaps`` and for output.  ``_tails`` holds each rule's
     rhs as (word, coefficient) pairs.
     ``_top`` is the largest lead letter N when the set is closed under
     order-preserving relabeling of 1..N, else 0; ``normalize`` then keys
@@ -184,12 +181,13 @@ class RuleSet:
         self.degree_bound = degree_bound
         self._index = index
         self._lengths = sorted({len(lead) for lead in index})
-        # A lead's first match is itself unless it contains a shorter lead.
-        for i, r in enumerate(rules):
-            j, _ = _first_match(self, r.lead)
-            if j != i:
+        # Every proper factor of a lead is a factor of the lead with its
+        # first or its last letter dropped.
+        for r in rules:
+            hit = _first_match(self, r.lead[1:]) or _first_match(self, r.lead[:-1])
+            if hit is not None:
                 raise ValueError(
-                    "lead %s contains lead %s" % (word_str(r.lead), word_str(rules[j].lead))
+                    "lead %s contains lead %s" % (word_str(r.lead), word_str(rules[hit[0]].lead))
                 )
         self._tails = tuple(r.rhs.terms.items() for r in rules)
         self._top = _closure_top(rules, self._tails)
@@ -219,26 +217,26 @@ def find_factor(w: Word, lead: Word):
 
 
 def _first_match(base: RuleSet, w: Word):
-    """``(rule index, offset)`` of the first rule in canonical order that
-    occurs in ``w``, at its leftmost occurrence; None if ``w`` is normal."""
+    """``(rule index, offset)`` of the leftmost lead occurrence in ``w``;
+    None if ``w`` is normal.  Leads are pairwise factor-free, so at most
+    one lead starts at any offset: the match depends only on ``w`` and
+    the set of leads."""
     index = base._index
+    lengths = base._lengths
     n = len(w)
-    for k in base._lengths:
-        if k > n:
-            break
-        best = None
-        for p in range(n - k + 1):
+    for p in range(n):
+        for k in lengths:
+            if p + k > n:
+                break
             i = index.get(w[p : p + k])
-            if i is not None and (best is None or i < best[0]):
-                best = (i, p)
-        if best is not None:
-            return best
+            if i is not None:
+                return i, p
     return None
 
 
 def _first_step(base: RuleSet, w: Word):
-    """One rewrite of ``w`` by the first matching rule at its leftmost
-    occurrence, as a list of (word, coefficient) pairs; None if normal."""
+    """One rewrite of ``w`` at its leftmost lead occurrence, as a list of
+    (word, coefficient) pairs; None if normal."""
     hit = _first_match(base, w)
     if hit is None:
         return None
@@ -263,8 +261,7 @@ def reduce_once(p: Polynomial, base: RuleSet):
     """Rewrite the highest reducible term of ``p`` once.
 
     Returns ``(polynomial, changed)``.  The highest term with a lead
-    factor is rewritten at the leftmost occurrence of the first matching
-    rule in canonical order.
+    factor is rewritten at its leftmost lead occurrence.
     """
     _check_bound(base, p.degree())
     for w in p.terms:  # iteration is descending

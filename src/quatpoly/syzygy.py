@@ -188,18 +188,20 @@ def _normal_form(p: Polynomial) -> Polynomial:
     k distinct letters is relabeled order-preservingly onto 1..k,
     normalized against ``gb_vector(k, m)`` and mapped back.  This is
     exact: every rule is multiset-homogeneous, so a block rewrites within
-    itself, and a rule that fires inside a word uses only that word's
+    itself, and a lead that occurs inside a word uses only that word's
     letters and has degree at most m.  The family is closed under
     order-preserving relabeling (see ``rewrite``), so the rules of
     ``gb_vector(n, D)`` on the block's letters, D >= m, map onto those of
-    ``gb_vector(k, m)`` in the same canonical order, up to rules longer
-    than m, which never fire.  A block of degree below 3 is already
-    normal, as every lead has degree 3 or more.
+    ``gb_vector(k, m)``, up to rules longer than m, which never fire.  A
+    word is rewritten at its leftmost lead occurrence, which depends only
+    on the word and the leads, so the block takes the same rewrite path
+    on either set.  A block of degree below 3 is already normal, as every
+    lead has degree 3 or more.
 
     A word with distinct letters normalizes the same against
     ``gb_multilinear``: that family is the distinct-letter part of
-    ``gb_vector(m, m)``, in the same order, and only rules with distinct
-    letters fit inside such a word.
+    ``gb_vector(m, m)``, and only rules with distinct letters fit inside
+    such a word.
     """
     out = {}
     for letters, local in _relabel_blocks(p._data.items()):

@@ -346,22 +346,40 @@ def test_inter_reduced_tails_are_normal(base_v46):
         assert normalize(p, base_v46) == normalize(p, reduced)
 
 
-# Reference semantics for the lead index: a linear scan over the rules in
-# canonical order, and the all-pairs overlap loop with its containment branch.
+# Reference semantics for the lead index: a scan of every rule for the lead
+# with the smallest ``find_factor`` offset, and the all-pairs overlap loop
+# with its containment branch.
+
+
+def _rewrite(word, p, rule):
+    k = len(rule.lead)
+    return [(word[:p] + u + word[p + k :], c) for u, c in rule.rhs.terms.items()]
 
 
 def _naive_step(base, word):
+    hits = [(find_factor(word, r.lead), r) for r in base.rules]
+    hits = [(p, r) for p, r in hits if p is not None]
+    if not hits:
+        return None
+    # Leads are factor-free, so no two hits share an offset.
+    p, rule = min(hits, key=lambda hit: hit[0])
+    return _rewrite(word, p, rule)
+
+
+def _canonical_order_step(base, word):
+    # The first rule in canonical order, at its leftmost occurrence: a
+    # different strategy, which must reach the same normal forms on a
+    # confluent set.
     for rule in base.rules:
-        k = len(rule.lead)
-        for p in range(len(word) - k + 1):
-            if word[p : p + k] == rule.lead:
-                return [(word[:p] + u + word[p + k :], c) for u, c in rule.rhs.terms.items()]
+        p = find_factor(word, rule.lead)
+        if p is not None:
+            return _rewrite(word, p, rule)
     return None
 
 
-def _naive_reduce_once(poly, base):
+def _naive_reduce_once(poly, base, step_of=_naive_step):
     for word, c in poly.terms.items():
-        step = _naive_step(base, word)
+        step = step_of(base, word)
         if step is not None:
             data = dict(poly.terms)
             del data[word]
@@ -425,6 +443,55 @@ def test_first_step_and_reduce_once_match_linear_scan(base_v45, base_m4):
 def test_overlaps_match_all_pairs():
     for base, bound in ((gb_vector(5, 6), 6), (_fractional_completion(), 6)):
         assert overlaps(base, bound) == _naive_overlaps(base, bound)
+
+
+def _canonical_order_fixed_point(p, base):
+    changed = True
+    while changed:
+        p, changed = _naive_reduce_once(p, base, _canonical_order_step)
+    return p
+
+
+def test_strategy_changes_no_normal_form_and_no_verdict(base_m4, monkeypatch):
+    rng = random.Random(1978)
+    # (rule set, random input) on confluent sets; gb_multilinear is
+    # confluent on distinct-letter words only.
+    cases = [
+        (gb_vector(4, 6), lambda: helpers.random_poly(rng, n=4, max_degree=6)),
+        (
+            gb_multilinear(5),
+            lambda: Polynomial(
+                {
+                    tuple(rng.sample(range(1, 6), rng.randint(0, 5))): rng.randint(1, 5)
+                    for _ in range(4)
+                }
+            ),
+        ),
+        (_fractional_completion(), lambda: helpers.random_poly(rng, n=3, max_degree=6)),
+        (
+            complete([g.element for g in gen_vector_syzygies(3)], 5),
+            lambda: helpers.random_poly(rng, n=3, max_degree=5),
+        ),
+    ]
+    for base, draw in cases:
+        for _ in range(40):
+            p = draw()
+            assert normalize(p, base) == _canonical_order_fixed_point(p, base), (base, p)
+
+    def verdicts():
+        v45 = gb_vector(4, 5)
+        square = next(r for r in v45.rules if r.family == "VG3sq")
+        broken = RuleSet([r for r in base_m4.rules if r.lead != (3, 2, 4, 1)], degree_bound=4)
+        not_closed = RuleSet([r for r in v45.rules if r is not square], degree_bound=5)
+        return [
+            check_groebner(broken, 6, multilinear=True, generators=gen_multilinear_syzygies(4)).ok,
+            check_groebner(not_closed, 5, generators=gen_vector_syzygies(4)).ok,
+        ]
+
+    assert verdicts() == [False, False]
+    # Fresh rule sets, so no memo entry of the first strategy is read.
+    monkeypatch.setattr("quatpoly.rewrite._first_step", _canonical_order_step)
+    assert verdicts() == [False, False]
 
 
 def _assert_canonical(p):
@@ -595,7 +662,9 @@ def test_residues_match_normalized_product_s_polynomials(base_m4):
         (gb_vector(5, 6), 6, False, 395, 0),
         (gb_multilinear(5), 6, True, None, 0),
         (broken, 4, True, 2, 0),
-        (_raw_generator_rules(3), 5, False, 13, 3),
+        # Not confluent: how many residues are nonzero depends on the
+        # rewrite strategy, but some are.
+        (_raw_generator_rules(3), 5, False, 13, 1),
         (_fractional_completion(), 6, False, None, 0),
     ]
     for base, bound, multilinear, count, nonzero in cases:
@@ -628,7 +697,7 @@ def test_first_step_runs_once_per_memo_entry(monkeypatch):
 
     monkeypatch.setattr("quatpoly.rewrite._first_step", counted)
     assert check_groebner(base, 6).ok
-    assert len(calls) == len(base._nf_cache) == 2456
+    assert len(calls) == len(base._nf_cache) == 2166
     assert len(set(calls)) == len(calls)
     # The set is closed, so the memo holds one entry per letter pattern.
     assert base._top == 5
@@ -674,7 +743,14 @@ def test_closure_check():
     assert commutations(pairs[1:])._top == 0
     # Three pairs, as on 1..3, but one of them off the alphabet.
     assert commutations([(0, 3), (1, 2), (1, 3)])._top == 0
-    assert commutations(pairs, family="C", indices=(1,))._top == 0
+    # Family, indices and variant do not choose the rewrite step, so they
+    # do not enter the closure check.
+    labeled = commutations(pairs, family="C", indices=(1,))
+    assert labeled._top == 3
+    rng = random.Random(5)
+    for _ in range(30):
+        p = helpers.random_poly(rng, n=4, max_degree=4)
+        assert normalize(p, labeled) == _reduce_once_fixed_point(p, labeled), p
     scalar_tail = RewriteRule((2, 1), Polynomial({(1, 2): Scalar.symbol(1)}))
     assert RuleSet([scalar_tail])._top == 0
     assert RuleSet()._top == 0
