@@ -25,6 +25,15 @@ placed between the head and tail of the overlap word, with no products;
 ``complete`` is a degree-by-degree completion: one overlap pass and one
 rule set per degree.
 
+``check_groebner`` and ``inter_reduce`` give the memo the lifetime of one
+block: they group their inputs by the letter multiset of the words the
+memo will hold (by letter pattern, against a closed set), and normalize
+each block against a copy of the rule set with an empty memo of its own,
+dropped when the block is done.  Every rule is multiset-homogeneous, so
+a word's normal form holds only words of its own letter multiset and no
+memo entry is read outside its block; the copies lose no reuse.  The set's
+own memo, which ``normalize`` fills for its callers, is left untouched.
+
 A rule set is *closed* when it is invariant under every order-preserving
 relabeling of its alphabet 1..N, N its largest lead letter: grouping the
 rules by their pattern on letters 1..k (lead and tail), each class has
@@ -46,6 +55,7 @@ block with such a letter is not relabeled.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -165,7 +175,10 @@ class RuleSet:
     the memo by letter pattern.
 
     Immutable after construction; the internal normal-form cache is a pure
-    memo (idempotent writes), so sharing across threads is safe.
+    memo (idempotent writes), so sharing across threads is safe.  It lives
+    as long as the set and holds what ``normalize`` calls on the set put
+    there; ``check_groebner`` and ``inter_reduce`` use per-block copies
+    instead and leave it as they found it.
     """
 
     __slots__ = ("rules", "degree_bound", "_index", "_lengths", "_tails", "_top", "_nf_cache")
@@ -368,6 +381,34 @@ def normalize(p: Polynomial, base: RuleSet) -> Polynomial:
     return Polynomial._from_monomials(images)
 
 
+def _normalize_by_block(base: RuleSet, words, poly_at):
+    """Yield ``(i, normalize(poly_at(i)))`` for each position ``i`` of
+    ``words``, ``words[i]`` being a word of ``poly_at(i)``, one block at a
+    time (see the module docstring), each block against a copy of ``base``
+    with an empty memo of its own.
+
+    A word's block is its letter multiset or, against a closed set and
+    with its letters in 1..N, its letter pattern (the count of each letter
+    in ascending letter order), since the memo then holds the word
+    relabeled onto 1..k.  A pattern can equal a multiset; the two blocks
+    then share one memo, which costs memory but no correctness.
+    """
+    by_multiset = {}
+    for i, w in enumerate(words):
+        by_multiset.setdefault(tuple(sorted(w)), []).append(i)
+    blocks = {}
+    for key, positions in by_multiset.items():
+        if base._top and key and key[0] >= 1 and key[-1] <= base._top:
+            key = tuple(map(key.count, sorted(set(key))))
+        blocks.setdefault(key, []).extend(positions)
+    for positions in blocks.values():
+        # Rules, index and closure are shared, not rebuilt.
+        local = copy.copy(base)
+        local._nf_cache = {}
+        for i in positions:
+            yield i, normalize(poly_at(i), local)
+
+
 def is_normal_factorfree(w: Word, base: RuleSet) -> bool:
     """True iff no rule lead occurs as a factor of ``w``."""
     _check_bound(base, len(w))
@@ -515,28 +556,41 @@ def check_groebner(
     result lands in ``generator_residues`` and fails the report.  This
     catches a base that resolves all its overlaps but generates too small
     an ideal, which pairwise S-polynomials alone cannot see.
+
+    The obstructions and generators are normalized one block at a time,
+    each block with a memo of its own (see the module docstring); a
+    generator joins the block of any one of its words.  ``normalize`` is
+    called once per checked obstruction and generator, and residues are
+    reported in ``overlaps`` order, generator residues in generator order.
+    The memo of ``base`` is neither read nor written.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0, got %d" % max_degree)
     if base.degree_bound is not None:
         max_degree = min(max_degree, base.degree_bound)
-    residues = []
-    checked = 0
-    for ob in overlaps(base, max_degree):
-        if multilinear and len(set(ob.word)) != len(ob.word):
-            continue
-        checked += 1
-        residue = normalize(s_polynomial(base, ob), base)
-        if residue:
-            residues.append((ob, residue))
-    gen_residues = []
-    for p in generator_polys(generators or ()):
-        if p.degree() > max_degree:
-            continue
-        residue = normalize(p, base)
-        if residue:
-            gen_residues.append(residue)
-    return GroebnerReport(tuple(residues), checked, max_degree, tuple(gen_residues))
+    obs = [
+        ob
+        for ob in overlaps(base, max_degree)
+        if not multilinear or len(set(ob.word)) == len(ob.word)
+    ]
+    gens = [p for p in generator_polys(generators or ()) if p.degree() <= max_degree]
+    n = len(obs)
+    # A generator is keyed by any one of its words: the memo is only a cache.
+    words = [ob.word for ob in obs] + [next(iter(p._data)) for p in gens]
+    found = {
+        i: residue
+        for i, residue in _normalize_by_block(
+            base, words, lambda i: s_polynomial(base, obs[i]) if i < n else gens[i - n]
+        )
+        if residue
+    }
+    order = sorted(found)
+    return GroebnerReport(
+        tuple((obs[i], found[i]) for i in order if i < n),
+        n,
+        max_degree,
+        tuple(found[i] for i in order if i >= n),
+    )
 
 
 def _monic(p: Polynomial) -> Polynomial:
@@ -565,12 +619,13 @@ def complete(generators, max_degree: int) -> RuleSet:
     its memo by letter pattern at every degree.  The set is reduced as
     built, with no ``inter_reduce`` pass.
 
-    The last degree's set is re-verified by :func:`check_groebner` and
-    returned with its memo emptied, so a returned set is genuinely
-    locally confluent to the bound.  A negative
-    ``max_degree``, an inhomogeneous generator or one of degree above
-    ``max_degree`` raises ``ValueError``.  The degree bound alone bounds
-    the work: no rule is longer than ``max_degree``.
+    The last degree's set is re-verified by :func:`check_groebner`, so a
+    returned set is genuinely locally confluent to the bound.  The check
+    leaves the set's memo alone, but the batches of any degrees above the
+    last new rules were normalized against it, so it is returned emptied.
+    A negative ``max_degree``, an inhomogeneous generator or one of degree
+    above ``max_degree`` raises ``ValueError``.  The degree bound alone
+    bounds the work: no rule is longer than ``max_degree``.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0, got %d" % max_degree)
@@ -613,15 +668,19 @@ def complete(generators, max_degree: int) -> RuleSet:
 
     if not check_groebner(base, max_degree).ok:
         raise RuntimeError("completion left an overlap residue at degree bound %d" % max_degree)
-    # The check filled the memo of ``base``; the caller gets an empty one.
+    # The degrees after the last new rules normalized their batches against
+    # ``base``; the caller gets an empty memo.
     base._nf_cache.clear()
     return base
 
 
 def inter_reduce(base: RuleSet) -> RuleSet:
-    """Tail-reduce every rule against the whole set; leads are untouched."""
+    """Tail-reduce every rule against the whole set, one memo block at a
+    time (see :func:`check_groebner`); leads are untouched."""
+    rules = base.rules
+    tails = dict(_normalize_by_block(base, base.leads(), lambda i: rules[i].rhs))
     new_rules = [
-        RewriteRule(r.lead, normalize(r.rhs, base), r.family, r.indices, r.variant)
-        for r in base.rules
+        RewriteRule(r.lead, tails[i], r.family, r.indices, r.variant)
+        for i, r in enumerate(rules)
     ]
     return RuleSet(new_rules, degree_bound=base.degree_bound)

@@ -168,6 +168,17 @@ def test_gb_command():
     assert set(out3.splitlines()) < set(full.splitlines())
 
 
+
+def test_gb_tail_reduce_and_verify_leave_the_cached_family_memo_alone():
+    # Both commands read the cached rule family; its memo is not theirs.
+    base = syzygy._family(4, 6, False)
+    before = dict(base._nf_cache)
+    code, out = run(["gb", "--vars", "4", "--max-deg", "6", "--tail-reduce"])
+    assert code == 0 and len(out.splitlines()) == 27
+    code, out = run(["verify-groebner", "--vars", "4", "--max-deg", "6"])
+    assert code == 0 and out.endswith("all S-polynomials reduce to 0\n")
+    assert syzygy._family(4, 6, False) is base and base._nf_cache == before
+
 def test_verify_groebner_command():
     code, out = run(["verify-groebner", "--vars", "3", "--max-deg", "5"])
     assert code == 0

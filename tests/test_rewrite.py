@@ -298,6 +298,9 @@ def test_complete_from_degree_two_generators():
     gens = [w(2, 1) - w(1, 2), w(3, 1) - w(1, 3), w(3, 2) - w(2, 3)]
     out = complete(gens, 4)
     assert _rule_map(out) == {(2, 1): w(1, 2), (3, 1): w(1, 3), (3, 2): w(2, 3)}
+    # Degrees 3 and 4 add no rule, so their batches were normalized
+    # against the returned set; its memo still comes back empty.
+    assert out._nf_cache == {}
     assert check_groebner(out, 4, generators=gens).ok
 
 
@@ -344,6 +347,20 @@ def test_inter_reduced_tails_are_normal(base_v46):
     for _ in range(30):
         p = helpers.random_poly(rng, n=4, max_degree=5)
         assert normalize(p, base_v46) == normalize(p, reduced)
+
+
+def test_inter_reduce_normalizes_each_tail_with_a_memo_it_drops():
+    for base in (gb_vector(4, 6), gb_multilinear(5), _raw_generator_rules(3)):
+        reduced = inter_reduce(base)
+        assert base._nf_cache == {}
+        assert [(r.lead, r.family, r.indices, r.variant) for r in reduced.rules] == [
+            (r.lead, r.family, r.indices, r.variant) for r in base.rules
+        ]
+        fresh = [
+            normalize(r.rhs, RuleSet(base.rules, degree_bound=base.degree_bound))
+            for r in base.rules
+        ]
+        assert [r.rhs for r in reduced.rules] == fresh, base
 
 
 # Reference semantics for the lead index: a scan of every rule for the lead
@@ -689,6 +706,7 @@ def test_residues_match_normalized_product_s_polynomials(base_m4):
 
 def test_first_step_runs_once_per_memo_entry(monkeypatch):
     base = gb_vector(5, 6)
+    memo = base._nf_cache
     calls = []
 
     def counted(b, word):
@@ -697,12 +715,99 @@ def test_first_step_runs_once_per_memo_entry(monkeypatch):
 
     monkeypatch.setattr("quatpoly.rewrite._first_step", counted)
     assert check_groebner(base, 6).ok
-    assert len(calls) == len(base._nf_cache) == 2166
-    assert len(set(calls)) == len(calls)
-    # The set is closed, so the memo holds one entry per letter pattern.
+    # Each block has a memo of its own, and no word is rewritten twice.
+    assert len(calls) == len(set(calls)) == 2166
+    # The set is closed, so every memo entry is a letter pattern on 1..k.
     assert base._top == 5
-    for word in base._nf_cache:
+    for word in calls:
         assert set(word) == set(range(1, len(set(word)) + 1)), word
+    # The blocks' memos are copies; the set's own memo is left as found.
+    assert base._nf_cache is memo and memo == {}
+
+
+def test_check_groebner_keeps_a_memo_for_one_block_only(monkeypatch):
+    import quatpoly.rewrite as rewrite
+
+    base = gb_vector(5, 6)
+    real = rewrite.normalize
+    seen = []
+
+    def recording(p, b):
+        out = real(p, b)
+        seen.append((b, len(b._nf_cache)))
+        return out
+
+    monkeypatch.setattr(rewrite, "normalize", recording)
+    assert check_groebner(base, 6).ok
+    monkeypatch.undo()
+    assert len(seen) == 395 and all(b is not base for b, _ in seen)
+    # One memo for the whole check would end with 2,166 entries.
+    assert max(size for _, size in seen) == 239
+    # A caller's warm memo is neither read nor changed.
+    rng = random.Random(17)
+    for _ in range(20):
+        normalize(helpers.random_poly(rng, n=5, max_degree=6), base)
+    memo = base._nf_cache
+    warm = dict(memo)
+    assert warm
+    assert check_groebner(base, 6, generators=gen_vector_syzygies(5)).ok
+    assert base._nf_cache is memo and memo == warm
+    assert all(memo[word] is nf for word, nf in warm.items())
+
+
+def _flat_report(base, bound, multilinear, generators):
+    # Each obstruction and generator normalized against a fresh copy of
+    # the set, in order.
+    if base.degree_bound is not None:
+        bound = min(bound, base.degree_bound)
+
+    def fresh():
+        return RuleSet(base.rules, degree_bound=base.degree_bound)
+
+    obs = overlaps(base, bound)
+    if multilinear:
+        obs = [ob for ob in obs if len(set(ob.word)) == len(ob.word)]
+    residues = [(ob, normalize(s_polynomial(base, ob), fresh())) for ob in obs]
+    gens = [g if isinstance(g, Polynomial) else g.element for g in generators]
+    gen_residues = [normalize(p, fresh()) for p in gens if p and p.degree() <= bound]
+    return (
+        tuple((ob, r) for ob, r in residues if r),
+        len(obs),
+        bound,
+        tuple(r for r in gen_residues if r),
+    )
+
+
+def test_blockwise_check_reports_what_a_flat_loop_reports(base_m4):
+    broken = RuleSet([r for r in base_m4.rules if r.lead != (3, 2, 4, 1)], degree_bound=4)
+    control = gen_multilinear_syzygies(4)
+    random.Random(8).shuffle(control)
+    rng = random.Random(23)
+    # Inhomogeneous extras, some above the bound and some on letters
+    # outside the closed alphabet, leave generator residues in a known order.
+    extras = [helpers.random_poly(rng, n=4, max_degree=5) for _ in range(12)]
+    # (rule set, degree bound, multilinear, generators, obstructions,
+    # overlap residues)
+    cases = [
+        (_raw_generator_rules(3), 5, False, gen_vector_syzygies(3) + extras, 13, 1),
+        (broken, 6, True, control + extras, None, 0),
+        (_fractional_completion(), 6, False, extras, None, 0),
+    ]
+    reports = []
+    for base, bound, multilinear, gens, count, nonzero in cases:
+        report = check_groebner(base, bound, multilinear=multilinear, generators=gens)
+        reports.append(report)
+        residues, checked, max_degree, gen_residues = _flat_report(
+            base, bound, multilinear, gens
+        )
+        assert count in (None, checked) and len(residues) == nonzero, base
+        assert report.residues == residues, base
+        assert report.generator_residues == gen_residues, base
+        assert (report.obstructions_checked, report.max_degree) == (checked, max_degree)
+        assert len(gen_residues) >= 5, base
+        assert base._nf_cache == {}
+    # The negative control still names the dropped rule's lead.
+    assert (3, 2, 4, 1) in {p.leading_word() for p in reports[1].generator_residues}
 
 
 def test_relabeled_normalize_equals_the_memo_free_fixed_point(base_m4):
