@@ -311,14 +311,18 @@ def _cmd_zero_test(args, out):
 
 def _cmd_dim_check(args, out):
     multiset = None
+    letters = args.vars
     if args.multilinear:
         if args.deg > args.vars:
             raise ExpressionError("multilinear degree cannot exceed --vars")
         multiset = tuple(range(1, args.deg + 1))
+        # The slice is the one block on letters 1..deg; its generators and
+        # rules use no other letter.
+        letters = max(args.deg, 1)
     # The word-count guard trips before any generator or rule is built.
     oracle._slice(args.vars, args.deg, multiset)
-    gens = syzygy._generators(args.vars, args.deg, args.multilinear)
-    base = syzygy._family(args.vars, args.deg, args.multilinear)
+    gens = syzygy._generators(letters, args.deg, args.multilinear)
+    base = syzygy._family(letters, args.deg, args.multilinear)
     report = oracle.dimension_check(args.vars, args.deg, gens, base, multiset=multiset)
     out.write(
         "words %d  rank %d  normal %d  factor-free %d  structural %d\n"

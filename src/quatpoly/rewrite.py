@@ -20,19 +20,19 @@ divides once.  It reads its input's terms in no particular order, so it
 never sorts them.
 
 An overlap's S-polynomial is read straight off the two rules' tails,
-placed between the head and tail of the overlap word, with no products;
-``check_groebner`` and ``complete`` pass it to ``normalize``.
+placed between the head and tail of the overlap word, with no products.
 ``complete`` is a degree-by-degree completion: one overlap pass and one
 rule set per degree.
 
-``check_groebner`` and ``inter_reduce`` give the memo the lifetime of one
-block: they group their inputs by the letter multiset of the words the
-memo will hold (by letter pattern, against a closed set), and normalize
+``check_groebner``, ``complete`` and ``inter_reduce`` normalize in bulk
+along one path, ``_normalize_by_block``, which gives the memo the lifetime
+of one block: it groups its inputs by the letter multiset of the words the
+memo will hold (by letter pattern, against a closed set), and normalizes
 each block against a copy of the rule set with an empty memo of its own,
 dropped when the block is done.  Every rule is multiset-homogeneous, so
 a word's normal form holds only words of its own letter multiset and no
-memo entry is read outside its block; the copies lose no reuse.  The set's
-own memo, which ``normalize`` fills for its callers, is left untouched.
+memo entry is read outside its block; the copies lose no reuse.  No engine
+routine touches a set's own memo: only its callers' ``normalize`` fill it.
 
 A rule set is *closed* when it is invariant under every order-preserving
 relabeling of its alphabet 1..N, N its largest lead letter: grouping the
@@ -60,7 +60,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .freealg import Polynomial, Word, word_key, word_multiset, word_str
+from .freealg import Polynomial, Scalar, Word, word_key, word_multiset, word_str
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,9 +176,9 @@ class RuleSet:
 
     Immutable after construction; the internal normal-form cache is a pure
     memo (idempotent writes), so sharing across threads is safe.  It lives
-    as long as the set and holds what ``normalize`` calls on the set put
-    there; ``check_groebner`` and ``inter_reduce`` use per-block copies
-    instead and leave it as they found it.
+    as long as the set and holds only what a caller's ``normalize`` calls
+    on the set put there; ``check_groebner``, ``complete`` and
+    ``inter_reduce`` use per-block copies and never touch it.
     """
 
     __slots__ = ("rules", "degree_bound", "_index", "_lengths", "_tails", "_top", "_nf_cache")
@@ -367,46 +367,27 @@ def normalize(p: Polynomial, base: RuleSet) -> Polynomial:
     it is.  Any other input is grouped by scalar monomial and scaled to
     ints by one common denominator (``Polynomial._by_monomial``); each
     group is summed, divided once and regrouped into one coefficient per
-    output word.
+    output word.  A tail with symbols leaves scalars in the memo; each of
+    their monomials is multiplied onto the group's own and summed.
     """
     _check_bound(base, p.degree())
     data = p._data
     if all(type(c) is int for c in data.values()):
         return Polynomial(_reduce(base, data.items()))
     den, groups = p._by_monomial()
-    images = {}
+    images, spread = {}, []
     for mono, ints in groups.items():
         for u, c in _reduce(base, ints).items():
-            images.setdefault(u, {})[mono] = c if den == 1 else Fraction(c, den)
+            if type(c) is Scalar:
+                # A tail with symbols leaves a scalar: spread it over ``mono``.
+                spread += [(u, tuple(sorted(mono + m)), q) for m, q in c._data.items()]
+            else:
+                images.setdefault(u, {})[mono] = c if den == 1 else Fraction(c, den)
+    # A spread monomial can meet another group's: sum them.
+    for u, mono, q in spread:
+        monos = images.setdefault(u, {})
+        monos[mono] = monos.get(mono, 0) + (q if den == 1 else Fraction(q, den))
     return Polynomial._from_monomials(images)
-
-
-def _normalize_by_block(base: RuleSet, words, poly_at):
-    """Yield ``(i, normalize(poly_at(i)))`` for each position ``i`` of
-    ``words``, ``words[i]`` being a word of ``poly_at(i)``, one block at a
-    time (see the module docstring), each block against a copy of ``base``
-    with an empty memo of its own.
-
-    A word's block is its letter multiset or, against a closed set and
-    with its letters in 1..N, its letter pattern (the count of each letter
-    in ascending letter order), since the memo then holds the word
-    relabeled onto 1..k.  A pattern can equal a multiset; the two blocks
-    then share one memo, which costs memory but no correctness.
-    """
-    by_multiset = {}
-    for i, w in enumerate(words):
-        by_multiset.setdefault(tuple(sorted(w)), []).append(i)
-    blocks = {}
-    for key, positions in by_multiset.items():
-        if base._top and key and key[0] >= 1 and key[-1] <= base._top:
-            key = tuple(map(key.count, sorted(set(key))))
-        blocks.setdefault(key, []).extend(positions)
-    for positions in blocks.values():
-        # Rules, index and closure are shared, not rebuilt.
-        local = copy.copy(base)
-        local._nf_cache = {}
-        for i in positions:
-            yield i, normalize(poly_at(i), local)
 
 
 def is_normal_factorfree(w: Word, base: RuleSet) -> bool:
@@ -541,6 +522,41 @@ def generator_polys(generators) -> list:
     return out
 
 
+def _normalize_by_block(base: RuleSet, obs, polys):
+    """Normalize the S-polynomial of each of ``obs``, then each of
+    ``polys``, one block at a time (see the module docstring), each block
+    against a copy of ``base`` with an empty memo of its own.  Yields
+    ``(i, normal form)`` for the nonzero normal forms, ``i`` the position
+    in ``obs`` followed by ``polys``.
+
+    An obstruction is keyed by its word, a polynomial by any one of its
+    words; a zero polynomial is skipped.  A word's block is its letter
+    multiset or, against a closed set and with its letters in 1..N, its
+    letter pattern (the count of each letter in ascending letter order),
+    since the memo then holds the word relabeled onto 1..k.  A pattern can
+    equal a multiset; the two blocks then share one memo, which costs
+    memory but no correctness.
+    """
+    n = len(obs)
+    by_multiset = {}
+    for i, w in enumerate([ob.word for ob in obs] + [next(iter(p._data), None) for p in polys]):
+        if w is not None:
+            by_multiset.setdefault(tuple(sorted(w)), []).append(i)
+    blocks = {}
+    for key, positions in by_multiset.items():
+        if base._top and key and key[0] >= 1 and key[-1] <= base._top:
+            key = tuple(map(key.count, sorted(set(key))))
+        blocks.setdefault(key, []).extend(positions)
+    for positions in blocks.values():
+        # Rules, index and closure are shared, not rebuilt.
+        local = copy.copy(base)
+        local._nf_cache = {}
+        for i in positions:
+            nf = normalize(s_polynomial(base, obs[i]) if i < n else polys[i - n], local)
+            if nf:
+                yield i, nf
+
+
 def check_groebner(
     base: RuleSet,
     max_degree: int,
@@ -575,15 +591,7 @@ def check_groebner(
     ]
     gens = [p for p in generator_polys(generators or ()) if p.degree() <= max_degree]
     n = len(obs)
-    # A generator is keyed by any one of its words: the memo is only a cache.
-    words = [ob.word for ob in obs] + [next(iter(p._data)) for p in gens]
-    found = {
-        i: residue
-        for i, residue in _normalize_by_block(
-            base, words, lambda i: s_polynomial(base, obs[i]) if i < n else gens[i - n]
-        )
-        if residue
-    }
+    found = dict(_normalize_by_block(base, obs, gens))
     order = sorted(found)
     return GroebnerReport(
         tuple((obs[i], found[i]) for i in order if i < n),
@@ -619,13 +627,13 @@ def complete(generators, max_degree: int) -> RuleSet:
     its memo by letter pattern at every degree.  The set is reduced as
     built, with no ``inter_reduce`` pass.
 
-    The last degree's set is re-verified by :func:`check_groebner`, so a
-    returned set is genuinely locally confluent to the bound.  The check
-    leaves the set's memo alone, but the batches of any degrees above the
-    last new rules were normalized against it, so it is returned emptied.
-    A negative ``max_degree``, an inhomogeneous generator or one of degree
-    above ``max_degree`` raises ``ValueError``.  The degree bound alone
-    bounds the work: no rule is longer than ``max_degree``.
+    Each batch takes the block path of the module docstring, in any
+    order: the reduced echelon form is unique.  The last degree's set is
+    re-verified by :func:`check_groebner`, so a returned set is genuinely
+    locally confluent to the bound.  A negative ``max_degree``, an
+    inhomogeneous generator or one of degree above ``max_degree`` raises
+    ``ValueError``.  The degree bound alone bounds the work: no rule is
+    longer than ``max_degree``.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0, got %d" % max_degree)
@@ -642,14 +650,11 @@ def complete(generators, max_degree: int) -> RuleSet:
     rules = []
     base = RuleSet(degree_bound=max_degree)
     for t in range(max_degree + 1):
-        batch = [
-            normalize(s_polynomial(base, ob), base)
-            for ob in overlaps(base, t)
-            if len(ob.word) == t
-        ]
-        batch += [normalize(p, base) for p in by_degree.get(t, ())]
+        batch = _normalize_by_block(
+            base, [ob for ob in overlaps(base, t) if len(ob.word) == t], by_degree.get(t, ())
+        )
         pivots = {}
-        for p in batch:
+        for _, p in batch:
             while p and p.leading_word() in pivots:
                 p = p - pivots[p.leading_word()].scale(p.leading_coeff())
             if p:
@@ -668,19 +673,15 @@ def complete(generators, max_degree: int) -> RuleSet:
 
     if not check_groebner(base, max_degree).ok:
         raise RuntimeError("completion left an overlap residue at degree bound %d" % max_degree)
-    # The degrees after the last new rules normalized their batches against
-    # ``base``; the caller gets an empty memo.
-    base._nf_cache.clear()
     return base
 
 
 def inter_reduce(base: RuleSet) -> RuleSet:
     """Tail-reduce every rule against the whole set, one memo block at a
-    time (see :func:`check_groebner`); leads are untouched."""
-    rules = base.rules
-    tails = dict(_normalize_by_block(base, base.leads(), lambda i: rules[i].rhs))
+    time (see the module docstring); leads are untouched."""
+    tails = dict(_normalize_by_block(base, (), [r.rhs for r in base.rules]))
     new_rules = [
-        RewriteRule(r.lead, tails[i], r.family, r.indices, r.variant)
-        for i, r in enumerate(rules)
+        RewriteRule(r.lead, tails.get(i, Polynomial()), r.family, r.indices, r.variant)
+        for i, r in enumerate(base.rules)
     ]
     return RuleSet(new_rules, degree_bound=base.degree_bound)

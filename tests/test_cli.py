@@ -233,6 +233,16 @@ def test_complete_keeps_symbols_out_of_leading_coefficients(capsys):
         rewrite.complete([g], 3)
 
 
+def test_complete_with_a_symbolic_tail_resolves_its_overlaps():
+    # The degree-3 overlaps carry s1 into their S-polynomials, and each
+    # reduces to zero against the three degree-2 rules.
+    gens = ["v2*v1 - s1*v1*v2", "v3*v1 - v1*v3", "v3*v2 - v2*v3"]
+    assert run(["complete", "--max-deg", "3", *gens]) == (
+        0,
+        "v2*v1 -> s1*v1*v2\nv3*v1 -> v1*v3\nv3*v2 -> v2*v3\n",
+    )
+
+
 def test_max_deg_error_is_worded_once_for_both_alphabets(capsys):
     for expr in ("v1*v2", "q1*q2"):
         assert run(["normalize", "--max-deg", "1", expr]) == (2, "")
@@ -460,8 +470,8 @@ def test_dim_check_builds_only_what_its_degree_uses(monkeypatch):
 
 
 def test_multilinear_dim_check_builds_only_what_its_degree_uses(monkeypatch):
-    # The multilinear family stops at the slice's degree: no Gm rule, and
-    # no V4 generator, enters a degree-3 slice on 14 letters.
+    # The multilinear slice is the one block on letters 1..3: only its
+    # letters, and no Gm rule or V4 generator, enter on 14 letters.
     families, leads = [], []
     real_family, real_rule = syzygy.GeneratorFamily, syzygy._rule
 
@@ -481,8 +491,8 @@ def test_multilinear_dim_check_builds_only_what_its_degree_uses(monkeypatch):
         0,
         "words 6  rank 2  normal 4  factor-free 4  structural 4\ncounts agree\n",
     )
-    assert set(families) == {"V3"} and len(families) == 14 * 13 * 12
-    assert len(leads) == 2 * 364 and max(len(lead) for lead in leads) == 3
+    assert set(families) == {"V3"} and len(families) == 6
+    assert len(leads) == 2 and max(len(lead) for lead in leads) == 3
 
 
 def test_families_below_degree_three_and_two_letter_multilinear_are_empty():

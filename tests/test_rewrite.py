@@ -95,6 +95,31 @@ def test_normalize_fixed_point_of_reduce_once(base_v45):
         assert normalize(p, base_v45) == _reduce_once_fixed_point(p, base_v45)
 
 
+def test_normalize_with_symbolic_tails_is_the_fixed_point():
+    # A tail with a symbol leaves scalars in the memo; a fractional or
+    # symbolic input spreads each over its own scalar monomials.
+    s1, s2 = Scalar.symbol(1), Scalar.symbol(2)
+    single = RuleSet([RewriteRule((2, 1), s1 * w(1, 2))])
+    assert normalize(Fraction(1, 2) * w(2, 1), single) == Fraction(1, 2) * s1 * w(1, 2)
+    # Both scalar monomials land on v1*v2 as s1: they sum.
+    mixed = w(2, 1) + s1 * w(1, 2)
+    assert normalize(mixed, single) == 2 * s1 * w(1, 2)
+    base = RuleSet(
+        [
+            RewriteRule((2, 1), (s1 + Fraction(1, 2)) * w(1, 2)),
+            RewriteRule((3, 1), -s2 * w(1, 3)),
+            RewriteRule((3, 2), w(2, 3)),
+        ]
+    )
+    rng = random.Random(41)
+    cases = [w(2, 1), Fraction(1, 2) * w(2, 1), mixed, s1 * w(3, 2, 1) - w(2, 1, 3)]
+    cases += [helpers.random_poly(rng, n=3, max_degree=4) for _ in range(20)]
+    cases += [helpers.random_poly(rng, n=3, max_degree=4).scale(Fraction(1, 3)) for _ in range(20)]
+    cases += [helpers.random_scalar_poly(rng, n=3, symbols=2, max_degree=4) for _ in range(40)]
+    for base_, p in [(single, p) for p in cases] + [(base, p) for p in cases]:
+        assert normalize(p, base_) == _reduce_once_fixed_point(p, base_), (base_, p)
+
+
 def test_normalize_examples(base_v45):
     h = w(4) * (w(3, 2, 1) - w(1, 2, 3) - w(1, 3, 2) + w(2, 3, 1))
     assert not normalize(h, base_v45)
@@ -294,12 +319,53 @@ def test_complete_keeps_every_intermediate_set_closed_in_any_order(monkeypatch):
     assert out._top == 5 and out._nf_cache == {}
 
 
+def test_complete_hands_normalize_block_copies_only(monkeypatch):
+    # Every batch is normalized one block at a time against copies of the
+    # degree's set, so no set that complete builds is read or written
+    # through normalize, and no memo holds more than one block.
+    import quatpoly.rewrite as rewrite
+
+    built, seen, steps = [], [], []
+    real_set, real_normalize, real_step = rewrite.RuleSet, rewrite.normalize, rewrite._first_step
+
+    def recording_set(*args, **kw):
+        base = real_set(*args, **kw)
+        built.append(base)
+        return base
+
+    def recording_normalize(p, b):
+        out = real_normalize(p, b)
+        seen.append((b, len(b._nf_cache)))
+        return out
+
+    def counted(b, word):
+        steps.append(word)
+        return real_step(b, word)
+
+    monkeypatch.setattr(rewrite, "RuleSet", recording_set)
+    monkeypatch.setattr(rewrite, "normalize", recording_normalize)
+    monkeypatch.setattr(rewrite, "_first_step", counted)
+    gens = [g.element for g in gen_vector_syzygies(5)]
+    random.Random(31).shuffle(gens)
+    out = complete(gens, 6)
+    monkeypatch.undo()
+    assert out is built[-1] and len(built) >= 4
+    ids = {id(base) for base in built}
+    assert seen and not any(id(b) in ids for b, _ in seen)
+    assert all(base._nf_cache == {} for base in built)
+    # One memo per degree would reach 1,741 entries.
+    assert max(size for _, size in seen) == 258
+    # As many rewrite steps as with one memo per degree: a block never
+    # reads another block's entries.
+    assert len(steps) == 4516
+
+
 def test_complete_from_degree_two_generators():
     gens = [w(2, 1) - w(1, 2), w(3, 1) - w(1, 3), w(3, 2) - w(2, 3)]
     out = complete(gens, 4)
     assert _rule_map(out) == {(2, 1): w(1, 2), (3, 1): w(1, 3), (3, 2): w(2, 3)}
-    # Degrees 3 and 4 add no rule, so their batches were normalized
-    # against the returned set; its memo still comes back empty.
+    # Degrees 3 and 4 add no rule; their batches went through block copies
+    # of the returned set, whose own memo stays empty.
     assert out._nf_cache == {}
     assert check_groebner(out, 4, generators=gens).ok
 
@@ -350,7 +416,9 @@ def test_inter_reduced_tails_are_normal(base_v46):
 
 
 def test_inter_reduce_normalizes_each_tail_with_a_memo_it_drops():
-    for base in (gb_vector(4, 6), gb_multilinear(5), _raw_generator_rules(3)):
+    # The last set has a zero tail and a tail that reduces to zero.
+    vanishing = RuleSet([RewriteRule((3, 1), w(1, 3)), RewriteRule((1, 3), Polynomial())])
+    for base in (gb_vector(4, 6), gb_multilinear(5), _raw_generator_rules(3), vanishing):
         reduced = inter_reduce(base)
         assert base._nf_cache == {}
         assert [(r.lead, r.family, r.indices, r.variant) for r in reduced.rules] == [
