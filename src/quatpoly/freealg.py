@@ -15,9 +15,8 @@ Conjugation reverses products and sends every vector letter to its
 negative (``Polynomial.conjugate``).  ``bracket`` and ``vector_part`` are
 its even and odd parts, for q-polynomials (``QPolynomial.conjugate``) too.
 
-All values are immutable after construction and every operation is a pure
-function, so they are safe to share across threads; the one write after
-construction, the lazy sort of ``terms``, swaps in an equal dict.
+All values are immutable after construction, reads included, and every
+operation is a pure function, so they are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -60,13 +59,13 @@ class _TermMap:
     ``qvars.QPolynomial``.
 
     Construction stores the summed, zero-free map in ``_data``, in no
-    particular order.  ``terms`` is the same map in descending key order,
-    which keeps term scans and formatting deterministic: it is sorted on
-    its first read, and then only the sorted dict is kept.  Arithmetic,
-    equality and the order-free queries read ``_data``, as do the hot
-    readers in ``rewrite``, ``syzygy``, ``qvars`` and ``oracle`` that sum or
-    look terms up, so a map that is never printed or scanned in order is
-    never sorted.
+    particular order, and nothing writes to it afterwards.  ``terms`` sorts
+    it into a new dict in descending key order on every read, which keeps
+    term scans and formatting deterministic.  Arithmetic, equality and the
+    order-free queries read ``_data``, as do the hot readers in
+    ``rewrite``, ``syzygy``, ``qvars`` and ``oracle`` that sum or look
+    terms up, so a map that is never printed or scanned in order is never
+    sorted.
 
     A subclass states its key order (``_sort_keys``), its coefficient ring
     (``_ring`` lists the operand types taken as coefficients, ``_coeff``
@@ -76,7 +75,7 @@ class _TermMap:
     stored coefficient is in canonical form.
     """
 
-    __slots__ = ("_data", "_sorted")
+    __slots__ = ("_data",)
 
     _ring = (int, Fraction)
     _coeff = staticmethod(_rational)
@@ -95,7 +94,6 @@ class _TermMap:
             elif k in data:
                 del data[k]
         self._data = data
-        self._sorted = len(data) < 2
 
     @staticmethod
     def _sort_keys(keys):
@@ -107,12 +105,9 @@ class _TermMap:
 
     @property
     def terms(self) -> dict:
-        """The terms in descending key order, sorted on first read."""
-        if not self._sorted:
-            data = self._data
-            self._data = {k: data[k] for k in self._sort_keys(data)}
-            self._sorted = True
-        return self._data
+        """A new dict of the terms in descending key order."""
+        data = self._data
+        return {k: data[k] for k in self._sort_keys(data)}
 
     @classmethod
     def zero(cls):
@@ -311,12 +306,12 @@ class Polynomial(_TermMap):
         return Polynomial({w[::-1]: -c if len(w) % 2 else c for w, c in self._data.items()})
 
     def leading_word(self) -> Word:
-        if not self.terms:
+        if not self._data:
             raise ValueError("the zero polynomial has no leading word")
-        return next(iter(self.terms))
+        return max(self._data, key=word_key)
 
     def leading_coeff(self):
-        return self.terms[self.leading_word()]
+        return self._data[self.leading_word()]
 
     def multidegree(self) -> set:
         """The set of letter multisets occurring among the words."""

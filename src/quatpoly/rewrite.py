@@ -27,30 +27,30 @@ rule set per degree.
 ``check_groebner``, ``complete`` and ``inter_reduce`` normalize in bulk
 along one path, ``_normalize_by_block``, which gives the memo the lifetime
 of one block: it groups its inputs by the letter multiset of the words the
-memo will hold (by letter pattern, against a closed set), and normalizes
-each block against a copy of the rule set with an empty memo of its own,
-dropped when the block is done.  Every rule is multiset-homogeneous, so
-a word's normal form holds only words of its own letter multiset and no
-memo entry is read outside its block; the copies lose no reuse.  No engine
-routine touches a set's own memo: only its callers' ``normalize`` fill it.
+memo will hold, relabeled as below, and normalizes each block against a
+copy of the rule set with an empty memo of its own, dropped when the
+block is done.  Every rule is multiset-homogeneous, so a word's normal
+form holds only words of its own letter multiset and no memo entry is
+read outside its block; the copies lose no reuse.  No engine routine
+touches a set's own memo: only its callers' ``normalize`` fill it.
 
 A rule set is *closed* when it is invariant under every order-preserving
 relabeling of its alphabet 1..N, N its largest lead letter: grouping the
 rules by their pattern on letters 1..k (lead and tail), each class has
 exactly C(N, k) members, so it holds the pattern on every k-subset of
-1..N.  ``RuleSet`` decides this from its rules alone.  ``normalize``
-against a closed set groups the terms by letter set, relabels each block
-on letters T, all <= N, order-preservingly onto 1..|T|, normalizes it
-there and maps the result back, so one memo entry serves a letter pattern
-on every letter set.  This is exact.  A lead that occurs inside a word
-uses only the word's letters.  Closure maps the rules inside T
-one-to-one onto the rules inside 1..|T|, lead to lead and tail to tail,
-so the leftmost lead occurrence of the relabeled word is the relabeled
-occurrence, at the same offset.  The rewrite step depends on nothing
-else, so even a set that is not confluent takes the same rewrite path on
-the relabeled word.  A letter outside 1..N occurs in no lead and blocks
-the matches across it; relabeling it into 1..N would expose them, so a
-block with such a letter is not relabeled.
+1..N.  ``RuleSet`` decides this from its rules alone.  One rule, in
+``_relabel_blocks`` alone, relabels the words: a block on letters T
+moves order-preservingly onto 1..|T| only when the set is closed and T
+lies in 1..N.  ``normalize`` reduces each block there and maps it back,
+so one memo entry serves a letter pattern on every letter set.  This is
+exact.  A lead that occurs inside a word uses only the word's letters.
+Closure maps the rules inside T one-to-one onto the rules inside 1..|T|,
+lead to lead and tail to tail, so the leftmost lead occurrence of the
+relabeled word is the relabeled occurrence, at the same offset.  The
+rewrite step depends on nothing else, so even a set that is not
+confluent takes the same rewrite path on the relabeled word.  A letter
+outside 1..N occurs in no lead and blocks the matches across it;
+relabeling it into 1..N would expose them.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class RewriteRule:
             raise ValueError("rewrite rule with empty lead (ideal contains a unit)")
         lk = word_key(self.lead)
         lm = word_multiset(self.lead)
-        for w in self.rhs.terms:
+        for w in self.rhs._data:
             if word_key(w) >= lk:
                 raise ValueError(
                     "rule lead %s does not dominate %s" % (word_str(self.lead), word_str(w))
@@ -105,12 +105,15 @@ def _rule_key(rule: RewriteRule):
 
 
 def _relabel_blocks(pairs, top=None):
-    """Group ``(word, coefficient)`` pairs by the set of letters of the word.
+    """Group ``(word, coefficient)`` pairs by the set of letters of the
+    word and relabel each block by the rule of the module docstring, with
+    N = ``top``: 0 for a set that is not closed, None for a family closed
+    on every alphabet (``syzygy._normal_form``).
 
     Yields ``(letters, local)`` per block, ``letters`` its sorted letters
     and ``local`` its pairs relabeled order-preservingly onto 1..k.  A
-    block already on 1..k, or with ``top`` given and a letter outside
-    1..top, is yielded as is with ``letters`` None.
+    block left alone, or already on 1..k, is yielded as is with
+    ``letters`` None.
     """
     blocks = {}
     for w, c in pairs:
@@ -137,25 +140,23 @@ def _unlabel(letters, terms: dict) -> dict:
 def _closure_top(rules, tails) -> int:
     """The largest lead letter N if the rules are closed under
     order-preserving relabeling of 1..N (see the module docstring), else 0.
-    One pass over the rules."""
+    A rule's lead and tail share one letter set, so ``_relabel_blocks``
+    relabels the rule as one block: that is its class key.  A rule with a
+    letter below 1 stays a class of its own, and fits in no word that is
+    relabeled."""
+    top = max([0] + [max(r.lead) for r in rules])
     classes = {}
-    top = 0
     for r, tail in zip(rules, tails):
         if not all(isinstance(c, (int, Fraction)) for _, c in tail):
             # A tail with symbols names symbols that the relabeling would
             # have to move as well.
             return 0
-        letters = sorted(set(r.lead))
-        if letters[0] < 1:
-            return 0
-        rank = {x: i for i, x in enumerate(letters, 1)}
-        local_tail = tuple([(tuple([rank[x] for x in u]), c) for u, c in tail])
-        key = (tuple([rank[x] for x in r.lead]), local_tail)
+        ((_, block),) = _relabel_blocks([(r.lead, 1), *tail], top)
+        key = tuple(block)
         classes[key] = classes.get(key, 0) + 1
-        top = max(top, letters[-1])
     # Leads are distinct, so a class has at most one member per letter
     # set; a class on k letters is full when it has C(N, k) of them.
-    if all(count == math.comb(top, max(key[0])) for key, count in classes.items()):
+    if all(count == math.comb(top, len(set(key[0][0]))) for key, count in classes.items()):
         return top
     return 0
 
@@ -171,8 +172,8 @@ class RuleSet:
     rules, for ``overlaps`` and for output.  ``_tails`` holds each rule's
     rhs as (word, coefficient) pairs.
     ``_top`` is the largest lead letter N when the set is closed under
-    order-preserving relabeling of 1..N, else 0; ``normalize`` then keys
-    the memo by letter pattern.
+    order-preserving relabeling of 1..N, else 0: the ``top`` with which
+    ``_relabel_blocks`` relabels the set's blocks.
 
     Immutable after construction; the internal normal-form cache is a pure
     memo (idempotent writes), so sharing across threads is safe.  It lives
@@ -270,24 +271,31 @@ def _check_bound(base: RuleSet, degree: int):
         )
 
 
+def _check_input(p, base: RuleSet):
+    # A q-word read as a v-word would pass silently for another word.
+    if not isinstance(p, Polynomial):
+        raise TypeError("expected a Polynomial, not %s (see qvars.split)" % type(p).__name__)
+    _check_bound(base, p.degree())
+
+
 def reduce_once(p: Polynomial, base: RuleSet):
     """Rewrite the highest reducible term of ``p`` once.
 
     Returns ``(polynomial, changed)``.  The highest term with a lead
     factor is rewritten at its leftmost lead occurrence.
     """
-    _check_bound(base, p.degree())
-    for w in p.terms:  # iteration is descending
+    _check_input(p, base)
+    terms = p.terms
+    for w, c in terms.items():  # iteration is descending
         step = _first_step(base, w)
-        if step is None:
-            continue
-        c = p.terms[w]
-        data = dict(p.terms)
-        del data[w]
-        for u, cu in step:
-            data[u] = data.get(u, 0) + c * cu
-        return Polynomial(data), True
-    return p, False
+        if step is not None:
+            break
+    else:
+        return p, False
+    del terms[w]
+    for u, cu in step:
+        terms[u] = terms.get(u, 0) + c * cu
+    return Polynomial(terms), True
 
 
 def _nf_word(base: RuleSet, w: Word) -> dict:
@@ -347,11 +355,8 @@ def _accumulate(base: RuleSet, pairs) -> dict:
 
 
 def _reduce(base: RuleSet, pairs) -> dict:
-    """The raw normal form of ``(word, coefficient)`` pairs; against a
-    closed rule set each letter-set block is reduced on 1..k and mapped
-    back (see the module docstring)."""
-    if not base._top:
-        return _accumulate(base, pairs)
+    """The raw normal form of ``(word, coefficient)`` pairs, one
+    ``_relabel_blocks`` block at a time, mapped back."""
     out = {}
     for letters, local in _relabel_blocks(pairs, base._top):
         out.update(_unlabel(letters, _accumulate(base, local)))
@@ -370,7 +375,7 @@ def normalize(p: Polynomial, base: RuleSet) -> Polynomial:
     output word.  A tail with symbols leaves scalars in the memo; each of
     their monomials is multiplied onto the group's own and summed.
     """
-    _check_bound(base, p.degree())
+    _check_input(p, base)
     data = p._data
     if all(type(c) is int for c in data.values()):
         return Polynomial(_reduce(base, data.items()))
@@ -513,10 +518,13 @@ def s_polynomial(base: RuleSet, ob: Obstruction) -> Polynomial:
 
 def generator_polys(generators) -> list:
     """The nonzero polynomials among ``generators``, which may be
-    polynomials or carriers with an ``element`` (a ``GeneratorFamily``)."""
+    polynomials or carriers with an ``element`` (a ``GeneratorFamily``);
+    anything else, a q-polynomial too, raises ``TypeError``."""
     out = []
     for g in generators:
-        p = g if isinstance(g, Polynomial) else g.element
+        p = getattr(g, "element", g)
+        if not isinstance(p, Polynomial):
+            raise TypeError("a generator must be a Polynomial, not %s" % type(p).__name__)
         if p:
             out.append(p)
     return out
@@ -531,22 +539,19 @@ def _normalize_by_block(base: RuleSet, obs, polys):
 
     An obstruction is keyed by its word, a polynomial by any one of its
     words; a zero polynomial is skipped.  A word's block is its letter
-    multiset or, against a closed set and with its letters in 1..N, its
-    letter pattern (the count of each letter in ascending letter order),
-    since the memo then holds the word relabeled onto 1..k.  A pattern can
-    equal a multiset; the two blocks then share one memo, which costs
-    memory but no correctness.
+    multiset relabeled by ``_relabel_blocks``, as the memo holds the word:
+    multisets of one letter pattern share a block when relabeled, and a
+    multiset left alone keeps a block of its own.
     """
     n = len(obs)
     by_multiset = {}
     for i, w in enumerate([ob.word for ob in obs] + [next(iter(p._data), None) for p in polys]):
         if w is not None:
-            by_multiset.setdefault(tuple(sorted(w)), []).append(i)
+            by_multiset.setdefault(word_multiset(w), []).append(i)
     blocks = {}
-    for key, positions in by_multiset.items():
-        if base._top and key and key[0] >= 1 and key[-1] <= base._top:
-            key = tuple(map(key.count, sorted(set(key))))
-        blocks.setdefault(key, []).extend(positions)
+    for _, local in _relabel_blocks([(m, m) for m in by_multiset], base._top):
+        for key, m in local:
+            blocks.setdefault(key, []).extend(by_multiset[m])
     for positions in blocks.values():
         # Rules, index and closure are shared, not rebuilt.
         local = copy.copy(base)
@@ -655,18 +660,18 @@ def complete(generators, max_degree: int) -> RuleSet:
         )
         pivots = {}
         for _, p in batch:
-            while p and p.leading_word() in pivots:
-                p = p - pivots[p.leading_word()].scale(p.leading_coeff())
+            while p and (lead := p.leading_word()) in pivots:
+                p = p - pivots[lead].scale(p._data[lead])
             if p:
-                pivots[p.leading_word()] = _monic(p)
+                pivots[lead] = _monic(p)
         if not pivots:
             continue
         # Back-reduce in ascending lead order: a tail holds only words
         # below its lead, and a reduced pivot's tail holds no pivot lead.
         for lead in sorted(pivots, key=word_key):
             p = pivots[lead]
-            for u in [u for u in p.terms if u != lead and u in pivots]:
-                p = p - pivots[u].scale(p.terms[u])
+            for u in [u for u in p._data if u != lead and u in pivots]:
+                p = p - pivots[u].scale(p._data[u])
             pivots[lead] = p
         rules += [RewriteRule(lead, Polynomial.from_word(lead) - p) for lead, p in pivots.items()]
         base = RuleSet(rules, degree_bound=max_degree)

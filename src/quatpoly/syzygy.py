@@ -96,10 +96,9 @@ def gen_quaternion_syzygies(n: int):
 
 
 def _rule(element: Polynomial, family: str, indices: tuple, variant: int = 0) -> RewriteRule:
-    lc = element.leading_coeff()
-    if lc != 1:
-        raise AssertionError("family element is not monic: %s" % element)
     lead = element.leading_word()
+    if element._data[lead] != 1:
+        raise AssertionError("family element is not monic: %s" % element)
     return RewriteRule(lead, Polynomial.from_word(lead) - element, family, indices, variant)
 
 
@@ -184,19 +183,15 @@ def _normal_form(p: Polynomial) -> Polynomial:
     """Normal form of ``p`` against ``gb_vector`` on any alphabet that
     holds its letters, with no number of variables.
 
-    The terms are grouped by letter set.  A block of degree at most m on
-    k distinct letters is relabeled order-preservingly onto 1..k,
-    normalized against ``gb_vector(k, m)`` and mapped back.  This is
-    exact: every rule is multiset-homogeneous, so a block rewrites within
-    itself, and a lead that occurs inside a word uses only that word's
-    letters and has degree at most m.  The family is closed under
-    order-preserving relabeling (see ``rewrite``), so the rules of
-    ``gb_vector(n, D)`` on the block's letters, D >= m, map onto those of
-    ``gb_vector(k, m)``, up to rules longer than m, which never fire.  A
-    word is rewritten at its leftmost lead occurrence, which depends only
-    on the word and the leads, so the block takes the same rewrite path
-    on either set.  A block of degree below 3 is already normal, as every
-    lead has degree 3 or more.
+    The family is closed on every alphabet, so every letter-set block
+    moves onto 1..k by the relabeling rule of ``rewrite`` (``top`` None);
+    a block of degree at most m is normalized against ``gb_vector(k, m)``
+    and mapped back.  This is exact for the reasons ``rewrite`` gives:
+    every rule is multiset-homogeneous, so a block rewrites within
+    itself, and the rules of ``gb_vector(n, D)`` on the block's letters,
+    D >= m, map onto those of ``gb_vector(k, m)``, up to rules longer than
+    m, which never fire.  A block of degree below 3 is already normal, as
+    every lead has degree 3 or more.
 
     A word with distinct letters normalizes the same against
     ``gb_multilinear``: that family is the distinct-letter part of

@@ -609,10 +609,17 @@ def test_mixing_alphabets_is_pinned(capsys):
 
 
 def test_input_reads_the_words_only_for_multilinear():
-    # The words are scanned, and so sorted, only to check --multilinear.
+    # The words are scanned in order only to check --multilinear; with or
+    # without the scan, and after any ordered read, the value keeps the
+    # dict the parser built, in the parser's order.
     args = build_parser().parse_args(["normalize", "v1 + v2*v1"])
-    assert not _input(args)[1]._sorted
-    assert _input(args, multilinear=True)[1]._sorted
+    order = list(parse_expression("v1 + v2*v1")[1]._data)
+    for multilinear in (False, True):
+        value = _input(args, multilinear=multilinear)[1]
+        data = value._data
+        assert list(data) == order
+        value.terms, str(value), value.leading_word()
+        assert value._data is data and list(data) == order
 
 
 def test_zero_test_of_q_parts_is_pinned():

@@ -927,3 +927,45 @@ def test_closure_check():
     scalar_tail = RewriteRule((2, 1), Polynomial({(1, 2): Scalar.symbol(1)}))
     assert RuleSet([scalar_tail])._top == 0
     assert RuleSet()._top == 0
+
+
+def test_a_raw_multiset_and_a_letter_pattern_get_memos_of_their_own(monkeypatch):
+    import quatpoly.rewrite as rewrite
+
+    base = gb_vector(3, 5)
+    assert base._top == 3
+    # Letter 4 lies above 1..3, so v4*v1 keeps its multiset (1, 4), which
+    # is also the letter count of (2, 3, 3, 3, 3) in ascending order.
+    polys = [w(4, 1) - w(1, 4), w(3, 3, 3, 3, 2) - w(2, 3, 3, 3, 3)]
+    real = rewrite.normalize
+    seen = []
+
+    def recording(p, b):
+        seen.append(b)  # the set itself: an id can be reused once it is freed
+        return real(p, b)
+
+    monkeypatch.setattr(rewrite, "normalize", recording)
+    found = dict(rewrite._normalize_by_block(base, (), polys))
+    monkeypatch.undo()
+    assert len(seen) == 2 and seen[0] is not seen[1]
+    assert found == {i: normalize(p, base) for i, p in enumerate(polys) if normalize(p, base)}
+
+
+def test_the_v_engine_refuses_q_polynomials():
+    from quatpoly.qvars import QPolynomial
+    from quatpoly.syzygy import gen_quaternion_syzygies
+
+    q = QPolynomial.variable(1) * QPolynomial.variable(2)
+    base = gb_vector(2, 3)
+    # Read as v-words, q1*q2 would pass for the normal word v1*v2.
+    for call in (normalize, reduce_once):
+        with pytest.raises(TypeError, match="QPolynomial"):
+            call(q, base)
+    with pytest.raises(TypeError, match="QPolynomial"):
+        complete([q], 2)
+    with pytest.raises(TypeError, match="QPolynomial"):
+        check_groebner(base, 3, generators=[q])
+    with pytest.raises(TypeError, match="QPolynomial"):
+        check_groebner(base, 3, generators=gen_quaternion_syzygies(2))
+    with pytest.raises(TypeError, match="int"):
+        normalize(3, base)
