@@ -38,12 +38,14 @@ A rule set is *closed* when it is invariant under every order-preserving
 relabeling of its alphabet 1..N, N its largest lead letter: grouping the
 rules by their pattern on letters 1..k (lead and tail), each class has
 exactly C(N, k) members, so it holds the pattern on every k-subset of
-1..N.  ``RuleSet`` decides this from its rules alone.  One rule, in
-``_relabel_blocks`` alone, relabels the words: a block on letters T
-moves order-preservingly onto 1..|T| only when the set is closed and T
-lies in 1..N.  ``normalize`` reduces each block there and maps it back,
-so one memo entry serves a letter pattern on every letter set.  This is
-exact.  A lead that occurs inside a word uses only the word's letters.
+1..N.  ``RuleSet`` decides this from its rules alone, and ``complete``
+from its generators, by one test (``_closure_top``).  One rule, in
+``_relabel_blocks`` alone (its test is ``_stays``), relabels the words:
+a block on letters T moves order-preservingly onto 1..|T| only when the
+set is closed and T lies in 1..N.  ``normalize`` reduces each block
+there and maps it back, so one memo entry serves a letter pattern on
+every letter set, and ``complete`` completes only the blocks that the
+rule leaves alone.  This is exact.  A lead that occurs inside a word uses only the word's letters.
 Closure maps the rules inside T one-to-one onto the rules inside 1..|T|,
 lead to lead and tail to tail, so the leftmost lead occurrence of the
 relabeled word is the relabeled occurrence, at the same offset.  The
@@ -56,6 +58,7 @@ relabeling it into 1..N would expose them.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,6 +107,17 @@ def _rule_key(rule: RewriteRule):
     return (len(rule.lead), rule.family, rule.indices, rule.variant, rule.lead)
 
 
+def _stays(letters, top) -> bool:
+    """Whether ``_relabel_blocks`` leaves a block on the sorted ``letters``
+    as it is: it already lies on 1..k, or, with N = ``top``, it holds a
+    letter outside 1..N."""
+    return (
+        not letters
+        or (letters[0] == 1 and letters[-1] == len(letters))
+        or (top is not None and (letters[0] < 1 or letters[-1] > top))
+    )
+
+
 def _relabel_blocks(pairs, top=None):
     """Group ``(word, coefficient)`` pairs by the set of letters of the
     word and relabel each block by the rule of the module docstring, with
@@ -112,18 +126,14 @@ def _relabel_blocks(pairs, top=None):
 
     Yields ``(letters, local)`` per block, ``letters`` its sorted letters
     and ``local`` its pairs relabeled order-preservingly onto 1..k.  A
-    block left alone, or already on 1..k, is yielded as is with
-    ``letters`` None.
+    block left alone (``_stays``) is yielded as is with ``letters`` None.
     """
     blocks = {}
     for w, c in pairs:
         blocks.setdefault(frozenset(w), []).append((w, c))
     for letter_set, block in blocks.items():
         letters = sorted(letter_set)
-        if not letters or (letters[0] == 1 and letters[-1] == len(letters)):
-            yield None, block
-            continue
-        if top is not None and (letters[0] < 1 or letters[-1] > top):
+        if _stays(letters, top):
             yield None, block
             continue
         rank = {x: i for i, x in enumerate(letters, 1)}
@@ -137,28 +147,32 @@ def _unlabel(letters, terms: dict) -> dict:
     return {tuple([letters[i - 1] for i in w]): c for w, c in terms.items()}
 
 
-def _closure_top(rules, tails) -> int:
-    """The largest lead letter N if the rules are closed under
+def _closure_top(blocks) -> int:
+    """The largest letter N if ``blocks`` are closed under
     order-preserving relabeling of 1..N (see the module docstring), else 0.
-    A rule's lead and tail share one letter set, so ``_relabel_blocks``
-    relabels the rule as one block: that is its class key.  A rule with a
-    letter below 1 stays a class of its own, and fits in no word that is
-    relabeled."""
-    top = max([0] + [max(r.lead) for r in rules])
+
+    A block is a rule or a generator as ``(word, coefficient)`` pairs in
+    descending word order, all on one letter set, so ``_relabel_blocks``
+    relabels it as one block: that is its class key.  Copies of a block
+    count once.  A coefficient with symbols names symbols that the
+    relabeling would have to move as well, and a letter below 1 lies
+    outside every relabeling: either leaves the blocks not closed.
+    """
+    leads = [block[0][0] for block in blocks]
+    if not leads or min(min(w, default=1) for w in leads) < 1:
+        return 0
+    if not {type(c) for block in blocks for _, c in block} <= {int, Fraction}:
+        return 0
+    top = max(max(w, default=0) for w in leads)
     classes = {}
-    for r, tail in zip(rules, tails):
-        if not all(isinstance(c, (int, Fraction)) for _, c in tail):
-            # A tail with symbols names symbols that the relabeling would
-            # have to move as well.
-            return 0
-        ((_, block),) = _relabel_blocks([(r.lead, 1), *tail], top)
-        key = tuple(block)
-        classes[key] = classes.get(key, 0) + 1
-    # Leads are distinct, so a class has at most one member per letter
-    # set; a class on k letters is full when it has C(N, k) of them.
-    if all(count == math.comb(top, len(set(key[0][0]))) for key, count in classes.items()):
-        return top
-    return 0
+    for lead, block in zip(leads, blocks):
+        ((_, local),) = _relabel_blocks(block, top)
+        # Relabeling is one-to-one on a letter set, so two members of a
+        # class with one lead are copies of one block.
+        classes.setdefault(tuple(local), set()).add(lead)
+    # A class on k letters is full when it has C(N, k) members.
+    full = all(len(m) == math.comb(top, len(set(key[0][0]))) for key, m in classes.items())
+    return top if full else 0
 
 
 class RuleSet:
@@ -204,7 +218,7 @@ class RuleSet:
                     "lead %s contains lead %s" % (word_str(r.lead), word_str(rules[hit[0]].lead))
                 )
         self._tails = tuple(r.rhs.terms.items() for r in rules)
-        self._top = _closure_top(rules, self._tails)
+        self._top = _closure_top([((r.lead, 1), *t) for r, t in zip(rules, self._tails)])
         self._nf_cache = {}
 
     def __len__(self):
@@ -632,6 +646,21 @@ def complete(generators, max_degree: int) -> RuleSet:
     its memo by letter pattern at every degree.  The set is reduced as
     built, with no ``inter_reduce`` pass.
 
+    Each degree completes one block per letter pattern.  N is decided
+    once, from the generators alone, by the closure test of ``RuleSet``
+    (``_closure_top``, copies of a generator counting once): the largest
+    letter if the generators are closed under relabeling of 1..N, else 0.
+    For closed generators every intermediate set is closed too, as above,
+    so a block on letters T holds the relabeled obstructions and
+    generators of its representative on 1..|T|, hence, by the module
+    docstring's argument, their relabeled normal forms and the relabeled
+    reduced echelon pivots.  A batch therefore keeps only the obstructions
+    and generators that ``_relabel_blocks(..., N)`` leaves as they are,
+    those on exactly 1..k, and each new pivot is relabeled onto every
+    k-subset of 1..N; each new set must be closed on 1..N again, or
+    ``RuntimeError`` is raised.  With N = 0 every block is its own
+    representative and every pivot is kept where it was found.
+
     Each batch takes the block path of the module docstring, in any
     order: the reduced echelon form is unique.  The last degree's set is
     re-verified by :func:`check_groebner`, so a returned set is genuinely
@@ -642,24 +671,30 @@ def complete(generators, max_degree: int) -> RuleSet:
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0, got %d" % max_degree)
-    by_degree = {}
-    for p in generator_polys(generators):
+    gens = generator_polys(generators)
+    for p in gens:
         if not p.is_multiset_homogeneous():
             raise ValueError("generator is not multiset-homogeneous: %s" % p)
         if p.degree() > max_degree:
             raise ValueError(
                 "generator degree %d exceeds the degree bound %d" % (p.degree(), max_degree)
             )
-        by_degree.setdefault(p.degree(), []).append(p)
+    top = _closure_top([tuple(p.terms.items()) for p in gens])
 
+    def representative(w):
+        return _stays(sorted(set(w)), top)
+
+    by_degree = {}
+    for p in gens:
+        # A generator's words share one letter set.
+        if representative(next(iter(p._data))):
+            by_degree.setdefault(p.degree(), []).append(p)
     rules = []
     base = RuleSet(degree_bound=max_degree)
     for t in range(max_degree + 1):
-        batch = _normalize_by_block(
-            base, [ob for ob in overlaps(base, t) if len(ob.word) == t], by_degree.get(t, ())
-        )
+        obs = [ob for ob in overlaps(base, t) if len(ob.word) == t and representative(ob.word)]
         pivots = {}
-        for _, p in batch:
+        for _, p in _normalize_by_block(base, obs, by_degree.get(t, ())):
             while p and (lead := p.leading_word()) in pivots:
                 p = p - pivots[lead].scale(p._data[lead])
             if p:
@@ -673,8 +708,15 @@ def complete(generators, max_degree: int) -> RuleSet:
             for u in [u for u in p._data if u != lead and u in pivots]:
                 p = p - pivots[u].scale(p._data[u])
             pivots[lead] = p
-        rules += [RewriteRule(lead, Polynomial.from_word(lead) - p) for lead, p in pivots.items()]
+        for lead, p in pivots.items():
+            rhs = (Polynomial.from_word(lead) - p)._data
+            k = len(set(lead))
+            for letters in itertools.combinations(range(1, top + 1), k) if top else (None,):
+                (word,) = _unlabel(letters, {lead: 1})
+                rules.append(RewriteRule(word, Polynomial(_unlabel(letters, rhs))))
         base = RuleSet(rules, degree_bound=max_degree)
+        if top and base._top != top:
+            raise RuntimeError("completion lost relabeling closure at degree %d" % t)
 
     if not check_groebner(base, max_degree).ok:
         raise RuntimeError("completion left an overlap residue at degree bound %d" % max_degree)

@@ -319,6 +319,98 @@ def test_complete_keeps_every_intermediate_set_closed_in_any_order(monkeypatch):
     assert out._top == 5 and out._nf_cache == {}
 
 
+def _on_first_letters(letters):
+    return letters == set(range(1, len(letters) + 1))
+
+
+def test_complete_equals_its_run_on_generators_that_are_not_closed(monkeypatch):
+    # Closed generators complete only the blocks on letters 1..k and
+    # relabel their rules onto every letter set; with one generator
+    # doubled the list is not closed, so every block is completed where
+    # it lies.  Both must give the same rules.
+    import quatpoly.rewrite as rewrite
+
+    real_normalize, real_check = rewrite.normalize, rewrite.check_groebner
+
+    def run(gens, d):
+        seen = []
+
+        def recording(p, b):
+            seen.append({x for u in p._data for x in u})
+            return real_normalize(p, b)
+
+        def final_check(base, max_degree):
+            monkeypatch.setattr(rewrite, "normalize", real_normalize)
+            return real_check(base, max_degree)
+
+        monkeypatch.setattr(rewrite, "normalize", recording)
+        monkeypatch.setattr(rewrite, "check_groebner", final_check)
+        rules = [(r.lead, r.rhs) for r in complete(gens, d).rules]
+        monkeypatch.undo()
+        return rules, seen
+
+    for n, d in ((3, 6), (4, 6), (5, 5), (5, 6), (6, 5)):
+        gens = [g.element for g in gen_vector_syzygies(n)]
+        # V2(1, 2) comes first and has no copy in the list.
+        scaled = [gens[0].scale(2)] + gens[1:]
+        shuffled = list(range(len(gens)))
+        random.Random(n * d).shuffle(shuffled)
+        for order in (range(len(gens)), shuffled):
+            rules, seen = run([gens[i] for i in order], d)
+            assert seen and all(_on_first_letters(s) for s in seen), (n, d)
+            other, seen_scaled = run([scaled[i] for i in order], d)
+            assert other == rules, (n, d)
+            assert not all(_on_first_letters(s) for s in seen_scaled), (n, d)
+
+
+def test_complete_decides_closure_from_its_generators(monkeypatch):
+    import quatpoly.rewrite as rewrite
+
+    class Decided(Exception):
+        pass
+
+    real = rewrite._closure_top
+
+    def first_test(blocks):
+        # complete tests its generators before it builds any rule set.
+        raise Decided(real(blocks))
+
+    def decided(gens):
+        monkeypatch.setattr(rewrite, "_closure_top", first_test)
+        with pytest.raises(Decided) as stop:
+            complete(gens, 4)
+        monkeypatch.undo()
+        return stop.value.args[0]
+
+    for n in (2, 3, 4):
+        gens = [g.element for g in gen_vector_syzygies(n)]
+        # V3 instances come in equal pairs already; add more copies.
+        copies = gens + gens[::3]
+        random.Random(n).shuffle(copies)
+        assert decided(gens) == decided(copies) == n
+    gens = [g.element for g in gen_vector_syzygies(3)]
+    assert gens[0] == w(1, 1, 2) - w(2, 1, 1) and gens.count(gens[0]) == 1
+    assert decided(gens[1:]) == 0
+    assert decided([gens[0].scale(2)] + gens[1:]) == 0
+    # On two letters this alone would be closed, but for its symbol.
+    assert decided([parse_expression("v2*v1 - s1*v1*v2")[1]]) == 0
+    on_23 = [g for g in gens if set(next(iter(g._data))) == {2, 3}]
+    assert on_23 and decided(on_23) == 0
+    # Every class would be full on 1..2, but letter 0 lies outside every
+    # relabeling; completed where it lies, the list gives the rules of
+    # its copy on letters 1..3, moved back down.
+    low = [g.element for g in gen_vector_syzygies(2)] + [w(0, 0, 1) - w(1, 0, 0)]
+    assert decided(low) == 0
+
+    def shifted(p, by):
+        return Polynomial({tuple(x + by for x in u): c for u, c in p._data.items()})
+
+    up = complete([shifted(p, 1) for p in low], 6)
+    assert _rule_map(complete(low, 6)) == {
+        tuple(x - 1 for x in r.lead): shifted(r.rhs, -1) for r in up.rules
+    }
+
+
 def test_complete_hands_normalize_block_copies_only(monkeypatch):
     # Every batch is normalized one block at a time against copies of the
     # degree's set, so no set that complete builds is read or written
@@ -355,9 +447,12 @@ def test_complete_hands_normalize_block_copies_only(monkeypatch):
     assert all(base._nf_cache == {} for base in built)
     # One memo per degree would reach 1,741 entries.
     assert max(size for _, size in seen) == 258
-    # As many rewrite steps as with one memo per degree: a block never
-    # reads another block's entries.
-    assert len(steps) == 4516
+    # A block never reads another block's entries, and the degree loop
+    # normalizes only the blocks on letters 1..k.  Normalizing every
+    # letter set would take 4,516 steps: the 90 more are the words of the
+    # degree-3 generators off 1..k, which the empty set of rules, closed
+    # on no alphabet, cannot relabel onto 1..k.
+    assert len(steps) == 4426
 
 
 def test_complete_from_degree_two_generators():
@@ -386,6 +481,21 @@ def test_complete_raises_when_its_final_check_fails(monkeypatch):
     monkeypatch.setattr(rewrite, "check_groebner", failing)
     with pytest.raises(RuntimeError, match="residue"):
         complete([g.element for g in gen_vector_syzygies(2)], 4)
+
+
+def test_complete_raises_when_a_degree_loses_closure(monkeypatch):
+    import quatpoly.rewrite as rewrite
+
+    real = rewrite.RuleSet
+
+    def unclosed(*args, **kw):
+        base = real(*args, **kw)
+        base._top = 0
+        return base
+
+    monkeypatch.setattr(rewrite, "RuleSet", unclosed)
+    with pytest.raises(RuntimeError, match="closure at degree 3"):
+        complete([g.element for g in gen_vector_syzygies(3)], 4)
 
 
 def test_complete_rejects_inhomogeneous():
