@@ -256,8 +256,10 @@ def _cmd_check_normal(args, out):
     _check_vars(args.vars, w)
     pmode = "multilinear" if args.multilinear else "general"
     structural = rewrite.is_normal_structural(w, pmode)
-    # A reducible word normalizes to strictly smaller words.
-    factorfree = syzygy._normal_form(value) == value
+    # The word relabeled onto 1..k, against the family _normal_form uses.
+    [(_, [(local, _)])] = rewrite._relabel_blocks([(w, 1)])
+    k, m = len(set(w)), len(w)
+    factorfree = m < 3 or rewrite.is_normal_factorfree(local, syzygy._family(k, m, m == k))
     verdict = "normal" if structural else "not normal"
     agree = "" if structural == factorfree else " (predicates disagree!)"
     out.write("%s%s\n" % (verdict, agree))

@@ -95,10 +95,6 @@ class RewriteRule:
     def element(self) -> Polynomial:
         return Polynomial.from_word(self.lead) - self.rhs
 
-    @property
-    def degree(self) -> int:
-        return len(self.lead)
-
     def __repr__(self):
         return "RewriteRule(%s -> %s)" % (word_str(self.lead), self.rhs)
 

@@ -170,7 +170,7 @@ def _closed_form(n: int, max_degree: int, multilinear: bool = False) -> RuleSet:
     return RuleSet(rules, degree_bound=max_degree)
 
 
-# Blocks of degree m <= 7 on k <= m letters need at most 25 vector families.
+# Blocks of degree m <= 7 on k <= m letters need at most 25 families, vector or multilinear.
 @lru_cache(maxsize=32)
 def _family(n: int, d: int, multilinear: bool = False) -> RuleSet:
     """The closed-form rule family on letters 1..n up to degree ``d``:
@@ -193,10 +193,10 @@ def _normal_form(p: Polynomial) -> Polynomial:
     m, which never fire.  A block of degree below 3 is already normal, as
     every lead has degree 3 or more.
 
-    A word with distinct letters normalizes the same against
-    ``gb_multilinear``: that family is the distinct-letter part of
-    ``gb_vector(m, m)``, and only rules with distinct letters fit inside
-    such a word.
+    A block with m == k holds words with distinct letters and is
+    normalized against ``gb_multilinear(k)``: that family is the
+    distinct-letter part of ``gb_vector(k, k)``, and only rules with
+    distinct letters fit inside such a word.
     """
     out = {}
     for letters, local in _relabel_blocks(p._data.items()):
@@ -205,6 +205,7 @@ def _normal_form(p: Polynomial) -> Polynomial:
             nf = dict(local)
         else:
             # Every word of the block holds exactly the letters 1..k.
-            nf = normalize(Polynomial(dict(local)), _family(max(local[0][0]), m))._data
+            k = max(local[0][0])
+            nf = normalize(Polynomial(dict(local)), _family(k, m, m == k))._data
         out.update(_unlabel(letters, nf))
     return Polynomial(out)

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import os
 import random
 import subprocess
@@ -13,7 +14,7 @@ import helpers
 import quatpoly
 from quatpoly import rewrite, syzygy
 from quatpoly.cli import ExpressionError, _input, build_parser, main, parse_expression
-from quatpoly.freealg import Polynomial, Scalar, bracket
+from quatpoly.freealg import Polynomial, Scalar, bracket, word_str
 from quatpoly.qvars import QPolynomial, normalize_q
 
 
@@ -150,6 +151,24 @@ def test_check_normal_command():
     assert code == 1 and out.strip() == "not normal"
     code, _ = run(["check-normal", "--vars", "3", "--multilinear", "v1*v1"])
     assert code == 2
+
+
+def test_check_normal_factorfree_half_matches_the_normal_form(monkeypatch):
+    # With the structural predicate pinned to True, the disagreement
+    # suffix shows the factor-free verdict, which must say whether the
+    # word is its own normal form.
+    monkeypatch.setattr(rewrite, "is_normal_structural", lambda w, mode="general": True)
+    rng = random.Random(11)
+    words = [word for m in range(1, 6) for word in itertools.product(range(1, 5), repeat=m)]
+    words += [tuple(rng.randint(1, 9) for _ in range(rng.randint(6, 9))) for _ in range(200)]
+    words += [(300, 2, 1), (1, 2, 300), (100, 101, 100), (102, 100, 101, 100), (200, 150, 100, 150)]
+    distinct = list(itertools.permutations(range(1, 5)))
+    distinct += [(5, 3, 4, 1, 2), (1, 2, 4, 3, 5), (300, 100, 200), (100, 200, 300), (7, 1, 6, 2, 5, 3)]
+    for flags, batch in (([], words + distinct), (["--multilinear"], distinct)):
+        for word in batch:
+            p = Polynomial.from_word(word)
+            expected = "normal\n" if syzygy._normal_form(p) == p else "normal (predicates disagree!)\n"
+            assert run(["check-normal", *flags, word_str(word)]) == (0, expected), word
 
 
 def test_gb_command():

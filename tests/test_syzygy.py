@@ -209,3 +209,9 @@ def test_block_normal_form_equals_the_full_alphabet_family():
         # The multilinear family serves only distinct-letter words.
         p = _random_block_poly(rng, 7, 6, distinct=True)
         assert str(_normal_form(p)) == str(normalize(p, multilinear)), p
+    # A distinct-letter block is reduced by the multilinear family, and
+    # gives the vector family's normal form up to degree 7.
+    vector = gb_vector(7, 7)
+    for _ in range(300):
+        p = _random_block_poly(rng, 7, 7, distinct=True)
+        assert str(_normal_form(p)) == str(normalize(p, vector)), p
