@@ -258,8 +258,8 @@ def _cmd_check_normal(args, out):
     structural = rewrite.is_normal_structural(w, pmode)
     # The word relabeled onto 1..k, against the family _normal_form uses.
     [(_, [(local, _)])] = rewrite._relabel_blocks([(w, 1)])
-    k, m = len(set(w)), len(w)
-    factorfree = m < 3 or rewrite.is_normal_factorfree(local, syzygy._family(k, m, m == k))
+    family = syzygy._block_family(len(set(w)), len(w))
+    factorfree = family is None or rewrite.is_normal_factorfree(local, family)
     verdict = "normal" if structural else "not normal"
     agree = "" if structural == factorfree else " (predicates disagree!)"
     out.write("%s%s\n" % (verdict, agree))

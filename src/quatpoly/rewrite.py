@@ -309,41 +309,28 @@ def reduce_once(p: Polynomial, base: RuleSet):
 
 
 def _nf_word(base: RuleSet, w: Word) -> dict:
-    """Fully reduced form of a single word, as a raw word->coefficient
-    dict with ``int`` coefficients wherever the tails allow.  Memoized on
-    the rule set.
+    """Fully reduced form of a word missing from the rule set's memo, as a
+    raw word->coefficient dict with ``int`` coefficients wherever the
+    tails allow; it and every word its rewriting reaches enter the memo.
 
-    A word whose successors are not all cached yet keeps its rewrite step
-    in ``held`` until it is revisited, so each memo miss takes exactly
-    one :func:`_first_step`; the step is dropped once the word is cached.
+    Each stack frame is a word and its one :func:`_first_step`.  The top
+    frame pushes its first successor not yet in the memo and stops; with
+    none left it sums its step into the memo (a normal word stores
+    itself) and pops.  Successors are smaller words, so the stack
+    descends, no word enters it twice, and each memo miss costs exactly
+    one rewrite step.
     """
     cache = base._nf_cache
-    hit = cache.get(w)
-    if hit is not None:
-        return hit
-    stack = [w]
-    held = {}
+    stack = [(w, _first_step(base, w))]
     while stack:
-        u = stack[-1]
-        if u in cache:
+        u, step = stack[-1]
+        for x, _ in step or ():
+            if x not in cache:
+                stack.append((x, _first_step(base, x)))
+                break
+        else:
+            cache[u] = {u: 1} if step is None else _accumulate(base, step)
             stack.pop()
-            continue
-        # Successors are smaller words, so a held word comes back to the
-        # top only after every successor it pushed is cached.
-        step = held.pop(u, None)
-        if step is None:
-            step = _first_step(base, u)
-            if step is None:
-                cache[u] = {u: 1}
-                stack.pop()
-                continue
-            missing = [x for x, _ in step if x not in cache]
-            if missing:
-                held[u] = step
-                stack.extend(missing)
-                continue
-        cache[u] = _accumulate(base, step)
-        stack.pop()
     return cache[w]
 
 

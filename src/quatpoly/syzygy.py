@@ -179,6 +179,13 @@ def _family(n: int, d: int, multilinear: bool = False) -> RuleSet:
     return _closed_form(n, d, multilinear)
 
 
+def _block_family(k: int, m: int) -> RuleSet | None:
+    """The family that normalizes a block of degree ``m`` on the letters
+    1..k (see ``_normal_form``), or None below degree 3, where every word
+    is normal."""
+    return None if m < 3 else _family(k, m, m == k)
+
+
 def _normal_form(p: Polynomial) -> Polynomial:
     """Normal form of ``p`` against ``gb_vector`` on any alphabet that
     holds its letters, with no number of variables.
@@ -200,12 +207,7 @@ def _normal_form(p: Polynomial) -> Polynomial:
     """
     out = {}
     for letters, local in _relabel_blocks(p._data.items()):
-        m = max(len(w) for w, _ in local)
-        if m < 3:
-            nf = dict(local)
-        else:
-            # Every word of the block holds exactly the letters 1..k.
-            k = max(local[0][0])
-            nf = normalize(Polynomial(dict(local)), _family(k, m, m == k))._data
+        family = _block_family(len(set(local[0][0])), max(len(w) for w, _ in local))
+        nf = dict(local) if family is None else normalize(Polynomial(dict(local)), family)._data
         out.update(_unlabel(letters, nf))
     return Polynomial(out)

@@ -902,6 +902,23 @@ def test_first_step_runs_once_per_memo_entry(monkeypatch):
     # The blocks' memos are copies; the set's own memo is left as found.
     assert base._nf_cache is memo and memo == {}
 
+    # A caller's normalize fills the set's own memo, one step per entry,
+    # on a closed family, a set that is not closed and fractional tails.
+    rng = random.Random(885)
+    broken = RuleSet([r for r in gb_multilinear(4).rules if r.lead != (3, 2, 4, 1)], degree_bound=4)
+    cases = [
+        (gb_multilinear(7), [w(7, 6, 5, 4, 3, 2, 1)]),
+        (broken, [helpers.random_poly(rng, n=4, max_degree=4) for _ in range(30)]),
+        (_fractional_completion(), [helpers.random_poly(rng, n=3, max_degree=6) for _ in range(30)]),
+    ]
+    for base, inputs in cases:
+        calls.clear()
+        size = len(base._nf_cache)
+        for p in inputs:
+            normalize(p, base)
+            assert len(calls) == len(set(calls)) == len(base._nf_cache) - size, p
+        assert calls
+
 
 def test_check_groebner_keeps_a_memo_for_one_block_only(monkeypatch):
     import quatpoly.rewrite as rewrite
