@@ -257,9 +257,9 @@ def _cmd_check_normal(args, out):
     pmode = "multilinear" if args.multilinear else "general"
     structural = rewrite.is_normal_structural(w, pmode)
     # The word relabeled onto 1..k, against the family _normal_form uses.
-    [(_, [(local, _)])] = rewrite._relabel_blocks([(w, 1)])
-    family = syzygy._block_family(len(set(w)), len(w))
-    factorfree = family is None or rewrite.is_normal_factorfree(local, family)
+    [(_, local)] = rewrite._relabel_blocks([(w, 1)])
+    family = syzygy._block_family(local)
+    factorfree = family is None or rewrite.is_normal_factorfree(local[0][0], family)
     verdict = "normal" if structural else "not normal"
     agree = "" if structural == factorfree else " (predicates disagree!)"
     out.write("%s%s\n" % (verdict, agree))

@@ -86,6 +86,8 @@ def split(p: QPolynomial) -> Polynomial:
     s_i or +-v_i, so the word expands to 2^k (vector word, scalar
     monomial) terms, gathered per vector word.
     """
+    if not isinstance(p, QPolynomial):
+        raise TypeError("expected a QPolynomial, not %s" % type(p).__name__)
     images = {}
     for w, c in p._data.items():
         signed = (c, -c)
@@ -117,9 +119,10 @@ def normalize_q(p: QPolynomial, n: int | None = None, max_degree: int | None = N
     """
     from . import syzygy
 
+    v = split(p)
     top = max(p.indices(), default=0)
     if n is not None and top > n:
         raise ValueError("variable index %d exceeds n=%d" % (top, n))
     if max_degree is not None and p.degree() > max_degree:
         raise ValueError("degree %d exceeds the requested bound %d" % (p.degree(), max_degree))
-    return syzygy._normal_form(split(p))
+    return syzygy._normal_form(v)

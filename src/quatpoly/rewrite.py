@@ -32,7 +32,7 @@ copy of the rule set with an empty memo of its own, dropped when the
 block is done.  Every rule is multiset-homogeneous, so a word's normal
 form holds only words of its own letter multiset and no memo entry is
 read outside its block; the copies lose no reuse.  No engine routine
-touches a set's own memo: only its callers' ``normalize`` fill it.
+touches a set's own memo: only ``normalize`` and ``syzygy._normal_form`` fill it.
 
 A rule set is *closed* when it is invariant under every order-preserving
 relabeling of its alphabet 1..N, N its largest lead letter: grouping the
@@ -43,9 +43,11 @@ from its generators, by one test (``_closure_top``).  One rule, in
 ``_relabel_blocks`` alone (its test is ``_stays``), relabels the words:
 a block on letters T moves order-preservingly onto 1..|T| only when the
 set is closed and T lies in 1..N.  ``normalize`` reduces each block
-there and maps it back, so one memo entry serves a letter pattern on
-every letter set, and ``complete`` completes only the blocks that the
-rule leaves alone.  This is exact.  A lead that occurs inside a word uses only the word's letters.
+there and maps it back, in the one block pass that ``syzygy._normal_form``
+runs too, with N None and a family per block.  So one memo entry serves
+a letter pattern on every letter set, and ``complete`` completes only the
+blocks that the rule leaves alone.  This is exact.  A lead that occurs
+inside a word uses only the word's letters.
 Closure maps the rules inside T one-to-one onto the rules inside 1..|T|,
 lead to lead and tail to tail, so the leftmost lead occurrence of the
 relabeled word is the relabeled occurrence, at the same offset.  The
@@ -187,8 +189,8 @@ class RuleSet:
 
     Immutable after construction; the internal normal-form cache is a pure
     memo (idempotent writes), so sharing across threads is safe.  It lives
-    as long as the set and holds only what a caller's ``normalize`` calls
-    on the set put there; ``check_groebner``, ``complete`` and
+    as long as the set and holds only what ``normalize`` calls on the set,
+    or ``syzygy._normal_form``, put there; ``check_groebner``, ``complete`` and
     ``inter_reduce`` use per-block copies and never touch it.
     """
 
@@ -281,11 +283,12 @@ def _check_bound(base: RuleSet, degree: int):
         )
 
 
-def _check_input(p, base: RuleSet):
+def _check_input(p, base: RuleSet | None = None):
     # A q-word read as a v-word would pass silently for another word.
     if not isinstance(p, Polynomial):
         raise TypeError("expected a Polynomial, not %s (see qvars.split)" % type(p).__name__)
-    _check_bound(base, p.degree())
+    if base is not None:
+        _check_bound(base, p.degree())
 
 
 def reduce_once(p: Polynomial, base: RuleSet):
@@ -351,12 +354,14 @@ def _accumulate(base: RuleSet, pairs) -> dict:
     return acc
 
 
-def _reduce(base: RuleSet, pairs) -> dict:
+def _reduce(pairs, top, choose) -> dict:
     """The raw normal form of ``(word, coefficient)`` pairs, one
-    ``_relabel_blocks`` block at a time, mapped back."""
+    ``_relabel_blocks`` block at a time with N = ``top``, against the rule
+    set ``choose(local)`` picks for it (None: normal), mapped back."""
     out = {}
-    for letters, local in _relabel_blocks(pairs, base._top):
-        out.update(_unlabel(letters, _accumulate(base, local)))
+    for letters, local in _relabel_blocks(pairs, top):
+        base = choose(local)
+        out.update(_unlabel(letters, dict(local) if base is None else _accumulate(base, local)))
     return out
 
 
@@ -365,21 +370,23 @@ def normalize(p: Polynomial, base: RuleSet) -> Polynomial:
 
     Termination follows from the well-founded word order; every rewrite
     replaces a word by strictly smaller words of the same letter multiset.
-    An input with only ``int`` coefficients is summed against the memo as
-    it is.  Any other input is grouped by scalar monomial and scaled to
-    ints by one common denominator (``Polynomial._by_monomial``); each
-    group is summed, divided once and regrouped into one coefficient per
-    output word.  A tail with symbols leaves scalars in the memo; each of
-    their monomials is multiplied onto the group's own and summed.
+    An input with only ``int`` coefficients is summed as it is; any other
+    is summed per scalar monomial, scaled to ints by one common
+    denominator (``Polynomial._by_monomial``), and divided once.
     """
     _check_input(p, base)
+    return _normalize(p, base._top, lambda local: base)
+
+
+def _normalize(p: Polynomial, top, choose) -> Polynomial:
+    """:func:`normalize`'s body, with N = ``top`` and ``choose`` (:func:`_reduce`)."""
     data = p._data
     if all(type(c) is int for c in data.values()):
-        return Polynomial(_reduce(base, data.items()))
+        return Polynomial(_reduce(data.items(), top, choose))
     den, groups = p._by_monomial()
     images, spread = {}, []
     for mono, ints in groups.items():
-        for u, c in _reduce(base, ints).items():
+        for u, c in _reduce(ints, top, choose).items():
             if type(c) is Scalar:
                 # A tail with symbols leaves a scalar: spread it over ``mono``.
                 spread += [(u, tuple(sorted(mono + m)), q) for m, q in c._data.items()]

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .freealg import Polynomial, commutator, even
 from .qvars import QPolynomial
-from .rewrite import RewriteRule, RuleSet, normalize, _relabel_blocks, _unlabel
+from .rewrite import RewriteRule, RuleSet, _check_input, _normalize
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,35 +179,25 @@ def _family(n: int, d: int, multilinear: bool = False) -> RuleSet:
     return _closed_form(n, d, multilinear)
 
 
-def _block_family(k: int, m: int) -> RuleSet | None:
-    """The family that normalizes a block of degree ``m`` on the letters
-    1..k (see ``_normal_form``), or None below degree 3, where every word
-    is normal."""
+def _block_family(local) -> RuleSet | None:
+    """The family for a block of ``(word, coefficient)`` pairs on the
+    letters 1..k, or None below degree 3: every lead has degree 3 or more.
+
+    A block of degree m takes ``gb_vector(k, m)``: the rules of
+    ``gb_vector(n, D)`` on its letters, D >= m, map onto those, up to
+    rules longer than m, which never fire; so any group of its terms, a
+    scalar-monomial group too, may pick its own m.  With m == k the words
+    have distinct letters, and only the distinct-letter rules,
+    ``gb_multilinear(k)``, fit inside them.
+    """
+    k = len(set(local[0][0]))
+    m = max(len(w) for w, _ in local)
     return None if m < 3 else _family(k, m, m == k)
 
 
 def _normal_form(p: Polynomial) -> Polynomial:
     """Normal form of ``p`` against ``gb_vector`` on any alphabet that
-    holds its letters, with no number of variables.
-
-    The family is closed on every alphabet, so every letter-set block
-    moves onto 1..k by the relabeling rule of ``rewrite`` (``top`` None);
-    a block of degree at most m is normalized against ``gb_vector(k, m)``
-    and mapped back.  This is exact for the reasons ``rewrite`` gives:
-    every rule is multiset-homogeneous, so a block rewrites within
-    itself, and the rules of ``gb_vector(n, D)`` on the block's letters,
-    D >= m, map onto those of ``gb_vector(k, m)``, up to rules longer than
-    m, which never fire.  A block of degree below 3 is already normal, as
-    every lead has degree 3 or more.
-
-    A block with m == k holds words with distinct letters and is
-    normalized against ``gb_multilinear(k)``: that family is the
-    distinct-letter part of ``gb_vector(k, k)``, and only rules with
-    distinct letters fit inside such a word.
-    """
-    out = {}
-    for letters, local in _relabel_blocks(p._data.items()):
-        family = _block_family(len(set(local[0][0])), max(len(w) for w, _ in local))
-        nf = dict(local) if family is None else normalize(Polynomial(dict(local)), family)._data
-        out.update(_unlabel(letters, nf))
-    return Polynomial(out)
+    holds its letters: ``rewrite``'s block pass with N None (see its
+    module docstring), each block against its ``_block_family``."""
+    _check_input(p)
+    return _normalize(p, None, _block_family)

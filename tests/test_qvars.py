@@ -136,6 +136,13 @@ def test_normalize_q_rejects_indices_above_n():
         normalize_q(qw(2), n=1)
 
 
+def test_split_and_normalize_q_refuse_a_v_polynomial():
+    # Read as q-words, v1*v2 would pass for q1*q2.
+    for call in (split, normalize_q):
+        with pytest.raises(TypeError, match="expected a QPolynomial, not Polynomial"):
+            call(w(1, 2))
+
+
 def test_shift_invariance_exhaustive():
     # every letter commutes with the conjugation-even part of every word:
     # both commutator forms land in the ideal, checked for all q-words of

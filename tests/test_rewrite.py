@@ -1080,7 +1080,7 @@ def test_a_raw_multiset_and_a_letter_pattern_get_memos_of_their_own(monkeypatch)
 
 def test_the_v_engine_refuses_q_polynomials():
     from quatpoly.qvars import QPolynomial
-    from quatpoly.syzygy import gen_quaternion_syzygies
+    from quatpoly.syzygy import _normal_form, gen_quaternion_syzygies
 
     q = QPolynomial.variable(1) * QPolynomial.variable(2)
     base = gb_vector(2, 3)
@@ -1096,3 +1096,6 @@ def test_the_v_engine_refuses_q_polynomials():
         check_groebner(base, 3, generators=gen_quaternion_syzygies(2))
     with pytest.raises(TypeError, match="int"):
         normalize(3, base)
+    # Read as v-words, q1*q2' would pass for the word v1*v-2.
+    with pytest.raises(TypeError, match="QPolynomial"):
+        _normal_form(QPolynomial.variable(1) * QPolynomial.variable(2, barred=True))

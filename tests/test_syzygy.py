@@ -5,7 +5,7 @@ import pytest
 
 from quatpoly.freealg import Polynomial, Scalar
 from quatpoly.oracle import zero_test
-from quatpoly.qvars import QPolynomial
+from quatpoly.qvars import QPolynomial, split
 from quatpoly.rewrite import find_factor, normalize
 from quatpoly.syzygy import (
     _normal_form,
@@ -215,3 +215,14 @@ def test_block_normal_form_equals_the_full_alphabet_family():
     for _ in range(300):
         p = _random_block_poly(rng, 7, 7, distinct=True)
         assert str(_normal_form(p)) == str(normalize(p, vector)), p
+    # The q traffic of normalize_q: a split block holds words whose degree
+    # differs between scalar monomials, so each group picks its own family.
+    vector = gb_vector(4, 5)
+    for _ in range(200):
+        q = QPolynomial({
+            tuple(rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(rng.randint(0, 5))):
+                Fraction(rng.choice((1, -1)) * rng.randint(1, 4), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 4))
+        })
+        p = split(q)
+        assert str(_normal_form(p)) == str(normalize(p, vector)), q
