@@ -459,7 +459,8 @@ def main(argv=None, out=None):
         return 2 if exc.code else 0
     try:
         return args.func(args, out)
-    except (ExpressionError, ValueError) as exc:
+    # RuntimeError: a completion that fails its own closure or residue check.
+    except (ExpressionError, ValueError, RuntimeError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

@@ -490,6 +490,15 @@ class GroebnerReport:
 def overlaps(base: RuleSet, max_degree: int):
     """All suffix-prefix overlaps among the leads whose overlap word has
     degree <= ``max_degree``, sorted by word, then rule indices and offset.
+    """
+    # With N = 0 every block is its own representative.
+    return _representative_overlaps(base, max_degree, 0)
+
+
+def _representative_overlaps(base: RuleSet, max_degree: int, top):
+    """The entries of ``overlaps(base, max_degree)`` whose word
+    ``_relabel_blocks(..., top)`` leaves in place (``_stays``), in the
+    same order; no :class:`Obstruction` is built for any other word.
 
     A proper suffix of one lead is looked up in an index of proper lead
     prefixes; leads never contain one another, so no containment arises.
@@ -506,7 +515,10 @@ def overlaps(base: RuleSet, max_degree: int):
             for j in prefixes.get(li[k:], ()):
                 lj = base.rules[j].lead
                 if k + len(lj) <= max_degree:
-                    out.append(Obstruction(i, j, li + lj[len(li) - k :], 0, k))
+                    word = li + lj[len(li) - k :]
+                    # N = 0 leaves every word in place: no test needed.
+                    if not top or _stays(sorted(set(word)), top):
+                        out.append(Obstruction(i, j, word, 0, k))
     out.sort(key=lambda ob: (word_key(ob.word), ob.rule_a, ob.rule_b, ob.offset_b))
     return out
 
@@ -653,11 +665,20 @@ def complete(generators, max_degree: int) -> RuleSet:
 
     Each batch takes the block path of the module docstring, in any
     order: the reduced echelon form is unique.  The last degree's set is
-    re-verified by :func:`check_groebner`, so a returned set is genuinely
-    locally confluent to the bound.  A negative ``max_degree``, an
-    inhomogeneous generator or one of degree above ``max_degree`` raises
-    ``ValueError``.  The degree bound alone bounds the work: no rule is
-    longer than ``max_degree``.
+    re-verified: the overlaps that ``_relabel_blocks`` leaves in place
+    under the set's own closure, N' its ``_top``, are normalized again,
+    and a residue raises ``RuntimeError``.  This is exact and needs nothing
+    of the generators.  The set is closed on 1..N', so it maps the leads
+    inside a letter set T one-to-one onto those inside 1..|T|, at the same
+    offsets: every overlap on T is the relabeled image of one on 1..|T|,
+    its S-polynomial the relabeled S-polynomial, and its normal form, by
+    the module docstring's argument, the relabeled normal form.  A set
+    that is not closed (N' = 0) checks every overlap.  So a returned set
+    is genuinely locally confluent to the bound.
+
+    A negative ``max_degree``, an inhomogeneous generator or one of degree
+    above ``max_degree`` raises ``ValueError``.  The degree bound alone
+    bounds the work: no rule is longer than ``max_degree``.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0, got %d" % max_degree)
@@ -670,19 +691,15 @@ def complete(generators, max_degree: int) -> RuleSet:
                 "generator degree %d exceeds the degree bound %d" % (p.degree(), max_degree)
             )
     top = _closure_top([tuple(p.terms.items()) for p in gens])
-
-    def representative(w):
-        return _stays(sorted(set(w)), top)
-
     by_degree = {}
     for p in gens:
         # A generator's words share one letter set.
-        if representative(next(iter(p._data))):
+        if _stays(sorted(set(next(iter(p._data)))), top):
             by_degree.setdefault(p.degree(), []).append(p)
     rules = []
     base = RuleSet(degree_bound=max_degree)
     for t in range(max_degree + 1):
-        obs = [ob for ob in overlaps(base, t) if len(ob.word) == t and representative(ob.word)]
+        obs = [ob for ob in _representative_overlaps(base, t, top) if len(ob.word) == t]
         pivots = {}
         for _, p in _normalize_by_block(base, obs, by_degree.get(t, ())):
             while p and (lead := p.leading_word()) in pivots:
@@ -708,7 +725,8 @@ def complete(generators, max_degree: int) -> RuleSet:
         if top and base._top != top:
             raise RuntimeError("completion lost relabeling closure at degree %d" % t)
 
-    if not check_groebner(base, max_degree).ok:
+    obs = _representative_overlaps(base, max_degree, base._top)
+    if next(_normalize_by_block(base, obs, ()), None) is not None:
         raise RuntimeError("completion left an overlap residue at degree bound %d" % max_degree)
     return base
 

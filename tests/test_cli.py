@@ -404,6 +404,34 @@ def test_report_digests_are_pinned(argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_complete_that_fails_its_own_check_is_an_error(capsys, monkeypatch):
+    # Exit 1 is a verification finding; a completion that fails its own
+    # closure or residue check is an error.
+    real_set, real_overlaps = rewrite.RuleSet, rewrite._representative_overlaps
+
+    def unclosed(*args, **kw):
+        base = real_set(*args, **kw)
+        base._top = 0
+        return base
+
+    monkeypatch.setattr(rewrite, "RuleSet", unclosed)
+    assert run(["complete", "--vars", "3", "--max-deg", "4"]) == (2, "")
+    assert capsys.readouterr().err == "error: completion lost relabeling closure at degree 3\n"
+    monkeypatch.undo()
+
+    asked = []
+
+    def blind_at_the_bound(base, max_degree, top):
+        # The last degree's overlaps are hidden, so the final check finds
+        # v3*v1*v1*v2 unresolved.
+        asked.append(max_degree)
+        return [] if asked.count(4) == 1 else real_overlaps(base, max_degree, top)
+
+    monkeypatch.setattr(rewrite, "_representative_overlaps", blind_at_the_bound)
+    assert run(["complete", "--max-deg", "4", "v2*v1 - v1*v2", "v3*v2 - v2*v3"]) == (2, "")
+    assert capsys.readouterr().err == "error: completion left an overlap residue at degree bound 4\n"
+
+
 def test_complete_below_a_generator_degree_is_an_error(capsys):
     code, out = run(["complete", "--max-deg", "0", "v1*v1*v2 - v2*v1*v1"])
     assert code == 2 and out == ""

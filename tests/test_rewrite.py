@@ -9,12 +9,13 @@ from quatpoly.cli import parse_expression
 from quatpoly.freealg import Polynomial, Scalar, bracket, word_key
 from quatpoly.qvars import split
 from quatpoly.rewrite import (
-    GroebnerReport,
     Obstruction,
     RewriteRule,
     RuleSet,
     _first_step,
     _monic,
+    _representative_overlaps,
+    _stays,
     check_groebner,
     complete,
     find_factor,
@@ -330,7 +331,7 @@ def test_complete_equals_its_run_on_generators_that_are_not_closed(monkeypatch):
     # it lies.  Both must give the same rules.
     import quatpoly.rewrite as rewrite
 
-    real_normalize, real_check = rewrite.normalize, rewrite.check_groebner
+    real_normalize = rewrite.normalize
 
     def run(gens, d):
         seen = []
@@ -339,12 +340,7 @@ def test_complete_equals_its_run_on_generators_that_are_not_closed(monkeypatch):
             seen.append({x for u in p._data for x in u})
             return real_normalize(p, b)
 
-        def final_check(base, max_degree):
-            monkeypatch.setattr(rewrite, "normalize", real_normalize)
-            return real_check(base, max_degree)
-
         monkeypatch.setattr(rewrite, "normalize", recording)
-        monkeypatch.setattr(rewrite, "check_groebner", final_check)
         rules = [(r.lead, r.rhs) for r in complete(gens, d).rules]
         monkeypatch.undo()
         return rules, seen
@@ -475,12 +471,21 @@ def test_complete_echelonizes_equal_leads_within_a_degree():
 def test_complete_raises_when_its_final_check_fails(monkeypatch):
     import quatpoly.rewrite as rewrite
 
-    def failing(base, max_degree, **kw):
-        return GroebnerReport(((None, w(2, 1)),), 0, max_degree)
+    gens = [w(2, 1) - w(1, 2), w(3, 2) - w(2, 3)]
+    assert (3, 1, 1, 2) in complete(gens, 4).leads()
+    real = rewrite._representative_overlaps
+    asked = []
 
-    monkeypatch.setattr(rewrite, "check_groebner", failing)
+    def blind_at_the_bound(base, max_degree, top):
+        # complete asks for degree 4 twice: its last degree, then its
+        # final check.  Hiding the first leaves v3*v1*v1*v2 unresolved.
+        asked.append(max_degree)
+        return [] if asked.count(4) == 1 else real(base, max_degree, top)
+
+    monkeypatch.setattr(rewrite, "_representative_overlaps", blind_at_the_bound)
     with pytest.raises(RuntimeError, match="residue"):
-        complete([g.element for g in gen_vector_syzygies(2)], 4)
+        complete(gens, 4)
+    assert asked.count(4) == 2
 
 
 def test_complete_raises_when_a_degree_loses_closure(monkeypatch):
@@ -638,6 +643,80 @@ def test_first_step_and_reduce_once_match_linear_scan(base_v45, base_m4):
 def test_overlaps_match_all_pairs():
     for base, bound in ((gb_vector(5, 6), 6), (_fractional_completion(), 6)):
         assert overlaps(base, bound) == _naive_overlaps(base, bound)
+
+
+def test_representative_overlaps_are_the_overlaps_relabeling_leaves_in_place():
+    closed = [
+        (gb_vector(3, 6), 6),
+        (gb_vector(4, 6), 6),
+        (gb_vector(5, 5), 5),
+        (gb_multilinear(5), 5),
+        (complete([g.element for g in gen_vector_syzygies(4)], 6), 6),
+    ]
+    for base, d in closed:
+        assert base._top > 0
+        every = overlaps(base, d)
+        kept = [ob for ob in every if _stays(sorted(set(ob.word)), base._top)]
+        assert 0 < len(kept) < len(every)
+        assert _representative_overlaps(base, d, base._top) == kept
+    # Closed on no alphabet, every block is its own representative.
+    rules = gb_vector(4, 5).rules
+    for base in (RuleSet(rules[1:]), _fractional_completion()):
+        assert base._top == 0
+        assert _representative_overlaps(base, 6, 0) == overlaps(base, 6)
+
+
+def _relabeling_classes(base):
+    classes = {}
+    for r in base.rules:
+        letters = sorted(set(r.lead))
+        classes.setdefault(tuple(letters.index(x) for x in r.lead), []).append(r)
+    return classes.values()
+
+
+def _complete_final_check_accepts(monkeypatch, base, d):
+    # complete on the rules' elements, with its degree loop shown no
+    # overlap, returns their reduced echelon form: the same leads and the
+    # same ideal, so the same verdict as the rules themselves.  Only its
+    # final check can then find a residue.  complete asks for overlaps
+    # once per degree 0..d, then once for the final check.
+    import quatpoly.rewrite as rewrite
+
+    real = rewrite._representative_overlaps
+    asked = []
+
+    def blind_degree_loop(b, t, top):
+        asked.append(t)
+        return real(b, t, top) if len(asked) > d + 1 else []
+
+    monkeypatch.setattr(rewrite, "_representative_overlaps", blind_degree_loop)
+    try:
+        out = complete([r.element for r in base.rules], d)
+    except RuntimeError as exc:
+        assert "residue" in str(exc)
+        return False
+    finally:
+        monkeypatch.undo()
+        assert len(asked) == d + 2
+    assert set(out.leads()) == set(base.leads())
+    return True
+
+
+def test_complete_final_check_agrees_with_check_groebner_on_closed_sets(monkeypatch):
+    # Dropping one whole relabeling class keeps a set closed, but mostly
+    # breaks its confluence; the representative check must see exactly
+    # what the check of every overlap sees.
+    verdicts = []
+    for n, d in ((4, 5), (5, 5), (4, 6)):
+        whole = gb_vector(n, d)
+        for members in _relabeling_classes(whole):
+            dropped = {r.lead for r in members}
+            base = RuleSet([r for r in whole.rules if r.lead not in dropped], degree_bound=d)
+            assert base._top == n
+            ok = check_groebner(base, d).ok
+            assert _complete_final_check_accepts(monkeypatch, base, d) == ok, (n, d, members)
+            verdicts.append(ok)
+    assert len(verdicts) == 23 and verdicts.count(False) == 21
 
 
 def _canonical_order_fixed_point(p, base):
