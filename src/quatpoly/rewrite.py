@@ -9,20 +9,28 @@ rewrite step depends only on the word and the set of leads, and
 normal-form computation memoizes per-word results on the rule set.
 
 A rule set indexes its leads in one dict from lead word to canonical rule
-index.  Factor matching, the factor-free check and the factor-freeness of
-the rule set itself all probe that dict at each offset of a word, left to
-right, with one factor per lead length.  The memo takes one rewrite step
-per word it enters, and ``normalize`` sums the memo entries of its terms
-in one accumulate loop.  The closed-form families have tails of +-1, so
-their memo entries are ints, and ``normalize`` keeps its sums in ints as
-well: it scales each scalar-monomial group of its input to ints and
-divides once.  It reads its input's terms in no particular order, so it
-never sorts them.
+index, and heads them with a second: each prefix of the shortest lead
+length maps to the lengths of the leads that start with it.  Factor
+matching, the factor-free check and the factor-freeness of the rule set
+itself all probe the head index once at each offset of a word, left to
+right, and the lead index only for the lengths it names.  The memo takes
+one rewrite step per word it enters.  A normal word takes an int id as it
+enters, memo entries map ids to coefficients, and ``normalize`` sums the
+entries of its terms in one accumulate loop over ints, mapping the ids
+back to words once per block.  The closed-form families have tails of
++-1, so their memo entries are ints, and ``normalize`` keeps its sums in
+ints as well: it scales each scalar-monomial group of its input to ints
+and divides once.  It reads its input's terms in no particular order, so
+it never sorts them.
 
 An overlap's S-polynomial is read straight off the two rules' tails,
-placed between the head and tail of the overlap word, with no products.
-``complete`` is a degree-by-degree completion: one overlap pass and one
-rule set per degree.
+placed between the head and tail of the overlap word, with no products
+(``s_polynomial``, the reference form).  The engine normalizes the
+overlap word minus rule b's rewrite of it instead: the memo sends the
+word to the normal form of rule a's rewrite, and every obstruction on one
+word shares that word's entry (``_normalize_by_block``).  ``complete`` is
+a degree-by-degree completion: one overlap pass and one rule set per
+degree.
 
 ``check_groebner``, ``complete`` and ``inter_reduce`` normalize in bulk
 along one path, ``_normalize_by_block``, which gives the memo the lifetime
@@ -62,6 +70,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -173,28 +182,60 @@ def _closure_top(blocks) -> int:
     return top if full else 0
 
 
+class _Memo(dict):
+    """A normal-form memo: word -> ``{id: coefficient}``, the word's raw
+    normal form over the ids of normal words; ``words[id]`` is the normal
+    word an id names.  Summing entries hashes ints, not word tuples.
+
+    A normal word takes its id when it enters the memo (``intern``), under
+    the memo's lock, so two threads filling one memo never give one word
+    two ids or two words one id.  Every other write stores the same value
+    whichever thread makes it.
+    """
+
+    __slots__ = ("words", "_lock")
+
+    def __init__(self):
+        super().__init__()
+        self.words = []
+        self._lock = threading.Lock()
+
+    def intern(self, u: Word) -> dict:
+        """The entry of the normal word ``u``, ``{id: 1}``, made on first use."""
+        with self._lock:
+            nf = self.get(u)
+            if nf is None:
+                nf = self[u] = {len(self.words): 1}
+                self.words.append(u)
+            return nf
+
+
 class RuleSet:
     """Canonically ordered rewrite rules with pairwise factor-free leads.
 
-    ``_index`` maps each lead word to its canonical rule index and
-    ``_lengths`` lists the distinct lead lengths in ascending order.
-    Leads are pairwise factor-free, so at most one starts at any offset of
-    a word: probing each offset in turn with one factor per lead length
-    finds the leftmost lead occurrence.  Canonical order only numbers the
-    rules, for ``overlaps`` and for output.  ``_tails`` holds each rule's
-    rhs as (word, coefficient) pairs.
+    ``_index`` maps each lead word to its canonical rule index.  The head
+    index ``_heads`` maps each prefix of length ``_head``, the shortest
+    lead length, of some lead to the ascending lengths of the leads that
+    start with it.  Leads are pairwise factor-free, so at most one starts
+    at any offset of a word: probing each offset in turn through the head
+    index, and ``_index`` only for the lengths it names, finds the
+    leftmost lead occurrence.  Canonical order only numbers the rules, for
+    ``overlaps`` and for output.  ``_tails`` holds each rule's rhs as
+    (word, coefficient) pairs.
     ``_top`` is the largest lead letter N when the set is closed under
     order-preserving relabeling of 1..N, else 0: the ``top`` with which
     ``_relabel_blocks`` relabels the set's blocks.
 
-    Immutable after construction; the internal normal-form cache is a pure
-    memo (idempotent writes), so sharing across threads is safe.  It lives
-    as long as the set and holds only what ``normalize`` calls on the set,
-    or ``syzygy._normal_form``, put there; ``check_groebner``, ``complete`` and
-    ``inter_reduce`` use per-block copies and never touch it.
+    Immutable after construction apart from the normal-form memo, a
+    :class:`_Memo` that holds its own ids.  Writes to it are idempotent
+    and ids are handed out under the memo's lock, so sharing a set across
+    threads is safe.  It lives as long as the set and holds only what
+    ``normalize`` calls on the set, or ``syzygy._normal_form``, put there;
+    ``check_groebner``, ``complete`` and ``inter_reduce`` use per-block
+    copies, each with a fresh memo, and never touch it.
     """
 
-    __slots__ = ("rules", "degree_bound", "_index", "_lengths", "_tails", "_top", "_nf_cache")
+    __slots__ = ("rules", "degree_bound", "_index", "_heads", "_head", "_tails", "_top", "_nf_cache")
 
     def __init__(self, rules=(), degree_bound=None):
         rules = tuple(sorted(rules, key=_rule_key))
@@ -206,7 +247,12 @@ class RuleSet:
         self.rules = rules
         self.degree_bound = degree_bound
         self._index = index
-        self._lengths = sorted({len(lead) for lead in index})
+        head = min(map(len, index), default=0)
+        heads = {}
+        for lead in index:
+            heads.setdefault(lead[:head], set()).add(len(lead))
+        self._heads = {h: tuple(sorted(ks)) for h, ks in heads.items()}
+        self._head = head
         # Every proper factor of a lead is a factor of the lead with its
         # first or its last letter dropped.
         for r in rules:
@@ -217,7 +263,7 @@ class RuleSet:
                 )
         self._tails = tuple(r.rhs.terms.items() for r in rules)
         self._top = _closure_top([((r.lead, 1), *t) for r, t in zip(rules, self._tails)])
-        self._nf_cache = {}
+        self._nf_cache = _Memo()
 
     def __len__(self):
         return len(self.rules)
@@ -246,17 +292,21 @@ def _first_match(base: RuleSet, w: Word):
     """``(rule index, offset)`` of the leftmost lead occurrence in ``w``;
     None if ``w`` is normal.  Leads are pairwise factor-free, so at most
     one lead starts at any offset: the match depends only on ``w`` and
-    the set of leads."""
+    the set of leads.  Each offset costs one head-index probe, and
+    ``_index`` is probed only at offsets where some lead's head starts."""
     index = base._index
-    lengths = base._lengths
+    heads = base._heads
+    h = base._head
     n = len(w)
-    for p in range(n):
-        for k in lengths:
-            if p + k > n:
-                break
-            i = index.get(w[p : p + k])
-            if i is not None:
-                return i, p
+    for p in range(n - h + 1):
+        lengths = heads.get(w[p : p + h])
+        if lengths is not None:
+            for k in lengths:
+                if p + k > n:
+                    break
+                i = index.get(w[p : p + k])
+                if i is not None:
+                    return i, p
     return None
 
 
@@ -313,15 +363,16 @@ def reduce_once(p: Polynomial, base: RuleSet):
 
 def _nf_word(base: RuleSet, w: Word) -> dict:
     """Fully reduced form of a word missing from the rule set's memo, as a
-    raw word->coefficient dict with ``int`` coefficients wherever the
-    tails allow; it and every word its rewriting reaches enter the memo.
+    raw id->coefficient dict (see :class:`_Memo`) with ``int``
+    coefficients wherever the tails allow; it and every word its rewriting
+    reaches enter the memo, a normal word under a new id.
 
     Each stack frame is a word and its one :func:`_first_step`.  The top
     frame pushes its first successor not yet in the memo and stops; with
-    none left it sums its step into the memo (a normal word stores
-    itself) and pops.  Successors are smaller words, so the stack
-    descends, no word enters it twice, and each memo miss costs exactly
-    one rewrite step.
+    none left it sums its step into the memo (a normal word is interned)
+    and pops.  Successors are smaller words, so the stack descends, no
+    word enters it twice, and each memo miss costs exactly one rewrite
+    step.
     """
     cache = base._nf_cache
     stack = [(w, _first_step(base, w))]
@@ -332,13 +383,17 @@ def _nf_word(base: RuleSet, w: Word) -> dict:
                 stack.append((x, _first_step(base, x)))
                 break
         else:
-            cache[u] = {u: 1} if step is None else _accumulate(base, step)
+            if step is None:
+                cache.intern(u)
+            else:
+                cache[u] = _accumulate(base, step)
             stack.pop()
     return cache[w]
 
 
 def _accumulate(base: RuleSet, pairs) -> dict:
-    """The raw sum of ``c * nf(w)`` over ``(w, c)`` pairs, zeros dropped."""
+    """The raw sum of ``c * nf(w)`` over ``(w, c)`` pairs, keyed by the
+    ids of the memo's normal words, zeros dropped."""
     cache = base._nf_cache
     acc = {}
     for w, c in pairs:
@@ -346,22 +401,32 @@ def _accumulate(base: RuleSet, pairs) -> dict:
         if nf is None:
             nf = _nf_word(base, w)
         for u, cu in nf.items():
-            val = acc.get(u, 0) + c * cu
-            if val:
-                acc[u] = val
-            elif u in acc:
-                del acc[u]
+            if u in acc:
+                val = acc[u] + c * cu
+                if val:
+                    acc[u] = val
+                else:
+                    del acc[u]
+            else:
+                # Both factors are nonzero, and so is their product.
+                acc[u] = c * cu
     return acc
 
 
 def _reduce(pairs, top, choose) -> dict:
     """The raw normal form of ``(word, coefficient)`` pairs, one
     ``_relabel_blocks`` block at a time with N = ``top``, against the rule
-    set ``choose(local)`` picks for it (None: normal), mapped back."""
+    set ``choose(local)`` picks for it (None: normal), its ids mapped back
+    to words and the words mapped back to the block's letters."""
     out = {}
     for letters, local in _relabel_blocks(pairs, top):
         base = choose(local)
-        out.update(_unlabel(letters, dict(local) if base is None else _accumulate(base, local)))
+        if base is None:
+            terms = dict(local)
+        else:
+            words = base._nf_cache.words
+            terms = {words[i]: c for i, c in _accumulate(base, local).items()}
+        out.update(_unlabel(letters, terms))
     return out
 
 
@@ -525,7 +590,9 @@ def _representative_overlaps(base: RuleSet, max_degree: int, top):
 
 def s_polynomial(base: RuleSet, ob: Obstruction) -> Polynomial:
     """Difference of the two one-step rewrites of the overlap word, read
-    off the two rules' tails with no products."""
+    off the two rules' tails with no products.  The reference form of an
+    overlap's residue: the engine itself normalizes the overlap word
+    instead (``_normalize_by_block``), which gives the same normal form."""
     data = dict(_rewrite_at(base, ob.rule_a, ob.word, ob.offset_a))
     for u, c in _rewrite_at(base, ob.rule_b, ob.word, ob.offset_b):
         data[u] = data.get(u, 0) - c
@@ -547,11 +614,18 @@ def generator_polys(generators) -> list:
 
 
 def _normalize_by_block(base: RuleSet, obs, polys):
-    """Normalize the S-polynomial of each of ``obs``, then each of
-    ``polys``, one block at a time (see the module docstring), each block
-    against a copy of ``base`` with an empty memo of its own.  Yields
+    """Normalize the residue of each of ``obs``, then each of ``polys``,
+    one block at a time (see the module docstring), each block against a
+    copy of ``base`` with an empty memo of its own.  Yields
     ``(i, normal form)`` for the nonzero normal forms, ``i`` the position
     in ``obs`` followed by ``polys``.
+
+    An obstruction's residue is its word W minus rule b's rewrite of W at
+    ``offset_b``.  Rule a sits at offset 0, W's leftmost lead occurrence,
+    so the memo, the linear map fixed by the leftmost rewrite step, sends
+    W to the normal form of rule a's rewrite: the residue has the normal
+    form of the S-polynomial, for any rule set, and every obstruction on
+    W reads W's one memo entry.
 
     An obstruction is keyed by its word, a polynomial by any one of its
     words; a zero polynomial is skipped.  A word's block is its letter
@@ -571,9 +645,16 @@ def _normalize_by_block(base: RuleSet, obs, polys):
     for positions in blocks.values():
         # Rules, index and closure are shared, not rebuilt.
         local = copy.copy(base)
-        local._nf_cache = {}
+        local._nf_cache = _Memo()
         for i in positions:
-            nf = normalize(s_polynomial(base, obs[i]) if i < n else polys[i - n], local)
+            if i < n:
+                ob = obs[i]
+                data = {u: -c for u, c in _rewrite_at(base, ob.rule_b, ob.word, ob.offset_b)}
+                data[ob.word] = 1
+                p = Polynomial(data)
+            else:
+                p = polys[i - n]
+            nf = normalize(p, local)
             if nf:
                 yield i, nf
 

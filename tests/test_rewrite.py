@@ -1,5 +1,8 @@
 import itertools
 import random
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -441,14 +444,15 @@ def test_complete_hands_normalize_block_copies_only(monkeypatch):
     ids = {id(base) for base in built}
     assert seen and not any(id(b) in ids for b, _ in seen)
     assert all(base._nf_cache == {} for base in built)
-    # One memo per degree would reach 1,741 entries.
-    assert max(size for _, size in seen) == 258
-    # A block never reads another block's entries, and the degree loop
-    # normalizes only the blocks on letters 1..k.  Normalizing every
-    # letter set would take 4,516 steps: the 90 more are the words of the
-    # degree-3 generators off 1..k, which the empty set of rules, closed
-    # on no alphabet, cannot relabel onto 1..k.
-    assert len(steps) == 4426
+    # One memo shared by the blocks of each degree would reach 2,286
+    # entries.  Each overlap word takes an entry of its own.
+    assert max(size for _, size in seen) == 265
+    # A block never reads another block's entries, no word is rewritten
+    # twice within a block, and the degree loop normalizes only the
+    # blocks on letters 1..k.  Normalizing every letter set would add the
+    # words of the degree-3 generators off 1..k, which the empty set of
+    # rules, closed on no alphabet, cannot relabel onto 1..k.
+    assert len(steps) == 4582
 
 
 def test_complete_from_degree_two_generators():
@@ -638,6 +642,34 @@ def test_first_step_and_reduce_once_match_linear_scan(base_v45, base_m4):
     for _ in range(100):
         p = helpers.random_poly(rng)
         assert reduce_once(p, base_v45) == _naive_reduce_once(p, base_v45)
+
+
+def test_head_index_finds_the_leftmost_lead():
+    def sorted_tail(*lead):
+        rhs = Polynomial.from_word(sorted(lead))
+        return RewriteRule(lead, rhs if tuple(sorted(lead)) < lead else Polynomial())
+
+    # (rule set, alphabet, head length, head index)
+    cases = [
+        # Leads of lengths 3, 4 and 5 under the one head v2*v1.
+        (
+            RuleSet([sorted_tail(3, 3), sorted_tail(2, 1, 1), sorted_tail(2, 1, 3, 1),
+                     sorted_tail(2, 1, 2, 2, 1)]),
+            3,
+            2,
+            {(3, 3): (2,), (2, 1): (3, 4, 5)},
+        ),
+        (RuleSet([sorted_tail(3), sorted_tail(2, 1)]), 3, 1, {(3,): (1,), (2,): (2,)}),
+        (RuleSet(), 2, 0, {}),
+        (gb_vector(4, 6), 4, 3, None),
+    ]
+    rng = random.Random(59)
+    for base, n, head, heads in cases:
+        assert base._head == head and heads in (None, base._heads)
+        for _ in range(400):
+            word = tuple(rng.randint(1, n) for _ in range(rng.randint(0, base.degree_bound or 9)))
+            assert _first_step(base, word) == _naive_step(base, word), (base, word)
+            assert is_normal_factorfree(word, base) == (_naive_step(base, word) is None)
 
 
 def test_overlaps_match_all_pairs():
@@ -972,8 +1004,11 @@ def test_first_step_runs_once_per_memo_entry(monkeypatch):
 
     monkeypatch.setattr("quatpoly.rewrite._first_step", counted)
     assert check_groebner(base, 6).ok
-    # Each block has a memo of its own, and no word is rewritten twice.
-    assert len(calls) == len(set(calls)) == 2166
+    # Each block has a memo of its own, and no word is rewritten twice;
+    # every overlap word on letters 1..k is one of them.
+    assert len(calls) == len(set(calls)) == 2246
+    words = {ob.word for ob in overlaps(base, 6)}
+    assert {u for u in words if set(u) == set(range(1, len(set(u)) + 1))} <= set(calls)
     # The set is closed, so every memo entry is a letter pattern on 1..k.
     assert base._top == 5
     for word in calls:
@@ -1015,8 +1050,8 @@ def test_check_groebner_keeps_a_memo_for_one_block_only(monkeypatch):
     assert check_groebner(base, 6).ok
     monkeypatch.undo()
     assert len(seen) == 395 and all(b is not base for b, _ in seen)
-    # One memo for the whole check would end with 2,166 entries.
-    assert max(size for _, size in seen) == 239
+    # One memo for the whole check would end with 2,246 entries.
+    assert max(size for _, size in seen) == 247
     # A caller's warm memo is neither read nor changed.
     rng = random.Random(17)
     for _ in range(20):
@@ -1027,6 +1062,42 @@ def test_check_groebner_keeps_a_memo_for_one_block_only(monkeypatch):
     assert check_groebner(base, 6, generators=gen_vector_syzygies(5)).ok
     assert base._nf_cache is memo and memo == warm
     assert all(memo[word] is nf for word, nf in warm.items())
+
+
+def test_threads_filling_one_memo_give_each_normal_word_one_id():
+    # A slow id table widens the window between looking a normal word up
+    # and handing out its id; the memo's lock must still keep one id per
+    # word, or two threads' entries would name one word twice.
+    class SlowIds(list):
+        def __len__(self):
+            time.sleep(0.0002)  # invites a thread switch while an id is handed out
+            return super().__len__()
+
+    rules = gb_vector(4, 5).rules
+    rng = random.Random(61)
+    polys = [helpers.random_poly(rng, n=4, max_degree=5) for _ in range(40)]
+    want = [normalize(p, RuleSet(rules, degree_bound=5)) for p in polys]
+    shared = RuleSet(rules, degree_bound=5)
+    shared._nf_cache.words = ids = SlowIds()
+    got = [[None] * len(polys) for _ in range(4)]
+
+    def fill(k):
+        for i in random.Random(k).sample(range(len(polys)), len(polys)):
+            got[k][i] = normalize(polys[i], shared)
+
+    threads = [threading.Thread(target=fill, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 4
+    assert len(set(ids)) == len(list(ids))
 
 
 def _flat_report(base, bound, multilinear, generators):
@@ -1052,10 +1123,30 @@ def _flat_report(base, bound, multilinear, generators):
     )
 
 
+def _symbolic_tail_rules():
+    # Tails with symbols and fractions, closed on no alphabet: the overlap
+    # words v1*v2*v1*v1, v2*v1*v1*v2*v1 and v1*v2*v1*v2*v1 leave residues.
+    s1, s2 = Scalar.symbol(1), Scalar.symbol(2)
+    return RuleSet(
+        [
+            RewriteRule((2, 1, 1), s1 * w(1, 2, 1)),
+            RewriteRule((1, 2, 1), (s2 + Fraction(1, 2)) * w(1, 1, 2)),
+            RewriteRule((3, 2), (s1 + Fraction(1, 3)) * w(2, 3)),
+        ],
+        degree_bound=6,
+    )
+
+
 def test_blockwise_check_reports_what_a_flat_loop_reports(base_m4):
     broken = RuleSet([r for r in base_m4.rules if r.lead != (3, 2, 4, 1)], degree_bound=4)
     control = gen_multilinear_syzygies(4)
     random.Random(8).shuffle(control)
+    # One whole relabeling class dropped keeps gb_vector(4, 6) closed, so
+    # its residues lie on relabeled blocks too.
+    v46 = gb_vector(4, 6)
+    (members,) = [m for m in _relabeling_classes(v46) if (3, 2, 3, 1) in {r.lead for r in m}]
+    unresolved = RuleSet([r for r in v46.rules if r not in members], degree_bound=6)
+    assert unresolved._top == 4
     rng = random.Random(23)
     # Inhomogeneous extras, some above the bound and some on letters
     # outside the closed alphabet, leave generator residues in a known order.
@@ -1066,6 +1157,8 @@ def test_blockwise_check_reports_what_a_flat_loop_reports(base_m4):
         (_raw_generator_rules(3), 5, False, gen_vector_syzygies(3) + extras, 13, 1),
         (broken, 6, True, control + extras, None, 0),
         (_fractional_completion(), 6, False, extras, None, 0),
+        (unresolved, 6, False, extras, 76, 16),
+        (_symbolic_tail_rules(), 6, False, extras, 4, 4),
     ]
     reports = []
     for base, bound, multilinear, gens, count, nonzero in cases:
@@ -1082,6 +1175,8 @@ def test_blockwise_check_reports_what_a_flat_loop_reports(base_m4):
         assert base._nf_cache == {}
     # The negative control still names the dropped rule's lead.
     assert (3, 2, 4, 1) in {p.leading_word() for p in reports[1].generator_residues}
+    # Residues on words off letters 1..k came from relabeled blocks.
+    assert any(not _stays(sorted(set(ob.word)), 4) for ob, _ in reports[3].residues)
 
 
 def test_relabeled_normalize_equals_the_memo_free_fixed_point(base_m4):
