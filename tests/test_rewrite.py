@@ -653,8 +653,14 @@ def test_head_index_finds_the_leftmost_lead():
     cases = [
         # Leads of lengths 3, 4 and 5 under the one head v2*v1.
         (
-            RuleSet([sorted_tail(3, 3), sorted_tail(2, 1, 1), sorted_tail(2, 1, 3, 1),
-                     sorted_tail(2, 1, 2, 2, 1)]),
+            RuleSet(
+                [
+                    sorted_tail(3, 3),
+                    sorted_tail(2, 1, 1),
+                    sorted_tail(2, 1, 3, 1),
+                    sorted_tail(2, 1, 2, 2, 1),
+                ]
+            ),
             3,
             2,
             {(3, 3): (2,), (2, 1): (3, 4, 5)},
