@@ -30,7 +30,9 @@ overlap word minus rule b's rewrite of it instead: the memo sends the
 word to the normal form of rule a's rewrite, and every obstruction on one
 word shares that word's entry (``_normalize_by_block``).  ``complete`` is
 a degree-by-degree completion: one overlap pass and one rule set per
-degree.
+degree.  It skips every overlap whose word holds a third lead between the
+two (the chain criterion, ``_chain_redundant``); ``overlaps`` and
+``check_groebner`` keep every overlap.
 
 ``check_groebner``, ``complete`` and ``inter_reduce`` normalize in bulk
 along one path, ``_normalize_by_block``, which gives the memo the lifetime
@@ -588,6 +590,15 @@ def _representative_overlaps(base: RuleSet, max_degree: int, top):
     return out
 
 
+def _chain_redundant(base: RuleSet, ob: Obstruction) -> bool:
+    """Whether a lead of ``base`` occurs in ``ob.word`` strictly between
+    rule a's lead, at offset 0, and rule b's, at ``ob.offset_b``: the
+    leftmost lead occurrence in the word without its first letter, which
+    rule b's own occurrence guarantees, starts before rule b's.
+    ``complete`` skips such an obstruction (its docstring has the proof)."""
+    return _first_match(base, ob.word[1:])[1] + 1 < ob.offset_b
+
+
 def s_polynomial(base: RuleSet, ob: Obstruction) -> Polynomial:
     """Difference of the two one-step rewrites of the overlap word, read
     off the two rules' tails with no products.  The reference form of an
@@ -757,6 +768,28 @@ def complete(generators, max_degree: int) -> RuleSet:
     that is not closed (N' = 0) checks every overlap.  So a returned set
     is genuinely locally confluent to the bound.
 
+    The degree loop and the final check both skip an overlap whose word
+    W holds a lead occurrence strictly between rule a's lead, at offset
+    0, and rule b's, at offset k (``_chain_redundant``; the chain
+    criterion of Mora, TCS 1994, and Kreuzer–Xiu, ISSAC 2013).  This is
+    exact.  Leads are pairwise factor-free, so no other lead starts at 0
+    or ends at |W|: a third occurrence, rule m at offset p, has 0 < p < k
+    and p + |lead_m| > |lead_a|.  Then (a, m) is an overlap on a proper
+    prefix W_am of W and (m, b) one on a proper suffix W_mb, W = W_am·Y =
+    X·W_mb, and the two rewrites of W differ by
+    (r_a − r_m)(W_am)·Y + X·(r_m − r_b)(W_mb), r_i(U) the rewrite of U at
+    rule i's occurrence.  Once the shorter overlaps resolve, each part
+    lies in I_W, the span of the u·(lead_i − rhs_i)·v with u·lead_i·v
+    below W, since deg-lex is a semigroup order: W resolves relative to
+    the order.  By induction on |W|, every overlap up to the bound
+    resolves if and only if those with no third lead do (Bergman's
+    diamond lemma, relative form).  Relabeling moves lead occurrences
+    with the word, so closure carries this to the representatives as
+    above.  In the degree loop the set below degree t is confluent below
+    t, so a skipped degree-t overlap resolves in the degree-t set built
+    from the others.  That set is the unique reduced base truncated at t,
+    so the rules, their order and their tails do not change.
+
     A negative ``max_degree``, an inhomogeneous generator or one of degree
     above ``max_degree`` raises ``ValueError``.  The degree bound alone
     bounds the work: no rule is longer than ``max_degree``.
@@ -780,7 +813,11 @@ def complete(generators, max_degree: int) -> RuleSet:
     rules = []
     base = RuleSet(degree_bound=max_degree)
     for t in range(max_degree + 1):
-        obs = [ob for ob in _representative_overlaps(base, t, top) if len(ob.word) == t]
+        obs = [
+            ob
+            for ob in _representative_overlaps(base, t, top)
+            if len(ob.word) == t and not _chain_redundant(base, ob)
+        ]
         pivots = {}
         for _, p in _normalize_by_block(base, obs, by_degree.get(t, ())):
             while p and (lead := p.leading_word()) in pivots:
@@ -806,7 +843,11 @@ def complete(generators, max_degree: int) -> RuleSet:
         if top and base._top != top:
             raise RuntimeError("completion lost relabeling closure at degree %d" % t)
 
-    obs = _representative_overlaps(base, max_degree, base._top)
+    obs = [
+        ob
+        for ob in _representative_overlaps(base, max_degree, base._top)
+        if not _chain_redundant(base, ob)
+    ]
     if next(_normalize_by_block(base, obs, ()), None) is not None:
         raise RuntimeError("completion left an overlap residue at degree bound %d" % max_degree)
     return base

@@ -15,6 +15,7 @@ from quatpoly.rewrite import (
     Obstruction,
     RewriteRule,
     RuleSet,
+    _chain_redundant,
     _first_step,
     _monic,
     _representative_overlaps,
@@ -444,15 +445,15 @@ def test_complete_hands_normalize_block_copies_only(monkeypatch):
     ids = {id(base) for base in built}
     assert seen and not any(id(b) in ids for b, _ in seen)
     assert all(base._nf_cache == {} for base in built)
-    # One memo shared by the blocks of each degree would reach 2,286
+    # One memo shared by the blocks of each degree would reach 1,802
     # entries.  Each overlap word takes an entry of its own.
-    assert max(size for _, size in seen) == 265
+    assert max(size for _, size in seen) == 214
     # A block never reads another block's entries, no word is rewritten
     # twice within a block, and the degree loop normalizes only the
     # blocks on letters 1..k.  Normalizing every letter set would add the
     # words of the degree-3 generators off 1..k, which the empty set of
     # rules, closed on no alphabet, cannot relabel onto 1..k.
-    assert len(steps) == 4582
+    assert len(steps) == 3614
 
 
 def test_complete_from_degree_two_generators():
@@ -613,14 +614,17 @@ def _naive_overlaps(base, max_degree):
     return out
 
 
-def _fractional_completion():
-    gens = [
+def _fractional_generators():
+    return [
         w(2, 2, 1).scale(2) - w(1, 2, 2) - w(2, 1, 2),
         w(3, 2, 1).scale(3) - w(1, 2, 3) + w(2, 1, 3),
         w(2, 1, 1).scale(2) - w(1, 1, 2),
         w(3, 1, 1).scale(3) - w(1, 1, 3),
     ]
-    base = complete(gens, 6)
+
+
+def _fractional_completion():
+    base = complete(_fractional_generators(), 6)
     assert any(
         type(c) is Fraction and c.denominator != 1
         for r in base.rules
@@ -755,6 +759,72 @@ def test_complete_final_check_agrees_with_check_groebner_on_closed_sets(monkeypa
             assert _complete_final_check_accepts(monkeypatch, base, d) == ok, (n, d, members)
             verdicts.append(ok)
     assert len(verdicts) == 23 and verdicts.count(False) == 21
+
+
+def _random_factor_free(rng, n, lengths, tries):
+    leads = []
+    for _ in range(tries):
+        word = helpers.random_word(rng, n, lengths[1], lengths[0])
+        if all(find_factor(word, u) is None and find_factor(u, word) is None for u in leads):
+            leads.append(word)
+    return RuleSet([RewriteRule(u, Polynomial()) for u in leads])
+
+
+def test_chain_redundant_finds_a_third_lead_between_the_two():
+    rng = random.Random(5)
+    cases = [
+        (gb_vector(4, 6), 6),
+        (gb_vector(5, 5), 5),
+        (gb_multilinear(5), 5),
+    ] + [(_random_factor_free(rng, 3, (2, 5), 40), 8) for _ in range(6)]
+    for base, d in cases:
+        leads = base.leads()
+        verdicts = []
+        for ob in overlaps(base, d):
+            third = any(
+                find_factor(ob.word[p:], u) == 0
+                for u in leads
+                for p in range(len(ob.word))
+                if p not in (0, ob.offset_b)
+            )
+            assert _chain_redundant(base, ob) == third, ob
+            verdicts.append(third)
+        assert True in verdicts and False in verdicts
+
+
+def test_complete_skipping_chain_redundant_overlaps_changes_no_rule(monkeypatch):
+    # Keeping every overlap, in the degree loop and in the final check,
+    # must give the same rules as skipping those with a third lead inside.
+    import quatpoly.rewrite as rewrite
+
+    real = rewrite._chain_redundant
+
+    def run(gens, d, keep_all):
+        skipped = []
+
+        def predicate(base, ob):
+            skipped.append(real(base, ob))
+            return False if keep_all else skipped[-1]
+
+        monkeypatch.setattr(rewrite, "_chain_redundant", predicate)
+        rules = [(r.lead, r.rhs) for r in complete(gens, d).rules]
+        monkeypatch.undo()
+        return rules, skipped.count(True)
+
+    lists = []
+    for n, d in ((3, 5), (4, 6), (5, 6)):
+        gens = [g.element for g in gen_vector_syzygies(n)]
+        shuffled = list(gens)
+        random.Random(n).shuffle(shuffled)
+        # One generator doubled: not closed, so every block is completed.
+        lists += [(gens, d), (shuffled, d), ([gens[0].scale(2)] + gens[1:], d)]
+    # Completed to degree 6, this list has a symbol in a tail.
+    symbolic = ["v3*v2*v2 + s1*v2*v3*v2", "v2*v2*v1 - v1*v2*v2", "v2*v1*v1 - v1*v1*v2"]
+    lists.append(([parse_expression(text)[1] for text in symbolic], 6))
+    lists.append((_fractional_generators(), 8))
+    for gens, d in lists:
+        pruned, skipped = run(gens, d, False)
+        assert run(gens, d, True)[0] == pruned and skipped > 0, (len(gens), d)
 
 
 def _canonical_order_fixed_point(p, base):
