@@ -257,7 +257,7 @@ def _cmd_check_normal(args, out):
     pmode = "multilinear" if args.multilinear else "general"
     structural = rewrite.is_normal_structural(w, pmode)
     # The word relabeled onto 1..k, against the family _normal_form uses.
-    [(_, local)] = rewrite._relabel_blocks([(w, 1)])
+    local = rewrite._relabel(sorted(set(w)), [(w, 1)])
     family = syzygy._block_family(local)
     factorfree = family is None or rewrite.is_normal_factorfree(local[0][0], family)
     verdict = "normal" if structural else "not normal"

@@ -49,15 +49,17 @@ relabeling of its alphabet 1..N, N its largest lead letter: grouping the
 rules by their pattern on letters 1..k (lead and tail), each class has
 exactly C(N, k) members, so it holds the pattern on every k-subset of
 1..N.  ``RuleSet`` decides this from its rules alone, and ``complete``
-from its generators, by one test (``_closure_top``).  One rule, in
-``_relabel_blocks`` alone (its test is ``_stays``), relabels the words:
-a block on letters T moves order-preservingly onto 1..|T| only when the
-set is closed and T lies in 1..N.  ``normalize`` reduces each block
-there and maps it back, in the one block pass that ``syzygy._normal_form``
-runs too, with N None and a family per block.  So one memo entry serves
-a letter pattern on every letter set, and ``complete`` completes only the
-blocks that the rule leaves alone.  This is exact.  A lead that occurs
-inside a word uses only the word's letters.
+from its generators, by one test (``_closure_top``) that reads each
+rule's or generator's terms in any order.  One map, ``_relabel``, moves
+words on letters T order-preservingly onto 1..|T|, and one rule, in
+``_relabel_blocks`` alone (its test is ``_stays``), decides which blocks
+move: a block on letters T moves only when the set is closed and T lies
+in 1..N.  ``normalize`` reduces each block there and maps it back, in
+the one block pass that ``syzygy._normal_form`` runs too, with N None
+and a family per block.  So one memo entry serves a letter pattern on
+every letter set, and ``complete`` completes only the blocks that the
+rule leaves alone.  This is exact.  A lead that occurs inside a word
+uses only the word's letters.
 Closure maps the rules inside T one-to-one onto the rules inside 1..|T|,
 lead to lead and tail to tail, so the leftmost lead occurrence of the
 relabeled word is the relabeled occurrence, at the same offset.  The
@@ -127,15 +129,15 @@ def _stays(letters, top) -> bool:
     )
 
 
-def _relabel_blocks(pairs, top=None):
+def _relabel_blocks(pairs, top):
     """Group ``(word, coefficient)`` pairs by the set of letters of the
     word and relabel each block by the rule of the module docstring, with
     N = ``top``: 0 for a set that is not closed, None for a family closed
     on every alphabet (``syzygy._normal_form``).
 
     Yields ``(letters, local)`` per block, ``letters`` its sorted letters
-    and ``local`` its pairs relabeled order-preservingly onto 1..k.  A
-    block left alone (``_stays``) is yielded as is with ``letters`` None.
+    and ``local`` its pairs relabeled onto 1..k (``_relabel``).  A block
+    left alone (``_stays``) is yielded as is with ``letters`` None.
     """
     blocks = {}
     for w, c in pairs:
@@ -144,9 +146,15 @@ def _relabel_blocks(pairs, top=None):
         letters = sorted(letter_set)
         if _stays(letters, top):
             yield None, block
-            continue
-        rank = {x: i for i, x in enumerate(letters, 1)}
-        yield letters, [(tuple([rank[x] for x in w]), c) for w, c in block]
+        else:
+            yield letters, _relabel(letters, block)
+
+
+def _relabel(letters, pairs) -> list:
+    """Map ``(word, coefficient)`` pairs whose words lie on the sorted
+    ``letters`` order-preservingly onto 1..k: the inverse of ``_unlabel``."""
+    rank = {x: i for i, x in enumerate(letters, 1)}
+    return [(tuple([rank[x] for x in w]), c) for w, c in pairs]
 
 
 def _unlabel(letters, terms: dict) -> dict:
@@ -161,13 +169,14 @@ def _closure_top(blocks) -> int:
     order-preserving relabeling of 1..N (see the module docstring), else 0.
 
     A block is a rule or a generator as ``(word, coefficient)`` pairs in
-    descending word order, all on one letter set, so ``_relabel_blocks``
-    relabels it as one block: that is its class key.  Copies of a block
-    count once.  A coefficient with symbols names symbols that the
-    relabeling would have to move as well, and a letter below 1 lies
-    outside every relabeling: either leaves the blocks not closed.
+    any order, its words all of one length on one letter set.  Its class
+    key is its set of pairs relabeled onto 1..k (``_relabel``), and it
+    counts in its class as its leading word, so copies of a block count
+    once.  A coefficient with symbols names symbols that the relabeling
+    would have to move as well, and a letter below 1 lies outside every
+    relabeling: either leaves the blocks not closed.
     """
-    leads = [block[0][0] for block in blocks]
+    leads = [max(w for w, _ in block) for block in blocks]
     if not leads or min(min(w, default=1) for w in leads) < 1:
         return 0
     if not {type(c) for block in blocks for _, c in block} <= {int, Fraction}:
@@ -175,12 +184,11 @@ def _closure_top(blocks) -> int:
     top = max(max(w, default=0) for w in leads)
     classes = {}
     for lead, block in zip(leads, blocks):
-        ((_, local),) = _relabel_blocks(block, top)
         # Relabeling is one-to-one on a letter set, so two members of a
         # class with one lead are copies of one block.
-        classes.setdefault(tuple(local), set()).add(lead)
+        classes.setdefault(frozenset(_relabel(sorted(set(lead)), block)), set()).add(lead)
     # A class on k letters is full when it has C(N, k) members.
-    full = all(len(m) == math.comb(top, len(set(key[0][0]))) for key, m in classes.items())
+    full = all(len(m) == math.comb(top, len(set(next(iter(m))))) for m in classes.values())
     return top if full else 0
 
 
@@ -742,8 +750,9 @@ def complete(generators, max_degree: int) -> RuleSet:
 
     Each degree completes one block per letter pattern.  N is decided
     once, from the generators alone, by the closure test of ``RuleSet``
-    (``_closure_top``, copies of a generator counting once): the largest
-    letter if the generators are closed under relabeling of 1..N, else 0.
+    (``_closure_top``, which reads each generator's terms as stored, in
+    any order, and counts copies of a generator once): the largest letter
+    if the generators are closed under relabeling of 1..N, else 0.
     For closed generators every intermediate set is closed too, as above,
     so a block on letters T holds the relabeled obstructions and
     generators of its representative on 1..|T|, hence, by the module
@@ -804,7 +813,7 @@ def complete(generators, max_degree: int) -> RuleSet:
             raise ValueError(
                 "generator degree %d exceeds the degree bound %d" % (p.degree(), max_degree)
             )
-    top = _closure_top([tuple(p.terms.items()) for p in gens])
+    top = _closure_top([p._data.items() for p in gens])
     by_degree = {}
     for p in gens:
         # A generator's words share one letter set.

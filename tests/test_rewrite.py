@@ -16,6 +16,7 @@ from quatpoly.rewrite import (
     RewriteRule,
     RuleSet,
     _chain_redundant,
+    _closure_top,
     _first_step,
     _monic,
     _representative_overlaps,
@@ -363,6 +364,11 @@ def test_complete_equals_its_run_on_generators_that_are_not_closed(monkeypatch):
             assert not all(_on_first_letters(s) for s in seen_scaled), (n, d)
 
 
+def _terms_shuffled(polys, rng):
+    """``polys`` rebuilt with their terms inserted in random order."""
+    return [Polynomial(dict(rng.sample(list(p._data.items()), len(p._data)))) for p in polys]
+
+
 def test_complete_decides_closure_from_its_generators(monkeypatch):
     import quatpoly.rewrite as rewrite
 
@@ -388,6 +394,8 @@ def test_complete_decides_closure_from_its_generators(monkeypatch):
         copies = gens + gens[::3]
         random.Random(n).shuffle(copies)
         assert decided(gens) == decided(copies) == n
+        # complete reads each generator's terms as stored, in any order.
+        assert decided(_terms_shuffled(gens, random.Random(n))) == n
     gens = [g.element for g in gen_vector_syzygies(3)]
     assert gens[0] == w(1, 1, 2) - w(2, 1, 1) and gens.count(gens[0]) == 1
     assert decided(gens[1:]) == 0
@@ -417,43 +425,50 @@ def test_complete_hands_normalize_block_copies_only(monkeypatch):
     # through normalize, and no memo holds more than one block.
     import quatpoly.rewrite as rewrite
 
-    built, seen, steps = [], [], []
     real_set, real_normalize, real_step = rewrite.RuleSet, rewrite.normalize, rewrite._first_step
 
-    def recording_set(*args, **kw):
-        base = real_set(*args, **kw)
-        built.append(base)
-        return base
+    def run(gens):
+        built, seen, steps = [], [], []
 
-    def recording_normalize(p, b):
-        out = real_normalize(p, b)
-        seen.append((b, len(b._nf_cache)))
-        return out
+        def recording_set(*args, **kw):
+            base = real_set(*args, **kw)
+            built.append(base)
+            return base
 
-    def counted(b, word):
-        steps.append(word)
-        return real_step(b, word)
+        def recording_normalize(p, b):
+            out = real_normalize(p, b)
+            seen.append((b, len(b._nf_cache)))
+            return out
 
-    monkeypatch.setattr(rewrite, "RuleSet", recording_set)
-    monkeypatch.setattr(rewrite, "normalize", recording_normalize)
-    monkeypatch.setattr(rewrite, "_first_step", counted)
+        def counted(b, word):
+            steps.append(word)
+            return real_step(b, word)
+
+        monkeypatch.setattr(rewrite, "RuleSet", recording_set)
+        monkeypatch.setattr(rewrite, "normalize", recording_normalize)
+        monkeypatch.setattr(rewrite, "_first_step", counted)
+        out = complete(gens, 6)
+        monkeypatch.undo()
+        assert out is built[-1] and len(built) >= 4
+        ids = {id(base) for base in built}
+        assert seen and not any(id(b) in ids for b, _ in seen)
+        assert all(base._nf_cache == {} for base in built)
+        # One memo shared by the blocks of each degree would reach 1,802
+        # entries.  Each overlap word takes an entry of its own.
+        assert max(size for _, size in seen) == 214
+        # A block never reads another block's entries, no word is
+        # rewritten twice within a block, and the degree loop normalizes
+        # only the blocks on letters 1..k.  Normalizing every letter set
+        # would add the words of the degree-3 generators off 1..k, which
+        # the empty set of rules, closed on no alphabet, cannot relabel
+        # onto 1..k.
+        assert len(steps) == 3614
+        return _rule_map(out)
+
     gens = [g.element for g in gen_vector_syzygies(5)]
     random.Random(31).shuffle(gens)
-    out = complete(gens, 6)
-    monkeypatch.undo()
-    assert out is built[-1] and len(built) >= 4
-    ids = {id(base) for base in built}
-    assert seen and not any(id(b) in ids for b, _ in seen)
-    assert all(base._nf_cache == {} for base in built)
-    # One memo shared by the blocks of each degree would reach 1,802
-    # entries.  Each overlap word takes an entry of its own.
-    assert max(size for _, size in seen) == 214
-    # A block never reads another block's entries, no word is rewritten
-    # twice within a block, and the degree loop normalizes only the
-    # blocks on letters 1..k.  Normalizing every letter set would add the
-    # words of the degree-3 generators off 1..k, which the empty set of
-    # rules, closed on no alphabet, cannot relabel onto 1..k.
-    assert len(steps) == 3614
+    # The order a generator's terms are stored in changes nothing.
+    assert run(gens) == run(_terms_shuffled(gens, random.Random(37)))
 
 
 def test_complete_from_degree_two_generators():
@@ -1304,6 +1319,69 @@ def test_closure_check():
     scalar_tail = RewriteRule((2, 1), Polynomial({(1, 2): Scalar.symbol(1)}))
     assert RuleSet([scalar_tail])._top == 0
     assert RuleSet()._top == 0
+
+    # The definition, by brute force: N, the largest letter, if every
+    # block on a letter set T has its pattern on every |T|-subset of 1..N.
+    def brute_top(blocks):
+        if any(type(c) not in (int, Fraction) for b in blocks for _, c in b):
+            return 0
+        present = set()
+        for b in blocks:
+            letters = sorted(set(b[0][0]))
+            pattern = frozenset((tuple(letters.index(x) + 1 for x in u), c) for u, c in b)
+            present.add((tuple(letters), pattern))
+        if any(x < 1 for letters, _ in present for x in letters):
+            return 0
+        top = max((x for letters, _ in present for x in letters), default=0)
+        closed = all(
+            (subset, pattern) in present
+            for letters, pattern in present
+            for subset in itertools.combinations(range(1, top + 1), len(letters))
+        )
+        return top if closed else 0
+
+    def blocks_of(rules):
+        return [((r.lead, 1), *r.rhs._data.items()) for r in rules]
+
+    def descending(blocks):
+        return [tuple(sorted(b, key=lambda t: word_key(t[0]), reverse=True)) for b in blocks]
+
+    rng = random.Random(29)
+
+    def shuffled(blocks):
+        return rng.sample([tuple(rng.sample(b, len(b))) for b in blocks], len(blocks))
+
+    cases = []  # (blocks, expected N)
+    for base in (gb_vector(3, 5), gb_vector(4, 6), gb_vector(5, 5), gb_multilinear(5)):
+        rules, top = base.rules, max(map(max, base.leads()))
+        big = max(_relabeling_classes(base), key=len)
+        assert len(big) > 1
+        cases += [
+            (blocks_of(rules), top),
+            (blocks_of([r for r in rules if r is not big[0]]), 0),
+            (blocks_of([r for r in rules if all(r is not m for m in big)]), top),
+        ]
+    base = gb_vector(3, 5)
+    blocks = blocks_of(base.rules)
+    # A scaled copy of a rule whose class has more than one member.
+    rule = next(c for c in _relabeling_classes(base) if len(c) > 1)[0]
+    scaled = tuple((u, 2 * c) for u, c in blocks_of([rule])[0])
+    cases += [
+        # Copies, reordered once shuffled.
+        (blocks + [b[::-1] for b in blocks[::3]], 3),
+        (blocks + [scaled], 0),
+        (blocks + [(((1, 0), 1), ((0, 1), -1))], 0),
+        ([(((2, 1), 1), ((1, 2), Scalar.symbol(1)))], 0),
+        ([(((2, 1), 1), ((1, 2), -1))], 2),
+        ([], 0),
+        ([(((), 1),)], 0),
+        (blocks + [(((), 1),)], 3),
+    ]
+    for blocks, top in cases:
+        for ordered in (descending(blocks), shuffled(blocks)):
+            # Literal copies of a block count once.
+            for listed in (ordered, ordered + ordered[::4]):
+                assert _closure_top(listed) == brute_top(listed) == top, listed
 
 
 def test_a_raw_multiset_and_a_letter_pattern_get_memos_of_their_own(monkeypatch):
