@@ -240,9 +240,9 @@ def _cmd_normalize(args, out):
 
 
 def _single_word(value):
-    if len(value.terms) != 1:
+    if len(value._data) != 1:
         raise ExpressionError("expected a single monomial")
-    (w, c), = value.terms.items()
+    (w, c), = value._data.items()
     if c != 1:
         raise ExpressionError("expected a monic monomial")
     return w

@@ -61,11 +61,11 @@ class _TermMap:
     Construction stores the summed, zero-free map in ``_data``, in no
     particular order, and nothing writes to it afterwards.  ``terms`` sorts
     it into a new dict in descending key order on every read, which keeps
-    term scans and formatting deterministic.  Arithmetic, equality and the
-    order-free queries read ``_data``, as do the hot readers in
-    ``rewrite``, ``syzygy``, ``qvars`` and ``oracle`` that sum or look
-    terms up, so a map that is never printed or scanned in order is never
-    sorted.
+    term scans and formatting deterministic.  Arithmetic, equality, the
+    order-free queries and every routine of ``rewrite``, ``syzygy``,
+    ``qvars`` and ``oracle`` read ``_data``: only printing, the CLI's
+    multilinear input check and the ``rewrite.reduce_once`` reference read
+    terms in order, so no rewrite routine sorts a map.
 
     A subclass states its key order (``_sort_keys``), its coefficient ring
     (``_ring`` lists the operand types taken as coefficients, ``_coeff``

@@ -230,8 +230,7 @@ class RuleSet:
     at any offset of a word: probing each offset in turn through the head
     index, and ``_index`` only for the lengths it names, finds the
     leftmost lead occurrence.  Canonical order only numbers the rules, for
-    ``overlaps`` and for output.  ``_tails`` holds each rule's rhs as
-    (word, coefficient) pairs.
+    ``overlaps`` and for output.  ``_tails`` holds each rule's tail as stored.
     ``_top`` is the largest lead letter N when the set is closed under
     order-preserving relabeling of 1..N, else 0: the ``top`` with which
     ``_relabel_blocks`` relabels the set's blocks.
@@ -271,7 +270,7 @@ class RuleSet:
                 raise ValueError(
                     "lead %s contains lead %s" % (word_str(r.lead), word_str(rules[hit[0]].lead))
                 )
-        self._tails = tuple(r.rhs.terms.items() for r in rules)
+        self._tails = tuple(r.rhs._data.items() for r in rules)
         self._top = _closure_top([((r.lead, 1), *t) for r, t in zip(rules, self._tails)])
         self._nf_cache = _Memo()
 

@@ -286,6 +286,12 @@ def test_stdin_expression(monkeypatch):
     assert code == 0 and len(out.splitlines()) == 2
 
 
+def test_an_expression_beginning_with_minus_follows_the_separator():
+    # argparse reads a leading "-v2" as an option; "--" ends the options.
+    assert run(["normalize", "--", "-v2*v1"]) == (0, "-v2*v1\n")
+    assert run(["complete", "--max-deg", "3", "--", "-v2*v1 + v1*v2"]) == (0, "v2*v1 -> v1*v2\n")
+
+
 def test_usage_errors_exit_2(capsys):
     code, _ = run(["normalize", "v1*q1"])
     assert code == 2
