@@ -21,12 +21,13 @@ lifts a constant into either alphabet, and the type of the result gives
 the mode.
 
 Exit codes: 0 success / property verified, 1 verification finding,
-2 usage or parse error.
+2 usage or parse error, 141 when stdout is a pipe its reader closed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
@@ -242,7 +243,7 @@ def _cmd_normalize(args, out):
 def _single_word(value):
     if len(value._data) != 1:
         raise ExpressionError("expected a single monomial")
-    (w, c), = value._data.items()
+    (w, c), = value._items()
     if c != 1:
         raise ExpressionError("expected a monic monomial")
     return w
@@ -466,7 +467,17 @@ def main(argv=None, out=None):
 
 
 def entry():
-    raise SystemExit(main())
+    try:
+        code = main()
+        # Flush here, so that a closed pipe raises inside the try.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone (``| head``): send what is still buffered to
+        # devnull, which keeps the exit-time flush quiet, and exit with
+        # the shell's SIGPIPE status.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

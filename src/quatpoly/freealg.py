@@ -5,11 +5,13 @@ A polynomial is a finite map from words to nonzero coefficients.  This
 module alone fixes a coefficient's form: an ``int`` when the value is
 integral, a ``Fraction`` otherwise, and a :class:`Scalar`, a commutative
 polynomial in the central symbols s1, s2, ..., only while it holds a
-symbol.  Scalar symbols commute with every letter, so they live entirely
-inside the coefficients.  ``Polynomial._by_monomial`` is the one view of
-them: it hands the terms out per symbol monomial, an index tuple, scaled
-to ints by one common denominator, and every caller that names, checks or
-evaluates the symbols reads them there.
+symbol.  A map stores them as int numerators over one denominator
+(``_TermMap``), so arithmetic makes no ``Fraction``.  Scalar symbols
+commute with every letter, so they live entirely inside the coefficients.
+``Polynomial._by_monomial`` is the one view of them: it hands the int
+numerators out per symbol monomial, an index tuple, with the map's
+denominator, and every caller that names, checks or evaluates the symbols
+reads them there.
 
 Conjugation reverses products and sends every vector letter to its
 negative (``Polynomial.conjugate``).  ``bracket`` and ``vector_part`` are
@@ -22,11 +24,12 @@ operation is a pure function, so they are safe to share across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 Word = tuple
 
 _HALF = Fraction(1, 2)
+_INT = frozenset((int,))
 
 
 def word_key(w: Word):
@@ -53,47 +56,139 @@ def _rational(value):
     return value.numerator if value.denominator == 1 else value
 
 
+def _ratio(n, den):
+    """The canonical value of the numerator ``n``, an ``int`` or an
+    integral :class:`Scalar`, over ``den``."""
+    if den == 1:
+        return n
+    if type(n) is int:
+        return _rational(Fraction(n, den))
+    return n._make(dict(n._data), den)
+
+
 class _TermMap:
     """Sparse map from keys to nonzero coefficients, the representation
     shared by :class:`Scalar`, :class:`Polynomial` and
     ``qvars.QPolynomial``.
 
+    A map stores int numerators over one denominator: ``_data`` maps each
+    key to a nonzero numerator, and the value at key k is ``_data[k] /
+    _den``.  A ``Polynomial`` numerator may also be a ``Scalar`` over 1
+    that holds a symbol.  The form is canonical: ``_den`` >= 1, and the gcd
+    of ``_den`` and every numerator, a Scalar's coefficients included, is
+    1; so equality compares ``(_data, _den)``.  A sum scales both sides to
+    the lcm of the denominators, a product multiplies numerators and
+    denominators, and a result over more than 1 is reduced by one
+    ``math.gcd`` call; an all-int map, ``_den`` 1, does no more work.
+
     Construction stores the summed, zero-free map in ``_data``, in no
     particular order, and nothing writes to it afterwards.  ``terms`` sorts
-    it into a new dict in descending key order on every read, which keeps
-    term scans and formatting deterministic.  Arithmetic, equality, the
-    order-free queries and every routine of ``rewrite``, ``syzygy``,
-    ``qvars`` and ``oracle`` read ``_data``: only printing, the CLI's
-    multilinear input check and the ``rewrite.reduce_once`` reference read
-    terms in order, so no rewrite routine sorts a map.
+    the values, ``int``, ``Fraction`` or ``Scalar``, into a new dict in
+    descending key order on every read, which keeps term scans and
+    formatting deterministic; ``_items`` gives them in stored order, as
+    ``_data.items()`` itself when ``_den`` is 1.  Arithmetic, equality and
+    the order-free queries read ``_data``; of ``rewrite``, ``syzygy``,
+    ``qvars``, ``oracle`` and ``cli``, a routine that reads keys reads
+    ``_data``, one that reads values reads ``_items``, ``_at`` or
+    ``_den``.  Only printing, the CLI's multilinear input check and the
+    ``rewrite.reduce_once`` reference read terms in order, so no rewrite
+    routine sorts a map.
 
     A subclass states its key order (``_sort_keys``), its coefficient ring
     (``_ring`` lists the operand types taken as coefficients, ``_coeff``
     puts a non-``int`` one in canonical form), which operands its
-    ``__mul__`` accepts, and how one term prints.  ``_set`` applies
-    ``_coeff`` to every coefficient it stores, sums included, so every
-    stored coefficient is in canonical form.
+    ``__mul__`` accepts, and how one term prints.
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("_data", "_den")
 
     _ring = (int, Fraction)
     _coeff = staticmethod(_rational)
 
     def _set(self, pairs):
-        """Sum ``(key, coefficient)`` pairs and drop zeros, in no order."""
+        """Sum ``(key, value)`` pairs, drop zeros and store the result in
+        canonical form, in no order."""
         coerce = self._coeff
         data = {}
+        whole = True
         for k, c in pairs:
             if k in data:
                 c = data[k] + c
             if type(c) is not int:
                 c = coerce(c)
+                whole = False
             if c:
                 data[k] = c
             elif k in data:
                 del data[k]
+        if whole:
+            self._data = data
+            self._den = 1
+        else:
+            self._store(data, 1)
+
+    @classmethod
+    def _make(cls, data, den):
+        """The map of this class whose value at k is ``data[k] / den``, for
+        nonzero ``int``, ``Fraction`` or ``Scalar`` values in a dict that
+        it takes over."""
+        new = object.__new__(cls)
+        # A C-level scan: an all-int map, the usual one, runs no Python loop.
+        if den == 1 and _INT.issuperset(map(type, data.values())):
+            new._data = data
+            new._den = 1
+        else:
+            new._store(data, den)
+        return new
+
+    @classmethod
+    def _raw(cls, data, den):
+        """The map with numerators ``data`` over ``den``, already canonical."""
+        new = object.__new__(cls)
+        new._data = data
+        new._den = den
+        return new
+
+    def _store(self, data, den):
+        """Store the nonzero values ``data``, each over ``den``, as
+        numerators in lowest terms."""
+        whole = _INT.issuperset(map(type, data.values()))
+        if not whole:
+            coerce = self._coeff
+            rest = []
+            for k, c in data.items():
+                if type(c) is not int:
+                    c = data[k] = coerce(c)
+                    if type(c) is not int:
+                        rest.append(c)
+            scale = lcm(*[c.denominator if type(c) is Fraction else c._den for c in rest])
+            if scale > 1:
+                for k, c in data.items():
+                    if type(c) is int:
+                        data[k] = c * scale
+                    elif type(c) is Fraction:
+                        data[k] = c.numerator * (scale // c.denominator)
+                    else:
+                        f = scale // c._den
+                        data[k] = c._raw({m: q * f for m, q in c._data.items()}, 1)
+                den *= scale
+            # A Fraction is now an int; a Scalar stays one.
+            whole = all(type(c) is Fraction for c in rest)
+        if den > 1:
+            nums = data.values()
+            if not whole:
+                # A Scalar's coefficients count in the gcd.
+                nums = [q for c in nums for q in ((c,) if type(c) is int else c._data.values())]
+            g = gcd(den, *nums)
+            if g > 1:
+                den //= g
+                for k, c in data.items():
+                    if type(c) is int:
+                        data[k] = c // g
+                    else:
+                        data[k] = c._raw({m: q // g for m, q in c._data.items()}, 1)
         self._data = data
+        self._den = den
 
     @staticmethod
     def _sort_keys(keys):
@@ -105,9 +200,21 @@ class _TermMap:
 
     @property
     def terms(self) -> dict:
-        """A new dict of the terms in descending key order."""
-        data = self._data
+        """A new dict of the values in descending key order."""
+        data = self._data if self._den == 1 else dict(self._items())
         return {k: data[k] for k in self._sort_keys(data)}
+
+    def _items(self):
+        """The ``(key, value)`` pairs in stored order: a view of ``_data``
+        when ``_den`` is 1."""
+        data, den = self._data, self._den
+        if den == 1:
+            return data.items()
+        return [(k, _ratio(c, den)) for k, c in data.items()]
+
+    def _at(self, key):
+        """The value at ``key``."""
+        return _ratio(self._data[key], self._den)
 
     @classmethod
     def zero(cls):
@@ -141,18 +248,39 @@ class _TermMap:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self._data == o._data
+        return self._den == o._den and self._data == o._data
 
     __hash__ = None
+
+    def _sum(self, other, sign):
+        """``self + sign * other`` over the lcm of the two denominators."""
+        den = self._den
+        if den == other._den:
+            data = dict(self._data)
+        else:
+            den = lcm(den, other._den)
+            m = den // self._den
+            data = {k: c * m for k, c in self._data.items()}
+            sign *= den // other._den
+        scaled = sign != 1
+        for k, c in other._data.items():
+            if scaled:
+                c = c * sign
+            if k in data:
+                c += data[k]
+                if c:
+                    data[k] = c
+                else:
+                    del data[k]
+            else:
+                data[k] = c
+        return self._make(data, den)
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        data = dict(self._data)
-        for k, c in o._data.items():
-            data[k] = data.get(k, 0) + c
-        return type(self)(data)
+        return self._sum(o, 1)
 
     __radd__ = __add__
 
@@ -160,10 +288,7 @@ class _TermMap:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        data = dict(self._data)
-        for k, c in o._data.items():
-            data[k] = data.get(k, 0) - c
-        return type(self)(data)
+        return self._sum(o, -1)
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -172,18 +297,25 @@ class _TermMap:
         return o - self
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self._data.items()})
+        return self._raw({k: -c for k, c in self._data.items()}, self._den)
 
     def _product(self, other):
         """Bilinear product joining keys by concatenation; a subclass
-        whose keys need more canonicalizes them on construction."""
+        whose keys need more canonicalizes them itself."""
         data = {}
-        other = other._data
+        right = other._data
         for k1, c1 in self._data.items():
-            for k2, c2 in other.items():
+            for k2, c2 in right.items():
                 k = k1 + k2
-                data[k] = data.get(k, 0) + c1 * c2
-        return type(self)(data)
+                if k in data:
+                    c = data[k] + c1 * c2
+                    if c:
+                        data[k] = c
+                    else:
+                        del data[k]
+                else:
+                    data[k] = c1 * c2
+        return self._make(data, self._den * other._den)
 
     def __rmul__(self, other):
         if isinstance(other, self._ring):
@@ -191,22 +323,32 @@ class _TermMap:
         return NotImplemented
 
     def scale(self, c):
+        """The map times the coefficient ``c``: its numerator multiplies
+        the numerators, its denominator ``_den``."""
         if type(c) is not int:
             c = self._coeff(c)
         if not c:
             return type(self)()
-        return type(self)({k: cc * c for k, cc in self._data.items()})
+        den = self._den
+        if type(c) is Fraction:
+            den *= c.denominator
+            c = c.numerator
+        elif type(c) is not int:
+            den *= c._den
+            c = c._raw(c._data, 1)
+        # Nonzero numerators times a nonzero one stay nonzero.
+        return self._make({k: cc * c for k, cc in self._data.items()}, den)
 
     def reversion(self):
         """Reverse the letter order of every key; an anti-automorphism."""
-        return type(self)({k[::-1]: c for k, c in self._data.items()})
+        return self._raw({k[::-1]: c for k, c in self._data.items()}, self._den)
 
     def degree(self) -> int:
         """Largest key length; 0 for the zero map."""
         return max(map(len, self._data), default=0)
 
     def _format(self, term) -> str:
-        """Join ``term(key, coeff) -> (negative, body)`` over the terms."""
+        """Join ``term(key, value) -> (negative, body)`` over the terms."""
         if not self._data:
             return "0"
         out = []
@@ -263,6 +405,20 @@ class Scalar(_TermMap):
 
     __rmul__ = __mul__
 
+    def _product(self, other):
+        """Monomials multiply by merging their sorted index tuples."""
+        data = {}
+        right = other._data
+        for m1, c1 in self._data.items():
+            for m2, c2 in right.items():
+                m = tuple(sorted(m1 + m2))
+                data[m] = data.get(m, 0) + c1 * c2
+        return self._make({k: c for k, c in data.items() if c}, self._den * other._den)
+
+    def reversion(self):
+        """Monomials commute: reversion is the identity."""
+        return self
+
     def __str__(self):
         return self._format(_scalar_term)
 
@@ -280,7 +436,7 @@ class Polynomial(_TermMap):
     def _coeff(c):
         """A :class:`Scalar` with no symbol collapses to its number."""
         if isinstance(c, Scalar):
-            return c if any(c._data) else c._data.get((), 0)
+            return c if any(c._data) else _ratio(c._data.get((), 0), c._den)
         return _rational(c)
 
     def __init__(self, terms=None):
@@ -303,7 +459,9 @@ class Polynomial(_TermMap):
         """Anti-automorphism sending every letter v_i to -v_i: reverse each
         word and negate it when its length is odd; an involution, and
         ``qvars.split`` carries q-conjugation onto it."""
-        return Polynomial({w[::-1]: -c if len(w) % 2 else c for w, c in self._data.items()})
+        return self._raw(
+            {w[::-1]: -c if len(w) % 2 else c for w, c in self._data.items()}, self._den
+        )
 
     def leading_word(self) -> Word:
         if not self._data:
@@ -311,7 +469,7 @@ class Polynomial(_TermMap):
         return max(self._data, key=word_key)
 
     def leading_coeff(self):
-        return self._data[self.leading_word()]
+        return self._at(self.leading_word())
 
     def multidegree(self) -> set:
         """The set of letter multisets occurring among the words."""
@@ -327,10 +485,9 @@ class Polynomial(_TermMap):
         return out
 
     def _by_monomial(self):
-        """``(den, groups)``: the terms scaled to ints by their common
-        denominator ``den`` and grouped by scalar monomial, in no order,
-        ``{monomial: [(word, int), ...]}``; a rational coefficient counts as
-        the empty monomial ``()``."""
+        """``(_den, groups)``: the int numerators grouped by scalar
+        monomial, in no order, ``{monomial: [(word, int), ...]}``; a
+        rational coefficient counts as the empty monomial ``()``."""
         groups = {}
         for w, c in self._data.items():
             if type(c) is Scalar:
@@ -338,22 +495,19 @@ class Polynomial(_TermMap):
                     groups.setdefault(mono, []).append((w, q))
             else:
                 groups.setdefault((), []).append((w, c))
-        den = lcm(*[c.denominator for pairs in groups.values() for _, c in pairs])
-        return den, {
-            mono: [(w, c.numerator * (den // c.denominator)) for w, c in pairs]
-            for mono, pairs in groups.items()
-        }
+        return self._den, groups
 
     @classmethod
-    def _from_monomials(cls, images: dict) -> "Polynomial":
-        """The polynomial with coefficient ``Scalar(monos)`` at each word of
-        ``{word: {monomial: rational}}``, a monomial being a tuple of
-        symbol indices in any order; a word with only ``()`` takes its
-        rational."""
-        return cls({
+    def _from_monomials(cls, images: dict, den: int) -> "Polynomial":
+        """The polynomial with coefficient ``Scalar(monos) / den`` at each
+        word of ``{word: {monomial: rational}}``, a monomial being a tuple
+        of symbol indices in any order; a word with only ``()`` takes its
+        rational over ``den``."""
+        data = {
             w: monos[()] if len(monos) == 1 and () in monos else Scalar(monos)
             for w, monos in images.items()
-        })
+        }
+        return cls._make({w: c for w, c in data.items() if c}, den)
 
     def __str__(self):
         return self._format(_format_term)
@@ -365,7 +519,7 @@ def _format_term(w, coeff):
     if not isinstance(coeff, Scalar):
         return (coeff < 0, _coeff_body(abs(coeff), letters))
     if len(coeff._data) == 1:
-        (mono, q), = coeff._data.items()
+        (mono, q), = coeff._items()
         factors = ["s%d" % i for i in mono] + letters
         return (q < 0, _coeff_body(abs(q), factors))
     body = "(%s)" % coeff

@@ -61,7 +61,7 @@ class QPolynomial(_TermMap):
 
     def conjugate(self) -> "QPolynomial":
         """Anti-automorphism barring every word; an involution."""
-        return QPolynomial({qword_conjugate(w): c for w, c in self._data.items()})
+        return self._raw({qword_conjugate(w): c for w, c in self._data.items()}, self._den)
 
     def indices(self) -> set:
         out = set()
@@ -104,7 +104,7 @@ def split(p: QPolynomial) -> Polynomial:
             scalar = images.setdefault(word, {})
             k = signed[odd]
             scalar[mono] = scalar[mono] + k if mono in scalar else k
-    return Polynomial._from_monomials(images)
+    return Polynomial._from_monomials(images, p._den)
 
 
 def normalize_q(p: QPolynomial, n: int | None = None, max_degree: int | None = None) -> Polynomial:

@@ -19,9 +19,9 @@ enters, memo entries map ids to coefficients, and ``normalize`` sums the
 entries of its terms in one accumulate loop over ints, mapping the ids
 back to words once per block.  The closed-form families have tails of
 +-1, so their memo entries are ints, and ``normalize`` keeps its sums in
-ints as well: it scales each scalar-monomial group of its input to ints
-and divides once.  It reads its input's terms in no particular order, so
-it never sorts them.
+ints as well: it sums each scalar-monomial group of its input's int
+numerators and divides once, by the input's denominator.  It reads its
+input's terms in no particular order, so it never sorts them.
 
 An overlap's S-polynomial is read straight off the two rules' tails,
 placed between the head and tail of the overlap word, with no products
@@ -74,11 +74,15 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .freealg import Polynomial, Scalar, Word, word_key, word_multiset, word_str
+
+_RATIONAL = frozenset((int, Fraction))
+_first, _second = operator.itemgetter(0), operator.itemgetter(1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,25 +172,32 @@ def _closure_top(blocks) -> int:
     """The largest letter N if ``blocks`` are closed under
     order-preserving relabeling of 1..N (see the module docstring), else 0.
 
-    A block is a rule or a generator as ``(word, coefficient)`` pairs in
-    any order, its words all of one length on one letter set.  Its class
-    key is its set of pairs relabeled onto 1..k (``_relabel``), and it
-    counts in its class as its leading word, so copies of a block count
-    once.  A coefficient with symbols names symbols that the relabeling
-    would have to move as well, and a letter below 1 lies outside every
-    relabeling: either leaves the blocks not closed.
+    A block is a rule or a generator as ``(word, value)`` pairs in any
+    order, its words all of one length on one letter set; ``blocks`` may
+    be any iterable, read once.  Its class key is its set of pairs
+    relabeled onto 1..k (``_relabel``), and it counts in its class as its
+    leading word, so copies of a block count once.  A coefficient with
+    symbols names symbols that the relabeling would have to move as well,
+    and a letter below 1 lies outside every relabeling: either leaves the
+    blocks not closed.
     """
-    leads = [max(w for w, _ in block) for block in blocks]
-    if not leads or min(min(w, default=1) for w in leads) < 1:
-        return 0
-    if not {type(c) for block in blocks for _, c in block} <= {int, Fraction}:
-        return 0
-    top = max(max(w, default=0) for w in leads)
+    top = 0
     classes = {}
-    for lead, block in zip(leads, blocks):
+    for block in blocks:
+        lead = max(map(_first, block))
+        letters = sorted(set(lead))
+        if letters:
+            if letters[0] < 1:
+                return 0
+            if letters[-1] > top:
+                top = letters[-1]
+        if not _RATIONAL.issuperset(map(type, map(_second, block))):
+            return 0
         # Relabeling is one-to-one on a letter set, so two members of a
         # class with one lead are copies of one block.
-        classes.setdefault(frozenset(_relabel(sorted(set(lead)), block)), set()).add(lead)
+        classes.setdefault(frozenset(_relabel(letters, block)), set()).add(lead)
+    if not classes:
+        return 0
     # A class on k letters is full when it has C(N, k) members.
     full = all(len(m) == math.comb(top, len(set(next(iter(m))))) for m in classes.values())
     return top if full else 0
@@ -230,7 +241,8 @@ class RuleSet:
     at any offset of a word: probing each offset in turn through the head
     index, and ``_index`` only for the lengths it names, finds the
     leftmost lead occurrence.  Canonical order only numbers the rules, for
-    ``overlaps`` and for output.  ``_tails`` holds each rule's tail as stored.
+    ``overlaps`` and for output.  ``_tails`` holds each rule's tail values
+    in stored order, a view of its ``_data`` when the tail is integral.
     ``_top`` is the largest lead letter N when the set is closed under
     order-preserving relabeling of 1..N, else 0: the ``top`` with which
     ``_relabel_blocks`` relabels the set's blocks.
@@ -270,8 +282,8 @@ class RuleSet:
                 raise ValueError(
                     "lead %s contains lead %s" % (word_str(r.lead), word_str(rules[hit[0]].lead))
                 )
-        self._tails = tuple(r.rhs._data.items() for r in rules)
-        self._top = _closure_top([((r.lead, 1), *t) for r, t in zip(rules, self._tails)])
+        self._tails = tuple(r.rhs._items() for r in rules)
+        self._top = _closure_top(((r.lead, 1), *t) for r, t in zip(rules, self._tails))
         self._nf_cache = _Memo()
 
     def __len__(self):
@@ -445,8 +457,8 @@ def normalize(p: Polynomial, base: RuleSet) -> Polynomial:
     Termination follows from the well-founded word order; every rewrite
     replaces a word by strictly smaller words of the same letter multiset.
     An input with only ``int`` coefficients is summed as it is; any other
-    is summed per scalar monomial, scaled to ints by one common
-    denominator (``Polynomial._by_monomial``), and divided once.
+    is summed per scalar monomial as int numerators
+    (``Polynomial._by_monomial``) and divided once, by its denominator.
     """
     _check_input(p, base)
     return _normalize(p, base._top, lambda local: base)
@@ -455,7 +467,7 @@ def normalize(p: Polynomial, base: RuleSet) -> Polynomial:
 def _normalize(p: Polynomial, top, choose) -> Polynomial:
     """:func:`normalize`'s body, with N = ``top`` and ``choose`` (:func:`_reduce`)."""
     data = p._data
-    if all(type(c) is int for c in data.values()):
+    if p._den == 1 and all(type(c) is int for c in data.values()):
         return Polynomial(_reduce(data.items(), top, choose))
     den, groups = p._by_monomial()
     images, spread = {}, []
@@ -463,14 +475,14 @@ def _normalize(p: Polynomial, top, choose) -> Polynomial:
         for u, c in _reduce(ints, top, choose).items():
             if type(c) is Scalar:
                 # A tail with symbols leaves a scalar: spread it over ``mono``.
-                spread += [(u, tuple(sorted(mono + m)), q) for m, q in c._data.items()]
+                spread += [(u, tuple(sorted(mono + m)), q) for m, q in c._items()]
             else:
-                images.setdefault(u, {})[mono] = c if den == 1 else Fraction(c, den)
+                images.setdefault(u, {})[mono] = c
     # A spread monomial can meet another group's: sum them.
     for u, mono, q in spread:
         monos = images.setdefault(u, {})
-        monos[mono] = monos.get(mono, 0) + (q if den == 1 else Fraction(q, den))
-    return Polynomial._from_monomials(images)
+        monos[mono] = monos.get(mono, 0) + q
+    return Polynomial._from_monomials(images, den)
 
 
 def is_normal_factorfree(w: Word, base: RuleSet) -> bool:
@@ -812,7 +824,7 @@ def complete(generators, max_degree: int) -> RuleSet:
             raise ValueError(
                 "generator degree %d exceeds the degree bound %d" % (p.degree(), max_degree)
             )
-    top = _closure_top([p._data.items() for p in gens])
+    top = _closure_top(p._items() for p in gens)
     by_degree = {}
     for p in gens:
         # A generator's words share one letter set.
@@ -829,7 +841,7 @@ def complete(generators, max_degree: int) -> RuleSet:
         pivots = {}
         for _, p in _normalize_by_block(base, obs, by_degree.get(t, ())):
             while p and (lead := p.leading_word()) in pivots:
-                p = p - pivots[lead].scale(p._data[lead])
+                p = p - pivots[lead].scale(p._at(lead))
             if p:
                 pivots[lead] = _monic(p)
         if not pivots:
@@ -839,14 +851,15 @@ def complete(generators, max_degree: int) -> RuleSet:
         for lead in sorted(pivots, key=word_key):
             p = pivots[lead]
             for u in [u for u in p._data if u != lead and u in pivots]:
-                p = p - pivots[u].scale(p._data[u])
+                p = p - pivots[u].scale(p._at(u))
             pivots[lead] = p
         for lead, p in pivots.items():
-            rhs = (Polynomial.from_word(lead) - p)._data
+            rhs = Polynomial.from_word(lead) - p
             k = len(set(lead))
             for letters in itertools.combinations(range(1, top + 1), k) if top else (None,):
                 (word,) = _unlabel(letters, {lead: 1})
-                rules.append(RewriteRule(word, Polynomial(_unlabel(letters, rhs))))
+                tail = Polynomial._raw(_unlabel(letters, rhs._data), rhs._den)
+                rules.append(RewriteRule(word, tail))
         base = RuleSet(rules, degree_bound=max_degree)
         if top and base._top != top:
             raise RuntimeError("completion lost relabeling closure at degree %d" % t)

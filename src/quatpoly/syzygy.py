@@ -97,7 +97,7 @@ def gen_quaternion_syzygies(n: int):
 
 def _rule(element: Polynomial, family: str, indices: tuple, variant: int = 0) -> RewriteRule:
     lead = element.leading_word()
-    if element._data[lead] != 1:
+    if element._at(lead) != 1:
         raise AssertionError("family element is not monic: %s" % element)
     return RewriteRule(lead, Polynomial.from_word(lead) - element, family, indices, variant)
 

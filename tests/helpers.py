@@ -2,6 +2,7 @@
 reduction strategy used to probe confluence, and naive references for
 the q -> (s, v) split and for quaternion evaluation."""
 
+import math
 from fractions import Fraction
 
 from quatpoly.freealg import Polynomial, Scalar
@@ -34,6 +35,22 @@ def random_scalar_poly(rng, n=3, symbols=3, max_degree=3, max_terms=4):
             monos[mono] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         terms[w] = terms.get(w, 0) + Scalar(monos)
     return Polynomial(terms)
+
+
+def assert_stored_canonical(p):
+    """``p`` stores nonzero int numerators over ``_den`` >= 1 in lowest
+    terms; a numerator of a Polynomial may be a Scalar over 1 with a
+    symbol, whose coefficients count in the gcd."""
+    assert type(p._den) is int and p._den >= 1, p
+    nums = []
+    for c in p._data.values():
+        if type(c) is Scalar:
+            assert type(p) is Polynomial and c._den == 1 and any(c._data), p
+            nums += c._data.values()
+        else:
+            nums.append(c)
+    assert all(type(c) is int and c for c in nums), p
+    assert math.gcd(p._den, *nums) == 1, p
 
 
 def random_word(rng, n=4, max_degree=5, min_degree=0):

@@ -474,6 +474,20 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 2 and proc.stdout == ""
 
 
+def test_a_reader_that_closes_the_pipe_ends_the_run_quietly():
+    # 119 kB of rules: more than the pipe and both buffers hold, so the run
+    # is still writing when the reader goes.
+    src = str(Path(quatpoly.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quatpoly", "gb", "--vars", "8", "--max-deg", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.readline() == b"v3*v2*v1 -> -v2*v3*v1 + v1*v3*v2 + v1*v2*v3\n"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=120) == 141
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [

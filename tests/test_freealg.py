@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quatpoly.cli import parse_expression
 from quatpoly.freealg import (
     Polynomial,
     Scalar,
@@ -16,8 +17,10 @@ from quatpoly.freealg import (
     vector_part,
     word_key,
 )
-from quatpoly.oracle import Assignment, I, J, Quaternion, evaluate
-from quatpoly.qvars import QPolynomial, qword_key
+from quatpoly.oracle import Assignment, I, J, Quaternion, evaluate, identity_corpus
+from quatpoly.qvars import QPolynomial, qword_conjugate, qword_key
+
+from helpers import assert_stored_canonical
 
 
 def w(*letters):
@@ -259,7 +262,7 @@ def _built_maps(draw):
 def test_terms_sort_once_on_first_ordered_read(built):
     cls, p = built
     data, order = p._data, list(p._data)
-    eager = cls(dict(p._data))
+    eager = cls(dict(p._items()))
     eager.terms
     assert p == eager and eager == p
     keys = list(p.terms)
@@ -270,3 +273,130 @@ def test_terms_sort_once_on_first_ordered_read(built):
         assert p.leading_word() == keys[0]
     # An ordered read builds a new dict and never rewrites the map's own.
     assert p._data is data and list(p._data) == order
+
+
+def _flat(p):
+    """The values of ``p`` as a plain ``{(key, symbol monomial): Fraction}``."""
+    out = {}
+    for k, c in p.terms.items():
+        for m, q in c.terms.items() if type(c) is Scalar else [((), c)]:
+            out[k, m] = Fraction(q)
+    return out
+
+
+def _ref_sum(a, b, sign=1):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_product(cls, a, b):
+    out = {}
+    for (k1, m1), c1 in a.items():
+        for (k2, m2), c2 in b.items():
+            k = tuple(sorted(k1 + k2)) if cls is Scalar else k1 + k2
+            key = (k, tuple(sorted(m1 + m2)))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_conjugate(cls, a):
+    if cls is QPolynomial:
+        return {(qword_conjugate(k), m): c for (k, m), c in a.items()}
+    return {(k[::-1], m): -c if len(k) % 2 else c for (k, m), c in a.items()}
+
+
+def _ref_map(cls, ref):
+    """``ref`` built back into a term map of ``cls`` from plain values."""
+    terms = {}
+    for (k, m), c in ref.items():
+        terms.setdefault(k, {})[m] = c
+    return cls({k: Scalar(ms) if cls is Polynomial else ms[()] for k, ms in terms.items()})
+
+
+@st.composite
+def _operand(draw, cls):
+    """A term map of ``cls`` built from drawn values, with its reference."""
+    coeffs = _RATIONALS
+    if cls is Polynomial:
+        coeffs = st.one_of(_RATIONALS, st.dictionaries(_KEYS[Scalar][0], _RATIONALS, max_size=2))
+    raw = draw(st.dictionaries(_KEYS[cls][0], coeffs, max_size=4))
+    values, ref = {}, {}
+    for k, c in raw.items():
+        monos = c if isinstance(c, dict) else {(): c}
+        values[k] = Scalar(c) if isinstance(c, dict) else c
+        ref.update({(k, m): Fraction(q) for m, q in monos.items() if q})
+    return cls(values), ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_arithmetic_matches_a_fraction_reference(data):
+    """Every operation on int numerators over one denominator gives the
+    values a plain ``{key: Fraction}`` computation gives, in canonical
+    form: ``_den`` >= 1, gcd 1, no zero and integral Scalar numerators."""
+    cls = data.draw(st.sampled_from(list(_KEYS)))
+    p, ref = data.draw(_operand(cls))
+    ops = ["+", "-", "*", "scale", "reversion"]
+    if cls is not Scalar:
+        ops += ["conjugate", "bracket", "cross"]
+    for _ in range(data.draw(st.integers(1, 4))):
+        assert_stored_canonical(p)
+        assert _flat(p) == ref and p == _ref_map(cls, ref)
+        op = data.draw(st.sampled_from(ops))
+        if op in ("+", "-", "*", "cross"):
+            q, qref = data.draw(_operand(cls))
+            if op == "cross":
+                p = cross(p, q)
+                ref = _ref_sum(_ref_product(cls, ref, qref), _ref_product(cls, qref, ref), -1)
+                ref = {k: c / 2 for k, c in ref.items()}
+            elif op == "*":
+                p, ref = p * q, _ref_product(cls, ref, qref)
+            else:
+                sign = 1 if op == "+" else -1
+                p, ref = (p + q if sign == 1 else p - q), _ref_sum(ref, qref, sign)
+        elif op == "scale":
+            c = data.draw(_RATIONALS)
+            cref = {((), ()): Fraction(c)} if c else {}
+            if cls is Polynomial and data.draw(st.booleans()):
+                c, cref = data.draw(_operand(Scalar))
+                cref = {((), m): q for (m, _), q in cref.items()}
+            p, ref = p.scale(c), _ref_product(cls, ref, cref)
+        elif op == "reversion":
+            p = p.reversion()
+            if cls is not Scalar:
+                ref = {(k[::-1], m): c for (k, m), c in ref.items()}
+        elif op == "conjugate":
+            p, ref = p.conjugate(), _ref_conjugate(cls, ref)
+        else:
+            p = bracket(p)
+            ref = {k: c / 2 for k, c in _ref_sum(ref, _ref_conjugate(cls, ref)).items()}
+    assert_stored_canonical(p)
+    assert _flat(p) == ref and p == _ref_map(cls, ref)
+
+
+def test_corpus_and_parse_make_no_fraction_beyond_their_literals(monkeypatch):
+    """Term-map arithmetic runs on ints: building the identity corpus
+    makes only its two literals, 1/2 and 1/4, and parsing makes only the
+    ``a/b`` literals of the text."""
+    made = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kw):
+        made.append(args)
+        return real(cls, *args, **kw)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert len(identity_corpus()) == 356
+    assert made == [(1, 2), (1, 4)]
+    texts = (
+        "1/2*v1*v2 - 3/4*S(v3*v2*v1) + 5/6*s1*v2*v1 - A(2/9*v1*v2*v3)"
+        " + cross(1/3*v1, 2/7*v2*v3) - 7/8*s2*rev(v3*v1) + 4/6*v2",
+        "1/2*q1*q2' - 3/4*S(q3*q2*q1) + 5/6*q2'*q1 - A(2/9*q1*q2*q3)"
+        " + cross(1/3*q1, 2/7*q2*q3') - 7/8*rev(q3*q1') + 4/6*q2",
+    )
+    for source in texts:
+        made.clear()
+        parse_expression(source)
+        assert len(made) == source.count("/")

@@ -366,7 +366,7 @@ def test_complete_equals_its_run_on_generators_that_are_not_closed(monkeypatch):
 
 def _terms_shuffled(polys, rng):
     """``polys`` rebuilt with their terms inserted in random order."""
-    return [Polynomial(dict(rng.sample(list(p._data.items()), len(p._data)))) for p in polys]
+    return [Polynomial(dict(rng.sample(list(p._items()), len(p._data)))) for p in polys]
 
 
 def test_complete_decides_closure_from_its_generators(monkeypatch):
@@ -932,7 +932,9 @@ def test_strategy_changes_no_normal_form_and_no_verdict(base_m4, monkeypatch):
 
 def _assert_canonical(p):
     """int iff integral, Fraction only with a denominator above 1, and a
-    Scalar only while it holds a symbol."""
+    Scalar only while it holds a symbol; stored as int numerators over one
+    denominator in lowest terms."""
+    helpers.assert_stored_canonical(p)
     for c in p.terms.values():
         if type(c) is Fraction:
             assert c.denominator > 1, p
@@ -1358,6 +1360,12 @@ def test_closure_check():
     scalar_tail = RewriteRule((2, 1), Polynomial({(1, 2): Scalar.symbol(1)}))
     assert RuleSet([scalar_tail])._top == 0
     assert RuleSet()._top == 0
+    # Tails with one numerator and different denominators are different
+    # patterns.
+    halves = [RewriteRule((j, i), w(i, j).scale(Fraction(1, 2))) for i, j in pairs]
+    assert RuleSet(halves)._top == 3
+    halves[1] = RewriteRule((3, 1), w(1, 3).scale(Fraction(1, 3)))
+    assert halves[1].rhs._data == {(1, 3): 1} and RuleSet(halves)._top == 0
 
     # The definition, by brute force: N, the largest letter, if every
     # block on a letter set T has its pattern on every |T|-subset of 1..N.
@@ -1380,7 +1388,7 @@ def test_closure_check():
         return top if closed else 0
 
     def blocks_of(rules):
-        return [((r.lead, 1), *r.rhs._data.items()) for r in rules]
+        return [((r.lead, 1), *r.rhs._items()) for r in rules]
 
     def descending(blocks):
         return [tuple(sorted(b, key=lambda t: word_key(t[0]), reverse=True)) for b in blocks]
