@@ -453,10 +453,18 @@ def build_parser():
 
 def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
+        # argparse reads a word such as "-v2*v1" as an option it does not know.
+        words = argv[: argv.index("--")] if "--" in argv else argv
+        dashed = [x for x in words if len(x) > 1 and x[0] == "-" != x[1] and not x[1:].isdigit()]
+        if exc.code and dashed:
+            sys.stderr.write(
+                "error: %s was read as an option; put -- before an expression "
+                "that begins with '-'\n" % dashed[0]
+            )
         return 2 if exc.code else 0
     try:
         return args.func(args, out)

@@ -84,15 +84,17 @@ class _TermMap:
     Construction stores the summed, zero-free map in ``_data``, in no
     particular order, and nothing writes to it afterwards.  ``terms`` sorts
     the values, ``int``, ``Fraction`` or ``Scalar``, into a new dict in
-    descending key order on every read, which keeps term scans and
-    formatting deterministic; ``_items`` gives them in stored order, as
+    descending key order on every read, which keeps term scans
+    deterministic; ``_items`` gives them in stored order, as
     ``_data.items()`` itself when ``_den`` is 1.  Arithmetic, equality and
     the order-free queries read ``_data``; of ``rewrite``, ``syzygy``,
     ``qvars``, ``oracle`` and ``cli``, a routine that reads keys reads
     ``_data``, one that reads values reads ``_items``, ``_at`` or
-    ``_den``.  Only printing, the CLI's multilinear input check and the
+    ``_den``.  Only the CLI's multilinear input check and the
     ``rewrite.reduce_once`` reference read terms in order, so no rewrite
-    routine sorts a map.
+    routine sorts a map.  Printing sorts the keys of ``_data`` and prints
+    each numerator over ``_den`` in lowest terms, one ``gcd`` per term,
+    so it makes no ``Fraction``.
 
     A subclass states its key order (``_sort_keys``), its coefficient ring
     (``_ring`` lists the operand types taken as coefficients, ``_coeff``
@@ -348,12 +350,14 @@ class _TermMap:
         return max(map(len, self._data), default=0)
 
     def _format(self, term) -> str:
-        """Join ``term(key, value) -> (negative, body)`` over the terms."""
-        if not self._data:
+        """Join ``term(key, numerator, _den) -> (negative, body)`` over the
+        terms in descending key order."""
+        data, den = self._data, self._den
+        if not data:
             return "0"
         out = []
-        for k, c in self.terms.items():
-            neg, body = term(k, c)
+        for k in self._sort_keys(data):
+            neg, body = term(k, data[k], den)
             if out:
                 out.append(" - " + body if neg else " + " + body)
             else:
@@ -364,16 +368,18 @@ class _TermMap:
         return "%s(%s)" % (type(self).__name__, self)
 
 
-def _coeff_body(mag, factors) -> str:
-    """Join a positive magnitude with symbol factors, omitting a unit
-    coefficient unless it stands alone."""
-    if mag != 1 or not factors:
-        factors = [str(mag)] + list(factors)
+def _coeff_body(n, den, factors) -> str:
+    """Join the magnitude ``|n| / den``, in lowest terms, with symbol
+    factors, omitting a unit coefficient unless it stands alone."""
+    n = abs(n)
+    if n != den or not factors:
+        g = gcd(n, den)
+        factors = ["%d/%d" % (n // g, den // g) if den > g else "%d" % (n // g), *factors]
     return "*".join(factors)
 
 
-def _scalar_term(mono, coeff):
-    return (coeff < 0, _coeff_body(abs(coeff), ["s%d" % i for i in mono]))
+def _scalar_term(mono, n, den):
+    return (n < 0, _coeff_body(n, den, ["s%d" % i for i in mono]))
 
 
 class Scalar(_TermMap):
@@ -513,16 +519,17 @@ class Polynomial(_TermMap):
         return self._format(_format_term)
 
 
-def _format_term(w, coeff):
-    """Return ``(negative, body)`` for one term, body without sign."""
+def _format_term(w, n, den):
+    """Return ``(negative, body)`` for the term ``n / den`` at ``w``, body
+    without sign."""
     letters = ["v%d" % i for i in w]
-    if not isinstance(coeff, Scalar):
-        return (coeff < 0, _coeff_body(abs(coeff), letters))
-    if len(coeff._data) == 1:
-        (mono, q), = coeff._items()
+    if type(n) is int:
+        return (n < 0, _coeff_body(n, den, letters))
+    if len(n._data) == 1:
+        (mono, q), = n._data.items()
         factors = ["s%d" % i for i in mono] + letters
-        return (q < 0, _coeff_body(abs(q), factors))
-    body = "(%s)" % coeff
+        return (q < 0, _coeff_body(q, den, factors))
+    body = "(%s)" % Scalar._raw(n._data, den)
     if letters:
         body += "*" + "*".join(letters)
     return (False, body)

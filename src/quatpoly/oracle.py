@@ -26,8 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -41,7 +40,7 @@ from .freealg import (
     inner,
     vector_part,
 )
-from .rewrite import RuleSet, generator_polys, is_normal_factorfree, is_normal_structural
+from .rewrite import RuleSet, _Frozen, generator_polys, is_normal_factorfree, is_normal_structural
 
 
 class Quaternion:
@@ -125,18 +124,29 @@ J = Quaternion(0, 0, 1)
 K = Quaternion(0, 0, 0, 1)
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(_Frozen):
     """Concrete values for letters: vector letters get pure-imaginary
-    quaternions, scalar symbols get rationals."""
+    quaternions, scalar symbols get rationals.  Equal values compare
+    equal; the dicts make it unhashable."""
 
-    vectors: dict = field(default_factory=dict)
-    scalars: dict = field(default_factory=dict)
+    __slots__ = ("vectors", "scalars")
+    __hash__ = None
 
-    def __post_init__(self):
-        for i, q in self.vectors.items():
+    def __init__(self, vectors=None, scalars=None):
+        vectors = {} if vectors is None else vectors
+        for i, q in vectors.items():
             if not q.is_pure_imaginary():
                 raise ValueError("vector v%d assigned a non-pure-imaginary value %s" % (i, q))
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "scalars", {} if scalars is None else scalars)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.vectors, self.scalars) == (other.vectors, other.scalars)
+
+    def __repr__(self):
+        return "Assignment(vectors=%r, scalars=%r)" % (self.vectors, self.scalars)
 
     def __str__(self):
         vs = ", ".join(
@@ -194,13 +204,13 @@ def random_assignment(n: int, seed: int) -> Assignment:
     )
 
 
-@dataclass(frozen=True)
-class ZeroTestResult:
-    passed: bool
-    trials: int
-    witness_trial: int | None = None
-    witness: Assignment | None = None
-    value: Quaternion | None = None
+class ZeroTestResult(namedtuple(
+    "ZeroTestResult", "passed trials witness_trial witness value", defaults=(None, None, None)
+)):
+    """A zero test's verdict, true when it passed; a failing one holds its
+    trial, assignment and nonzero value."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.passed
@@ -356,16 +366,11 @@ def _rank_int(rows) -> int:
     return len(pivots)
 
 
-@dataclass(frozen=True)
-class DimensionReport:
-    n: int
-    degree: int
-    mode: str
-    total_words: int
-    rank: int
-    normal_by_rank: int
-    normal_factorfree: int
-    normal_structural: int
+class DimensionReport(namedtuple(
+    "DimensionReport",
+    "n degree mode total_words rank normal_by_rank normal_factorfree normal_structural",
+)):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

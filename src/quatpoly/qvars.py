@@ -73,8 +73,8 @@ class QPolynomial(_TermMap):
         return self._format(_qterm)
 
 
-def _qterm(w, c):
-    return (c < 0, _coeff_body(abs(c), [qletter_str(x) for x in w]))
+def _qterm(w, n, den):
+    return (n < 0, _coeff_body(n, den, [qletter_str(x) for x in w]))
 
 
 def split(p: QPolynomial) -> Polynomial:

@@ -76,39 +76,56 @@ import itertools
 import math
 import operator
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .freealg import Polynomial, Scalar, Word, word_key, word_multiset, word_str
 
 _RATIONAL = frozenset((int, Fraction))
 _first, _second = operator.itemgetter(0), operator.itemgetter(1)
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, eq=False)
-class RewriteRule:
-    """Rewrite ``lead`` to ``rhs``; the underlying element is ``lead - rhs``."""
+class _Frozen:
+    """Base of a record class with ``__slots__`` whose attributes cannot be
+    assigned or deleted.  ``__init__`` takes the slots in order and sets
+    them with ``object.__setattr__`` (``_set``); a copy or a pickle calls
+    it again."""
 
-    lead: Word
-    rhs: Polynomial
-    family: str = ""
-    indices: tuple = ()
-    variant: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.lead:
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot assign to or delete field %r" % name)
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class RewriteRule(_Frozen):
+    """Rewrite ``lead`` to ``rhs``; the underlying element is ``lead - rhs``.
+    Rules compare by identity."""
+
+    __slots__ = ("lead", "rhs", "family", "indices", "variant")
+
+    def __init__(self, lead: Word, rhs: Polynomial, family="", indices=(), variant=0):
+        if not lead:
             raise ValueError("rewrite rule with empty lead (ideal contains a unit)")
-        lk = word_key(self.lead)
-        lm = word_multiset(self.lead)
-        for w in self.rhs._data:
+        lk = word_key(lead)
+        lm = word_multiset(lead)
+        for w in rhs._data:
             if word_key(w) >= lk:
                 raise ValueError(
-                    "rule lead %s does not dominate %s" % (word_str(self.lead), word_str(w))
+                    "rule lead %s does not dominate %s" % (word_str(lead), word_str(w))
                 )
             if word_multiset(w) != lm:
-                raise ValueError(
-                    "rule %s -> ... mixes letter multisets" % word_str(self.lead)
-                )
+                raise ValueError("rule %s -> ... mixes letter multisets" % word_str(lead))
+        _set(self, "lead", lead)
+        _set(self, "rhs", rhs)
+        _set(self, "family", family)
+        _set(self, "indices", indices)
+        _set(self, "variant", variant)
 
     @property
     def element(self) -> Polynomial:
@@ -539,23 +556,19 @@ def is_normal_structural(w: Word, mode: str = "general") -> bool:
     raise ValueError("unknown mode %r" % mode)
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(namedtuple("Obstruction", "rule_a rule_b word offset_a offset_b")):
     """Two rule leads meeting inside one word.
 
     ``word[offset_a:]`` starts lead of ``rule_a`` and likewise for
     ``rule_b``; the occurrences genuinely overlap.
     """
 
-    rule_a: int
-    rule_b: int
-    word: Word
-    offset_a: int
-    offset_b: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GroebnerReport:
+class GroebnerReport(namedtuple(
+    "GroebnerReport", "residues obstructions_checked max_degree generator_residues", defaults=((),)
+)):
     """Outcome of a base check: any nonzero residues, with counts.
 
     ``residues`` come from overlap S-polynomials; ``generator_residues``
@@ -563,10 +576,7 @@ class GroebnerReport:
     can resolve every overlap yet still miss part of the ideal).
     """
 
-    residues: tuple
-    obstructions_checked: int
-    max_degree: int
-    generator_residues: tuple = ()
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -12,23 +12,24 @@ part ``even`` of a word) with a letter.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .freealg import Polynomial, commutator, even
 from .qvars import QPolynomial
-from .rewrite import RewriteRule, RuleSet, _check_input, _normalize
+from .rewrite import RewriteRule, RuleSet, _check_input, _Frozen, _normalize, _set
 
 
-@dataclass(frozen=True, eq=False)
-class GeneratorFamily:
-    """One instantiated family element."""
+class GeneratorFamily(_Frozen):
+    """One instantiated family element; families compare by identity."""
 
-    family: str
-    indices: tuple
-    element: object  # Polynomial or QPolynomial
-    variant: int = 0
-    choices: tuple = ()
+    __slots__ = ("family", "indices", "element", "variant", "choices")
+
+    def __init__(self, family: str, indices: tuple, element, variant=0, choices=()):
+        _set(self, "family", family)
+        _set(self, "indices", indices)
+        _set(self, "element", element)  # Polynomial or QPolynomial
+        _set(self, "variant", variant)
+        _set(self, "choices", choices)
 
     def __repr__(self):
         extra = "" if not self.choices else ", choices=%r" % (self.choices,)

@@ -457,16 +457,17 @@ def test_complete_default_generators_stop_at_the_degree(n, d):
     assert bool(out) == (d >= 3)
 
 
+SRC = str(Path(quatpoly.__file__).resolve().parent.parent)
+
+
+def python_m(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "quatpoly", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=120,
+    )
+
+
 def test_python_dash_m_runs_the_cli():
-    src = str(Path(quatpoly.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-
-    def python_m(*argv):
-        return subprocess.run(
-            [sys.executable, "-m", "quatpoly", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-
     proc = python_m("complete", "--vars", "2", "--max-deg", "4")
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["v2*v1*v1 -> v1*v1*v2", "v2*v2*v1 -> v1*v2*v2"]
@@ -474,13 +475,49 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 2 and proc.stdout == ""
 
 
+def test_a_leading_minus_without_the_separator_names_the_fix():
+    # argparse takes "-v2*v1" for an unknown option; stderr says to put
+    # "--" before it, and with "--" the same expression prints.
+    proc = python_m("normalize", "-v2*v1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.endswith(
+        "error: -v2*v1 was read as an option; put -- before an expression that begins with '-'\n"
+    )
+    proc = python_m("normalize", "--", "-v2*v1")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "-v2*v1\n", "")
+
+
+def test_the_separator_hint_names_only_a_dashed_word(capsys):
+    assert run(["complete", "--max-deg", "3", "-v2*v1"])[0] == 2
+    assert "error: -v2*v1 was read as an option" in capsys.readouterr().err
+    # A negative number is an option value, "-" is stdin, and a word after
+    # "--" is no option: none of them draws the hint.
+    for argv in (["zero-test", "--seed", "-3"], ["complete", "-"], ["complete", "--", "-v1"]):
+        assert run(argv)[0] == 2
+        assert "was read as an option" not in capsys.readouterr().err
+
+
+def test_importing_the_engine_loads_no_introspection_modules():
+    # The record classes are plain classes: importing the engine and its
+    # CLI loads none of dataclasses and the modules it pulls in.
+    script = (
+        "import sys; before = set(sys.modules); sys.path.insert(0, %r);"
+        " import quatpoly, quatpoly.cli; print(*sorted(set(sys.modules) - before))" % SRC
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0 and "quatpoly.cli" in proc.stdout.split()
+    added = set(proc.stdout.split())
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
 def test_a_reader_that_closes_the_pipe_ends_the_run_quietly():
     # 119 kB of rules: more than the pipe and both buffers hold, so the run
     # is still writing when the reader goes.
-    src = str(Path(quatpoly.__file__).resolve().parent.parent)
     proc = subprocess.Popen(
         [sys.executable, "-m", "quatpoly", "gb", "--vars", "8", "--max-deg", "8"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=SRC),
     )
     assert proc.stdout.readline() == b"v3*v2*v1 -> -v2*v3*v1 + v1*v3*v2 + v1*v2*v3\n"
     proc.stdout.close()

@@ -378,8 +378,9 @@ def test_arithmetic_matches_a_fraction_reference(data):
 
 def test_corpus_and_parse_make_no_fraction_beyond_their_literals(monkeypatch):
     """Term-map arithmetic runs on ints: building the identity corpus
-    makes only its two literals, 1/2 and 1/4, and parsing makes only the
-    ``a/b`` literals of the text."""
+    makes only its two literals, 1/2 and 1/4, parsing makes only the
+    ``a/b`` literals of the text, and printing a map over a denominator
+    makes none."""
     made = []
     real = Fraction.__new__
 
@@ -396,7 +397,16 @@ def test_corpus_and_parse_make_no_fraction_beyond_their_literals(monkeypatch):
         "1/2*q1*q2' - 3/4*S(q3*q2*q1) + 5/6*q2'*q1 - A(2/9*q1*q2*q3)"
         " + cross(1/3*q1, 2/7*q2*q3') - 7/8*rev(q3*q1') + 4/6*q2",
     )
+    values = []
     for source in texts:
         made.clear()
-        parse_expression(source)
+        values.append(parse_expression(source)[1])
         assert len(made) == source.count("/")
+    # A Scalar coefficient of several terms prints as a Scalar over the
+    # polynomial's denominator.
+    mixed = Polynomial({(2, 1): Scalar({(1,): Fraction(-3, 4), (): Fraction(-1, 4)}), (1,): 5})
+    values += [mixed, Scalar({(1, 1): Fraction(2, 3), (2,): -4})]
+    made.clear()
+    printed = [str(value) for value in values]
+    assert made == [] and all(value._den > 1 for value in values)
+    assert printed[2:] == ["(-3/4*s1 - 1/4)*v2*v1 + 5*v1", "2/3*s1*s1 - 4*s2"]
