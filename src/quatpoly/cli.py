@@ -206,8 +206,12 @@ def parse_expression(text):
 
 
 def _check_vars(n, indices):
+    if n is None:
+        return
+    if n < 1:
+        raise ExpressionError("need n >= 1, got %d" % n)
     top = max(indices, default=0)
-    if n is not None and top > n:
+    if top > n:
         raise ExpressionError("variable index %d exceeds --vars %d" % (top, n))
 
 

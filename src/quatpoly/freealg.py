@@ -98,14 +98,16 @@ class _TermMap:
 
     A subclass states its key order (``_sort_keys``), its coefficient ring
     (``_ring`` lists the operand types taken as coefficients, ``_coeff``
-    puts a non-``int`` one in canonical form), which operands its
-    ``__mul__`` accepts, and how one term prints.
+    puts a non-``int`` one in canonical form) and how one term prints.
     """
 
     __slots__ = ("_data", "_den")
 
     _ring = (int, Fraction)
     _coeff = staticmethod(_rational)
+
+    def __init__(self, terms=None):
+        self._set(terms.items() if terms else ())
 
     def _set(self, pairs):
         """Sum ``(key, value)`` pairs, drop zeros and store the result in
@@ -319,10 +321,16 @@ class _TermMap:
                     data[k] = c1 * c2
         return self._make(data, self._den * other._den)
 
-    def __rmul__(self, other):
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            return self._product(other)
         if isinstance(other, self._ring):
             return self.scale(other)
         return NotImplemented
+
+    # Coefficients are central, and a map of the same class never reaches
+    # the reflected call.
+    __rmul__ = __mul__
 
     def scale(self, c):
         """The map times the coefficient ``c``: its numerator multiplies
@@ -402,24 +410,13 @@ class Scalar(_TermMap):
             raise ValueError("scalar symbol index must be >= 1")
         return cls({(index,): 1})
 
-    def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return self._product(other)
-        if isinstance(other, self._ring):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    # The benchmark tracer wraps these names in the class's own dict.
+    __mul__ = __rmul__ = _TermMap.__mul__
 
     def _product(self, other):
-        """Monomials multiply by merging their sorted index tuples."""
-        data = {}
-        right = other._data
-        for m1, c1 in self._data.items():
-            for m2, c2 in right.items():
-                m = tuple(sorted(m1 + m2))
-                data[m] = data.get(m, 0) + c1 * c2
-        return self._make({k: c for k, c in data.items() if c}, self._den * other._den)
+        """Monomials multiply by concatenating their index tuples, which
+        ``__init__`` sorts and sums."""
+        return Scalar(dict(_TermMap._product(self, other)._items()))
 
     def reversion(self):
         """Monomials commute: reversion is the identity."""
@@ -445,21 +442,15 @@ class Polynomial(_TermMap):
             return c if any(c._data) else _ratio(c._data.get((), 0), c._den)
         return _rational(c)
 
-    def __init__(self, terms=None):
-        self._set(terms.items() if terms else ())
+    # The benchmark tracer wraps these names in the class's own dict.
+    __init__ = _TermMap.__init__
+    __mul__ = _TermMap.__mul__
 
     @classmethod
     def variable(cls, index: int) -> "Polynomial":
         if index < 1:
             raise ValueError("variable index must be >= 1")
         return cls({(index,): 1})
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            return self._product(other)
-        if isinstance(other, self._ring):
-            return self.scale(other)
-        return NotImplemented
 
     def conjugate(self) -> "Polynomial":
         """Anti-automorphism sending every letter v_i to -v_i: reverse each

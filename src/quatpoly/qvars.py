@@ -43,21 +43,11 @@ class QPolynomial(_TermMap):
     def _sort_keys(keys):
         return sorted(keys, key=qword_key, reverse=True)
 
-    def __init__(self, terms=None):
-        self._set(terms.items() if terms else ())
-
     @classmethod
     def variable(cls, index: int, barred: bool = False) -> "QPolynomial":
         if index < 1:
             raise ValueError("variable index must be >= 1")
         return cls({(-index if barred else index,): 1})
-
-    def __mul__(self, other):
-        if isinstance(other, QPolynomial):
-            return self._product(other)
-        if isinstance(other, self._ring):
-            return self.scale(other)
-        return NotImplemented
 
     def conjugate(self) -> "QPolynomial":
         """Anti-automorphism barring every word; an involution."""

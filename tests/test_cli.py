@@ -320,6 +320,25 @@ def test_vars_below_letter_index_is_an_error(capsys):
         assert "exceeds --vars 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["normalize", "check-normal", "zero-test"])
+@pytest.mark.parametrize("n", [0, -2])
+def test_vars_below_one_is_an_error_without_letters(command, n, capsys):
+    # The input has no letter, so no index exceeds --vars; the count itself
+    # is rejected, as gb, verify-groebner and dim-check reject it.
+    expr = "3/4" if command == "normalize" else "1"
+    assert run([command, "--vars", str(n), expr]) == (2, "")
+    assert capsys.readouterr().err == "error: need n >= 1, got %d\n" % n
+
+
+def test_complete_reads_vars_only_without_expressions():
+    # Generators given as expressions set their own letters; --vars, whose
+    # default is 3, is not checked against them.
+    assert run(["complete", "--vars", "2", "--max-deg", "2", "v5*v4 - v4*v5"]) == (
+        0,
+        "v5*v4 -> v4*v5\n",
+    )
+
+
 def test_zero_test_checks_vars(capsys):
     for expr in ("v3*v1 - v1*v3", "q3*q1 - q1*q3"):
         code, out = run(["zero-test", "--vars", "2", expr])

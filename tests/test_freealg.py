@@ -125,6 +125,36 @@ def test_scalar_coefficients_commute():
     assert s1 * s2 == s2 * s1
 
 
+def test_mixed_operand_products():
+    s1, s2 = Scalar.symbol(1), Scalar.symbol(2)
+    v1, q1 = w(1), QPolynomial.variable(1)
+    table = [
+        (2 * s1, Scalar({(1,): 2})),
+        (s1 * 2, Scalar({(1,): 2})),
+        # Scalar declines a Polynomial; the reflected call scales by s1.
+        (s1 * v1, Polynomial({(1,): s1})),
+        (v1 * s1, Polynomial({(1,): s1})),
+        (Fraction(1, 2) * q1, QPolynomial({(1,): Fraction(1, 2)})),
+        # The cross terms s1*s2 and s2*s1 cancel only once sorted.
+        ((s1 + s2) * (s1 - s2), s1 * s1 - s2 * s2),
+    ]
+    for got, want in table:
+        assert type(got) is type(want) and got == want, (got, want)
+    assert str(s1 * v1) == "s1*v1"
+    assert (s1 + s2) * (s1 - s2) == Scalar({(1, 1): 1, (2, 2): -1})
+    for a, b in ((v1, q1), (q1, v1), (s1, q1)):
+        with pytest.raises(TypeError):
+            a * b
+
+
+def test_benchmark_wrapped_names_stay_in_their_class_dicts():
+    # perfbench/tracer.py wraps each of these in its own class's __dict__,
+    # and Scalar's reflected product must share the wrapper.
+    assert {"__init__", "__mul__", "__str__"} <= Polynomial.__dict__.keys()
+    assert "__mul__" in Scalar.__dict__
+    assert Scalar.__dict__["__rmul__"] is Scalar.__dict__["__mul__"]
+
+
 def test_substitute_sets_symbols_and_keeps_rationals():
     # Scalar symbols are set to values only through oracle.evaluate, which
     # multiplies out the int rows of Polynomial._by_monomial.
