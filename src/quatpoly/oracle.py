@@ -8,10 +8,15 @@ is the syntactic certificate.  The two routes are kept independent so each
 can catch the other out.
 
 Letters are multiplied as quaternions in one place, in two steps.
-``_compile`` turns a polynomial's words, once, into a plan: a prefix trie
-over the words cut into letter pairs, and the distinct pairs it uses.
-``_evaluate_int`` runs the plan at one assignment: one product per
-distinct pair, one per trie node.  Scalar symbols are set in one place
+``_compile`` turns a polynomial's words, once, into a plan: the words cut
+into letter pairs, a prefix trie over each word's pieces but the last, and
+the words grouped by their last piece.  ``_evaluate_int`` runs the plan at
+one assignment: one product per distinct piece, read from a table of piece
+values when it holds them, one per trie node, and one per group, whose
+coefficient-weighted prefix sum it multiplies by the group's last piece.
+A zero test's table is ``_piece_table(seed)``, shared by every polynomial
+tested at that seed, since a letter's draw depends on the seed alone.
+Scalar symbols are set in one place
 too: ``_prepare`` reads the int rows of ``Polynomial._by_monomial``, one
 per symbol monomial, and ``_draw_coefficients`` multiplies them out at
 given symbol values.  ``evaluate`` runs both once at an assignment's
@@ -40,7 +45,14 @@ from .freealg import (
     inner,
     vector_part,
 )
-from .rewrite import RuleSet, _Frozen, generator_polys, is_normal_factorfree, is_normal_structural
+from .rewrite import (
+    RuleSet,
+    _check_input,
+    _Frozen,
+    generator_polys,
+    is_normal_factorfree,
+    is_normal_structural,
+)
 
 
 class Quaternion:
@@ -159,6 +171,7 @@ class Assignment(_Frozen):
 def evaluate(p: Polynomial, assignment: Assignment) -> Quaternion:
     """Ring homomorphism sending each letter to its assigned value; the
     empty word maps to 1."""
+    _check_input(p)
     vecs = {}
     for letter in sorted(p.variables()):
         q = assignment.vectors.get(letter)
@@ -172,7 +185,7 @@ def evaluate(p: Polynomial, assignment: Assignment) -> Quaternion:
     if missing:
         raise ValueError("unassigned scalar symbol s%d" % min(missing))
     coeffs = _draw_coefficients(rows, len(p._data), assignment.scalars)
-    return Quaternion(*[Fraction(x, den) for x in _evaluate_int(plan, coeffs, vecs)])
+    return Quaternion(*[Fraction(x, den) for x in _evaluate_int(plan, coeffs, vecs, {})])
 
 
 @functools.lru_cache(maxsize=1024)
@@ -180,7 +193,10 @@ def _int_assignment(n: int, seed: int):
     """The integer draw behind ``random_assignment(n, seed)``: a tuple of
     vector coordinate triples and a tuple of scalar values, letter i at
     position i for i in 1..n and ``None`` at position 0.  Cached, since
-    every zero test of the same ``n`` walks the same seeds."""
+    every zero test of the same ``n`` walks the same seeds.
+
+    The vectors are drawn first, in letter order, so letter i's vector is
+    the same for every ``n >= i``: ``_piece_table`` relies on it."""
     rng = random.Random(seed)
     vectors = [None]
     for _ in range(n):
@@ -191,6 +207,16 @@ def _int_assignment(n: int, seed: int):
         vectors.append((b, c, d))
     scalars = (None,) + tuple(rng.randint(-9, 9) for _ in range(n))
     return tuple(vectors), scalars
+
+
+@functools.lru_cache(maxsize=1024)
+def _piece_table(seed: int) -> dict:
+    """The values of letter pieces at the draws of seed ``seed``, a piece
+    being a letter pair, one letter or ``()``, as ``_evaluate_int`` fills
+    it: keyed by the seed alone, since a letter's vector does not depend
+    on ``n`` in ``_int_assignment(n, seed)``.  A key always gets the same
+    value, so the table may be shared across polynomials and threads."""
+    return {}
 
 
 def random_assignment(n: int, seed: int) -> Assignment:
@@ -232,48 +258,63 @@ def _draw_coefficients(rows, size: int, scals) -> list:
 
 
 def _compile(words):
-    """The plan ``(chunks, steps, leaves)`` that evaluates ``words``.
+    """The plan ``(chunks, steps, groups)`` that evaluates ``words``.
 
     Each word is cut into letter pairs, the last letter alone when the
     length is odd; ``chunks`` lists the distinct pieces, the empty word
     being the piece ``()``.  Node k < len(chunks) is the value of chunk
     k; node len(chunks) + m is the product of the two nodes ``steps[m]``,
     a trie prefix times its next chunk, so words that share a prefix of
-    whole pairs share its products.  ``leaves[i]`` is the node of word i.
+    whole pairs share its products.  The trie holds each word's pieces
+    but the last: ``groups`` pairs the chunk of each distinct last piece
+    with the ``(prefix node, word position)`` of the words that end in
+    it, node -1 standing for the empty prefix.
     """
     cut = [[w[k : k + 2] for k in range(0, max(len(w), 1), 2)] for w in words]
     chunks = {c: i for i, c in enumerate(dict.fromkeys(c for pieces in cut for c in pieces))}
     nodes = {}  # (prefix node, chunk) -> node, numbered after the chunks
-    leaves = []
-    for pieces in cut:
-        node = chunks[pieces[0]]
-        for piece in pieces[1:]:
-            node = nodes.setdefault((node, chunks[piece]), len(chunks) + len(nodes))
-        leaves.append(node)
-    return tuple(chunks), tuple(nodes), tuple(leaves)
+    groups = {}  # last chunk -> [(prefix node, word position), ...]
+    for k, pieces in enumerate(cut):
+        node = -1
+        for piece in pieces[:-1]:
+            if node < 0:
+                node = chunks[piece]
+            else:
+                node = nodes.setdefault((node, chunks[piece]), len(chunks) + len(nodes))
+        groups.setdefault(chunks[pieces[-1]], []).append((node, k))
+    return tuple(chunks), tuple(nodes), tuple((z, tuple(m)) for z, m in groups.items())
 
 
-def _evaluate_int(plan, coeffs, vecs):
+def _evaluate_int(plan, coeffs, vecs, table):
     """Sum ``coeffs[i]`` times the value of the plan's word i, with letter
     i sent to the pure-imaginary quaternion whose (i, j, k) coordinates
-    are ``vecs[i]``; returns the coordinate 4-tuple.
+    are ``vecs[i]``; returns the coordinate 4-tuple.  ``table`` maps
+    pieces to their values at ``vecs``: it is read first and filled with
+    what it lacks.
 
     Compiling a plan once per polynomial and calling this once per
     assignment is the one place letters are multiplied as quaternions,
     exact for int draws and rational values alike: each distinct letter
-    pair v v' = -(e . e') + e x e' once, then one product per trie node.
+    pair v v' = -(e . e') + e x e' once per table, then one product per
+    trie node.  The words of a group share their last piece z, so their
+    sum is (sum of c P) z, P a word's prefix: four multiply-adds per word
+    and one product per group.
     """
-    chunks, steps, leaves = plan
+    chunks, steps, groups = plan
     vals = []
     for chunk in chunks:
-        if len(chunk) == 2:
-            e, f, g = vecs[chunk[0]]
-            x, y, z = vecs[chunk[1]]
-            vals.append((-e * x - f * y - g * z, f * z - g * y, g * x - e * z, e * y - f * x))
-        elif chunk:
-            vals.append((0, *vecs[chunk[0]]))
-        else:
-            vals.append((1, 0, 0, 0))
+        v = table.get(chunk)
+        if v is None:
+            if len(chunk) == 2:
+                e, f, g = vecs[chunk[0]]
+                x, y, z = vecs[chunk[1]]
+                v = (-e * x - f * y - g * z, f * z - g * y, g * x - e * z, e * y - f * x)
+            elif chunk:
+                v = (0, *vecs[chunk[0]])
+            else:
+                v = (1, 0, 0, 0)
+            table[chunk] = v
+        vals.append(v)
     for left, right in steps:
         a, b, c, d = vals[left]
         e, f, g, h = vals[right]
@@ -285,14 +326,24 @@ def _evaluate_int(plan, coeffs, vecs):
                 a * h + b * g - c * f + d * e,
             )
         )
+    vals.append((1, 0, 0, 0))  # node -1, the empty prefix
     ta = tb = tc = td = 0
-    for node, cv in zip(leaves, coeffs):
-        if cv:
-            a, b, c, d = vals[node]
-            ta += cv * a
-            tb += cv * b
-            tc += cv * c
-            td += cv * d
+    for last, members in groups:
+        a = b = c = d = 0
+        for node, k in members:
+            cv = coeffs[k]
+            if cv:
+                pa, pb, pc, pd = vals[node]
+                a += cv * pa
+                b += cv * pb
+                c += cv * pc
+                d += cv * pd
+        if a or b or c or d:
+            e, f, g, h = vals[last]
+            ta += a * e - b * f - c * g - d * h
+            tb += a * f + b * e + c * h - d * g
+            tc += a * g - b * h + c * e + d * f
+            td += a * h + b * g - c * f + d * e
     return ta, tb, tc, td
 
 
@@ -312,6 +363,7 @@ def zero_test(p: Polynomial, trials: int = 100, seed: int = 0) -> ZeroTestResult
     first nonzero witness or a pass verdict.  Trial t uses
     ``random_assignment(top, seed + t)``, ``top`` the largest letter or
     symbol index."""
+    _check_input(p)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     plan, den, rows = _prepare(p)
@@ -326,7 +378,7 @@ def zero_test(p: Polynomial, trials: int = 100, seed: int = 0) -> ZeroTestResult
         if symbols or coeffs is None:
             # A symbol-free input has one row, of monomial (): drawn once.
             coeffs = _draw_coefficients(rows, len(p._data), scals)
-        value = _evaluate_int(plan, coeffs, vecs)
+        value = _evaluate_int(plan, coeffs, vecs, _piece_table(seed + t))
         if any(value):
             # The draws are ints, so ``value`` is exactly ``den`` times p's value.
             value = Quaternion(*[Fraction(x, den) for x in value])

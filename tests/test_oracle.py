@@ -21,6 +21,7 @@ from quatpoly.oracle import (
     random_assignment,
     zero_test,
 )
+from quatpoly.qvars import QPolynomial
 from quatpoly.syzygy import (
     gb_multilinear,
     gb_vector,
@@ -512,16 +513,84 @@ def test_failing_zero_test_reports_the_value_at_its_witness():
 
 def test_plan_shares_whole_pair_prefixes():
     # Letter by letter these words take 4 + 5 + 3 + 4 + 2 + 1 = 19
-    # products; the plan takes one per distinct piece and one per node
-    # below the first pair: v1v2.v3v4, v1v2v3v4.v1, v1v2.v3, v1v2.v4v3.
+    # products.  The plan takes one per distinct piece, one per trie node
+    # below a word's first pair and above its last piece (v1v2.v3v4), and
+    # one per distinct last piece: v1v2v3 and v3 end in v3 and share it.
     words = [(1, 2, 3, 4), (1, 2, 3, 4, 1), (1, 2, 3), (1, 2, 4, 3), (1, 2), (3,), ()]
-    chunks, steps, leaves = oracle._compile(words)
-    assert sorted(chunks) == [(), (1,), (1, 2), (3,), (3, 4), (4, 3)]
-    assert len(steps) == 4
-    assert leaves[4] == chunks.index((1, 2))
+    chunks, steps, groups = oracle._compile(words)
+    assert chunks == ((1, 2), (3, 4), (1,), (3,), (4, 3), ())
+    assert steps == ((0, 1),)  # node 6 = v1v2.v3v4
+    assert groups == (
+        (1, ((0, 0),)),  # v1v2 . v3v4
+        (2, ((6, 1),)),  # v1v2v3v4 . v1
+        (3, ((0, 2), (-1, 5))),  # v1v2 . v3 and () . v3
+        (4, ((0, 3),)),  # v1v2 . v4v3
+        (0, ((-1, 4),)),  # () . v1v2
+        (5, ((-1, 6),)),  # () . ()
+    )
     p = Polynomial({u: i + 1 for i, u in enumerate(words)})
     a = random_assignment(4, 5)
     assert evaluate(p, a) == helpers.evaluate_reference(p, a)
+
+
+def test_letter_draws_do_not_depend_on_the_letter_count():
+    # Zero tests share one table of piece values per seed because of this.
+    for seed in (0, 7, 47):
+        for n in range(1, 9):
+            vectors = oracle._int_assignment(n, seed)[0]
+            for k in range(n):
+                assert vectors[: k + 1] == oracle._int_assignment(k, seed)[0], (n, k, seed)
+
+
+def test_zero_test_matches_the_reference_with_the_piece_table_cold_and_warm():
+    # Each case empties the tables, tests a polynomial in v1..v3, then one
+    # in v1..v6 at the same seed, which reads the pieces the first left,
+    # then the first again with every piece it uses in the tables.
+    rng = random.Random(59)
+    identity = w(1, 1, 2) - w(2, 1, 1)
+    seen = set()
+    for case in range(30):
+        oracle._piece_table.cache_clear()
+        seed = rng.randint(0, 50)
+        small, large = (
+            helpers.random_scalar_poly(rng, n, max_degree=5) + _differential_poly(rng, letters)
+            for n, letters in ((3, (1, 2, 3)), (6, (1, 3, 6)))
+        )
+        if case % 3 == 1:
+            small, large = small * identity, large * identity
+        elif case % 3 == 2:
+            # Roots at several draws of one symbol push the witness later.
+            j = Scalar.symbol(rng.randint(1, 3))
+            for k in rng.sample(range(-9, 10), 12):
+                small, large = small * (j - k), large * (j - k)
+        for p, table in ((small, "cold"), (large, "warm"), (small, "warm")):
+            if table == "warm":
+                assert oracle._piece_table(seed)
+            res = zero_test(p, trials=8, seed=seed)
+            ref = _reference_zero_test(p, 8, seed)
+            assert res.passed == (ref is None), p
+            if ref is not None:
+                assert (res.witness_trial, res.witness, res.value) == ref, p
+                assert evaluate(p, res.witness) == res.value, p
+            seen.add((table, "pass" if ref is None else "first" if ref[0] == 0 else "later"))
+            for u, c in p.terms.items():
+                seen.add("empty" if not u else "odd" if len(u) % 2 else "even")
+                if len(set(u)) < len(u):
+                    seen.add("repeat")
+                if isinstance(c, Scalar):
+                    seen.add("symbol")
+    outcomes = {(t, o) for t in ("cold", "warm") for o in ("pass", "first", "later")}
+    assert seen == outcomes | {"empty", "odd", "even", "repeat", "symbol"}
+
+
+@pytest.mark.parametrize("p", [QPolynomial.variable(1), 3], ids=["QPolynomial", "int"])
+def test_zero_test_and_evaluate_reject_what_is_not_a_polynomial(p):
+    # A q-word read as a v-word would evaluate silently as another word.
+    message = "expected a Polynomial, not %s" % type(p).__name__
+    with pytest.raises(TypeError, match=message):
+        zero_test(p)
+    with pytest.raises(TypeError, match=message):
+        evaluate(p, random_assignment(1, 0))
 
 
 def test_zero_test_rejects_letters_below_one():
