@@ -274,14 +274,11 @@ def _compile(words):
     chunks = {c: i for i, c in enumerate(dict.fromkeys(c for pieces in cut for c in pieces))}
     nodes = {}  # (prefix node, chunk) -> node, numbered after the chunks
     groups = {}  # last chunk -> [(prefix node, word position), ...]
-    for k, pieces in enumerate(cut):
-        node = -1
-        for piece in pieces[:-1]:
-            if node < 0:
-                node = chunks[piece]
-            else:
-                node = nodes.setdefault((node, chunks[piece]), len(chunks) + len(nodes))
-        groups.setdefault(chunks[pieces[-1]], []).append((node, k))
+    for k, (*prefix, last) in enumerate(cut):
+        node = chunks[prefix[0]] if prefix else -1
+        for piece in prefix[1:]:
+            node = nodes.setdefault((node, chunks[piece]), len(chunks) + len(nodes))
+        groups.setdefault(chunks[last], []).append((node, k))
     return tuple(chunks), tuple(nodes), tuple((z, tuple(m)) for z, m in groups.items())
 
 

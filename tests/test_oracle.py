@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -581,6 +583,44 @@ def test_zero_test_matches_the_reference_with_the_piece_table_cold_and_warm():
                     seen.add("symbol")
     outcomes = {(t, o) for t in ("cold", "warm") for o in ("pass", "first", "later")}
     assert seen == outcomes | {"empty", "odd", "even", "repeat", "symbol"}
+
+
+def test_threads_filling_the_piece_tables_get_the_sequential_verdicts():
+    # Threads race to fill the same cold tables; every write stores the
+    # value any thread would compute for its key, so each thread sees the
+    # verdicts of one thread alone and every entry is the piece's value.
+    rng = random.Random(67)
+    identity = w(1, 1, 2) - w(2, 1, 1)
+    polys = [_differential_poly(rng, (1, 2, 3, 4)) for _ in range(12)]
+    polys += [p * identity for p in polys]
+    oracle._piece_table.cache_clear()
+    want = [zero_test(p, trials=6, seed=3) for p in polys]
+    oracle._piece_table.cache_clear()
+    got = [[None] * len(polys) for _ in range(4)]
+
+    def fill(k):
+        for i in random.Random(k).sample(range(len(polys)), len(polys)):
+            got[k][i] = zero_test(polys[i], trials=6, seed=3)
+
+    threads = [threading.Thread(target=fill, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 4
+    for seed in range(3, 9):
+        table = oracle._piece_table(seed)
+        vecs = oracle._int_assignment(4, seed)[0]
+        assert table and all(
+            v == oracle._evaluate_int(oracle._compile([piece]), [1], vecs, {})
+            for piece, v in table.items()
+        )
 
 
 @pytest.mark.parametrize("p", [QPolynomial.variable(1), 3], ids=["QPolynomial", "int"])
