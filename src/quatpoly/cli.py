@@ -476,6 +476,10 @@ def main(argv=None, out=None):
     except (ExpressionError, ValueError, RuntimeError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    # The work outgrew the memory it may take; what it built is freed by now.
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
+        return 2
 
 
 def entry():

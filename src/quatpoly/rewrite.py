@@ -29,10 +29,13 @@ placed between the head and tail of the overlap word, with no products
 overlap word minus rule b's rewrite of it instead: the memo sends the
 word to the normal form of rule a's rewrite, and every obstruction on one
 word shares that word's entry (``_normalize_by_block``).  ``complete`` is
-a degree-by-degree completion: one overlap pass and one rule set per
-degree.  It skips every overlap whose word holds a third lead between the
-two (the chain criterion, ``_chain_redundant``); ``overlaps`` and
-``check_groebner`` keep every overlap.
+a degree-by-degree completion: one overlap pass per degree, which tests a
+pair's letters by bit mask before it forms the word, and one rule set
+grown from the last by the degree's new rules (``RuleSet.grown``), whose
+indexes and closure counts take only the new rules.  It skips every
+overlap whose word holds a third lead between the two (the chain
+criterion, ``_chain_redundant``); ``overlaps`` and ``check_groebner`` keep
+every overlap.
 
 ``check_groebner``, ``complete`` and ``inter_reduce`` normalize in bulk
 along one path, ``_normalize_by_block``, which gives the memo the lifetime
@@ -49,9 +52,10 @@ relabeling of its alphabet 1..N, N its largest lead letter: grouping the
 rules by their pattern on letters 1..k (lead and tail), each class has
 exactly C(N, k) members, so it holds the pattern on every k-subset of
 1..N.  ``RuleSet`` decides this from its rules alone, and ``complete``
-from its generators, by one test (``_closure_top``) that reads each
-rule's or generator's terms in any order.  One map, ``_relabel``, moves
-words on letters T order-preservingly onto 1..|T|, and one rule, in
+from its generators, by one test (``_closure_top``, which a rule set keeps
+as counts while it grows) that reads each rule's or generator's terms in
+any order.  One map, ``_relabel``, moves words on letters T
+order-preservingly onto 1..|T|, and one rule, in
 ``_relabel_blocks`` alone (its test is ``_stays``), decides which blocks
 move: a block on letters T moves only when the set is closed and T lies
 in 1..N.  ``normalize`` reduces each block there and maps it back, in
@@ -76,7 +80,7 @@ import itertools
 import math
 import operator
 import threading
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .freealg import Polynomial, Scalar, Word, word_key, word_multiset, word_str
@@ -185,39 +189,54 @@ def _unlabel(letters, terms: dict) -> dict:
     return {tuple([letters[i - 1] for i in w]): c for w, c in terms.items()}
 
 
+def _block_class(block):
+    """``(lead, largest letter, class key)`` of a rule or generator
+    ``block`` for ``_closure_top``, or None when the block leaves every
+    family holding it not closed.
+
+    A block is ``(word, value)`` pairs in any order, its words all of one
+    length on one letter set.  Its class key is its letter count k and its
+    set of pairs relabeled onto 1..k (``_relabel``).  A coefficient with
+    symbols names symbols that the relabeling would have to move as well,
+    and a letter below 1 lies outside every relabeling.
+    """
+    lead = max(map(_first, block))
+    letters = sorted(set(lead))
+    if (letters and letters[0] < 1) or not _RATIONAL.issuperset(map(type, map(_second, block))):
+        return None
+    return lead, letters[-1] if letters else 0, (len(letters), frozenset(_relabel(letters, block)))
+
+
+def _full_top(top, sizes) -> int:
+    """``top`` if ``sizes``, the count of classes by ``(k, members)``,
+    holds a class and each class on k letters has C(``top``, k) members,
+    else 0."""
+    if sizes and all(n == math.comb(top, k) for k, n in sizes):
+        return top
+    return 0
+
+
 def _closure_top(blocks) -> int:
     """The largest letter N if ``blocks`` are closed under
     order-preserving relabeling of 1..N (see the module docstring), else 0.
 
-    A block is a rule or a generator as ``(word, value)`` pairs in any
-    order, its words all of one length on one letter set; ``blocks`` may
-    be any iterable, read once.  Its class key is its set of pairs
-    relabeled onto 1..k (``_relabel``), and it counts in its class as its
-    leading word, so copies of a block count once.  A coefficient with
-    symbols names symbols that the relabeling would have to move as well,
-    and a letter below 1 lies outside every relabeling: either leaves the
-    blocks not closed.
+    ``blocks`` may be any iterable of blocks (``_block_class``), read
+    once.  A block counts in its class as its leading word, so copies of
+    a block count once.  A class on k letters is full when it has C(N, k)
+    members, and the blocks are closed when every class is full.
     """
     top = 0
     classes = {}
     for block in blocks:
-        lead = max(map(_first, block))
-        letters = sorted(set(lead))
-        if letters:
-            if letters[0] < 1:
-                return 0
-            if letters[-1] > top:
-                top = letters[-1]
-        if not _RATIONAL.issuperset(map(type, map(_second, block))):
+        found = _block_class(block)
+        if found is None:
             return 0
+        lead, last, key = found
+        top = max(top, last)
         # Relabeling is one-to-one on a letter set, so two members of a
         # class with one lead are copies of one block.
-        classes.setdefault(frozenset(_relabel(letters, block)), set()).add(lead)
-    if not classes:
-        return 0
-    # A class on k letters is full when it has C(N, k) members.
-    full = all(len(m) == math.comb(top, len(set(next(iter(m))))) for m in classes.values())
-    return top if full else 0
+        classes.setdefault(key, set()).add(lead)
+    return _full_top(top, Counter((key[0], len(m)) for key, m in classes.items()))
 
 
 class _Memo(dict):
@@ -262,7 +281,20 @@ class RuleSet:
     in stored order, a view of its ``_data`` when the tail is integral.
     ``_top`` is the largest lead letter N when the set is closed under
     order-preserving relabeling of 1..N, else 0: the ``top`` with which
-    ``_relabel_blocks`` relabels the set's blocks.
+    ``_relabel_blocks`` relabels the set's blocks.  It is decided as
+    ``_closure_top`` decides it, from ``_classes``: the largest lead letter
+    and how many relabeling classes (``_block_class``) on k letters have
+    each member count, or None once a rule lies outside every relabeling.
+    Leads are distinct, so a count is all a class needs.
+
+    A set is built by growth (``grown``): rules whose leads are all longer
+    than every lead of the set are appended, in canonical order, since
+    canonical order is by length first.  A shorter lead cannot contain a
+    longer one, so only the new leads need the factor-free check, the
+    head length stays, and only the new rules enter the indexes.  A
+    class holds leads of one length, so no new rule joins an old class:
+    the new rules' classes are counted and added to the old sizes.
+    ``RuleSet(rules)`` is that growth from the empty set.
 
     Immutable after construction apart from the normal-form memo, a
     :class:`_Memo` that holds its own ids.  Writes to it are idempotent
@@ -273,34 +305,73 @@ class RuleSet:
     copies, each with a fresh memo, and never touch it.
     """
 
-    __slots__ = ("rules", "degree_bound", "_index", "_heads", "_head", "_tails", "_top", "_nf_cache")
+    __slots__ = (
+        "rules", "degree_bound", "_index", "_heads", "_head", "_tails", "_classes", "_top", "_nf_cache"
+    )
 
     def __init__(self, rules=(), degree_bound=None):
-        rules = tuple(sorted(rules, key=_rule_key))
-        index = {}
-        for i, r in enumerate(rules):
+        self.rules = ()
+        self.degree_bound = degree_bound
+        self._index = {}
+        self._heads = {}
+        self._head = 0
+        self._tails = ()
+        self._classes = (0, Counter())
+        self._grow(rules)
+
+    def grown(self, rules) -> RuleSet:
+        """A new set: this one and ``rules``, each of whose leads must be
+        longer than every lead here (else ``ValueError``)."""
+        new = copy.copy(self)
+        new._index, new._heads = dict(self._index), dict(self._heads)
+        new._grow(rules)
+        return new
+
+    def _grow(self, rules):
+        """Add ``rules`` in place (see the class docstring)."""
+        rules = sorted(rules, key=_rule_key)
+        longest = len(self.rules[-1].lead) if self.rules else 0
+        index = self._index
+        for i, r in enumerate(rules, len(self.rules)):
+            if len(r.lead) <= longest:
+                raise ValueError(
+                    "lead %s is not longer than every lead of the set" % word_str(r.lead)
+                )
             if r.lead in index:
                 raise ValueError("duplicate lead %s" % word_str(r.lead))
             index[r.lead] = i
-        self.rules = rules
-        self.degree_bound = degree_bound
-        self._index = index
-        head = min(map(len, index), default=0)
-        heads = {}
-        for lead in index:
-            heads.setdefault(lead[:head], set()).add(len(lead))
-        self._heads = {h: tuple(sorted(ks)) for h, ks in heads.items()}
-        self._head = head
+        self.rules += tuple(rules)
+        if rules and not self._head:
+            self._head = len(rules[0].lead)
+        head = self._head
+        lengths = {}
+        for r in rules:
+            lengths.setdefault(r.lead[:head], set()).add(len(r.lead))
+        for prefix, ks in lengths.items():
+            self._heads[prefix] = self._heads.get(prefix, ()) + tuple(sorted(ks))
         # Every proper factor of a lead is a factor of the lead with its
         # first or its last letter dropped.
         for r in rules:
             hit = _first_match(self, r.lead[1:]) or _first_match(self, r.lead[:-1])
             if hit is not None:
-                raise ValueError(
-                    "lead %s contains lead %s" % (word_str(r.lead), word_str(rules[hit[0]].lead))
-                )
-        self._tails = tuple(r.rhs._items() for r in rules)
-        self._top = _closure_top(((r.lead, 1), *t) for r, t in zip(rules, self._tails))
+                inner = self.rules[hit[0]].lead
+                raise ValueError("lead %s contains lead %s" % (word_str(r.lead), word_str(inner)))
+        tails = tuple(r.rhs._items() for r in rules)
+        self._tails += tails
+        if self._classes is not None:
+            top, sizes = self._classes
+            counts = Counter()
+            for r, t in zip(rules, tails):
+                found = _block_class(((r.lead, 1), *t))
+                if found is None:
+                    self._classes = None
+                    break
+                _, last, key = found
+                top = max(top, last)
+                counts[key] += 1
+            else:
+                self._classes = top, sizes + Counter((k, n) for (k, _), n in counts.items())
+        self._top = 0 if self._classes is None else _full_top(*self._classes)
         self._nf_cache = _Memo()
 
     def __len__(self):
@@ -598,23 +669,44 @@ def _representative_overlaps(base: RuleSet, max_degree: int, top):
 
     A proper suffix of one lead is looked up in an index of proper lead
     prefixes; leads never contain one another, so no containment arises.
+
+    An overlap word's letters are those of its two leads, so with N > 0
+    the test reads a bit mask per lead, letter x as bit x, and the union
+    of two masks decides a pair before its word is formed: ``_stays`` runs
+    once per distinct union, on the letters it names.  N = 0 leaves every
+    word in place, and N > 0 comes only from a set closed on 1..N or
+    generators closed there, whose letters are all at least 1.
     """
+    leads = [r.lead for r in base.rules]
     prefixes = {}
-    for j, rj in enumerate(base.rules):
-        for m in range(1, len(rj.lead)):
-            prefixes.setdefault(rj.lead[:m], []).append(j)
+    for j, lj in enumerate(leads):
+        for m in range(1, len(lj)):
+            prefixes.setdefault(lj[:m], []).append(j)
+    if top:
+        masks = [sum(1 << x for x in set(lead)) for lead in leads]
+        stays = {}
     out = []
-    for i, ri in enumerate(base.rules):
-        li = ri.lead
+    # Leads and each prefix's list run in canonical order, shortest first,
+    # and an overlap word is longer than both its leads.
+    for i, li in enumerate(leads):
+        n = len(li)
+        if n >= max_degree:
+            break
         # suffix li[k:] meets a longer prefix of lj: li at offset 0, lj at k
-        for k in range(1, len(li)):
+        for k in range(1, n):
             for j in prefixes.get(li[k:], ()):
-                lj = base.rules[j].lead
-                if k + len(lj) <= max_degree:
-                    word = li + lj[len(li) - k :]
-                    # N = 0 leaves every word in place: no test needed.
-                    if not top or _stays(sorted(set(word)), top):
-                        out.append(Obstruction(i, j, word, 0, k))
+                lj = leads[j]
+                if k + len(lj) > max_degree:
+                    break
+                if top:
+                    mask = masks[i] | masks[j]
+                    keep = stays.get(mask)
+                    if keep is None:
+                        letters = [x for x in range(mask.bit_length()) if mask >> x & 1]
+                        keep = stays[mask] = _stays(letters, top)
+                    if not keep:
+                        continue
+                out.append(Obstruction(i, j, li + lj[n - k :], 0, k))
     out.sort(key=lambda ob: (word_key(ob.word), ob.rule_a, ob.rule_b, ob.offset_b))
     return out
 
@@ -767,7 +859,9 @@ def complete(generators, max_degree: int) -> RuleSet:
     That base is unique, whatever the generator order, so it is closed
     under relabeling whenever the generators are, and ``normalize`` keys
     its memo by letter pattern at every degree.  The set is reduced as
-    built, with no ``inter_reduce`` pass.
+    built, with no ``inter_reduce`` pass.  Each degree's new leads are
+    longer than every lead so far, so its set is the last one grown by
+    them (``RuleSet.grown``), equal to the set built from all its rules.
 
     Each degree completes one block per letter pattern.  N is decided
     once, from the generators alone, by the closure test of ``RuleSet``
@@ -840,7 +934,6 @@ def complete(generators, max_degree: int) -> RuleSet:
         # A generator's words share one letter set.
         if _stays(sorted(set(next(iter(p._data)))), top):
             by_degree.setdefault(p.degree(), []).append(p)
-    rules = []
     base = RuleSet(degree_bound=max_degree)
     for t in range(max_degree + 1):
         obs = [
@@ -863,6 +956,7 @@ def complete(generators, max_degree: int) -> RuleSet:
             for u in [u for u in p._data if u != lead and u in pivots]:
                 p = p - pivots[u].scale(p._at(u))
             pivots[lead] = p
+        rules = []
         for lead, p in pivots.items():
             rhs = Polynomial.from_word(lead) - p
             k = len(set(lead))
@@ -870,7 +964,7 @@ def complete(generators, max_degree: int) -> RuleSet:
                 (word,) = _unlabel(letters, {lead: 1})
                 tail = Polynomial._raw(_unlabel(letters, rhs._data), rhs._den)
                 rules.append(RewriteRule(word, tail))
-        base = RuleSet(rules, degree_bound=max_degree)
+        base = base.grown(rules)
         if top and base._top != top:
             raise RuntimeError("completion lost relabeling closure at degree %d" % t)
 

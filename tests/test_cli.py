@@ -12,7 +12,7 @@ import pytest
 
 import helpers
 import quatpoly
-from quatpoly import rewrite, syzygy
+from quatpoly import cli, rewrite, syzygy
 from quatpoly.cli import ExpressionError, _input, build_parser, main, parse_expression
 from quatpoly.freealg import Polynomial, Scalar, bracket, word_str
 from quatpoly.qvars import QPolynomial, normalize_q
@@ -432,17 +432,22 @@ def test_report_digests_are_pinned(argv, digest):
 def test_complete_that_fails_its_own_check_is_an_error(capsys, monkeypatch):
     # Exit 1 is a verification finding; a completion that fails its own
     # closure or residue check is an error.
-    real_set, real_overlaps = rewrite.RuleSet, rewrite._representative_overlaps
+    real_grown, real_overlaps = rewrite.RuleSet.grown, rewrite._representative_overlaps
 
-    def unclosed(*args, **kw):
-        base = real_set(*args, **kw)
-        base._top = 0
-        return base
+    for degree in (3, 4):
 
-    monkeypatch.setattr(rewrite, "RuleSet", unclosed)
-    assert run(["complete", "--vars", "3", "--max-deg", "4"]) == (2, "")
-    assert capsys.readouterr().err == "error: completion lost relabeling closure at degree 3\n"
-    monkeypatch.undo()
+        def unclosed(self, rules, degree=degree):
+            base = real_grown(self, rules)
+            if len(base.rules[-1].lead) >= degree:
+                base._top = 0
+            return base
+
+        monkeypatch.setattr(rewrite.RuleSet, "grown", unclosed)
+        assert run(["complete", "--vars", "3", "--max-deg", "4"]) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: completion lost relabeling closure at degree %d\n" % degree
+        )
+        monkeypatch.undo()
 
     asked = []
 
@@ -455,6 +460,17 @@ def test_complete_that_fails_its_own_check_is_an_error(capsys, monkeypatch):
     monkeypatch.setattr(rewrite, "_representative_overlaps", blind_at_the_bound)
     assert run(["complete", "--max-deg", "4", "v2*v1 - v1*v2", "v3*v2 - v2*v3"]) == (2, "")
     assert capsys.readouterr().err == "error: completion left an overlap residue at degree bound 4\n"
+
+
+def test_running_out_of_memory_is_an_error(capsys, monkeypatch):
+    # A word such as v10*v9*...*v1*v1 can outgrow the address space; the
+    # command then exits 2 with one line on stderr, not a traceback.
+    def exhausted(args, out):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_normalize", exhausted)
+    assert run(["normalize", "v2*v1"]) == (2, "")
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_complete_below_a_generator_degree_is_an_error(capsys):

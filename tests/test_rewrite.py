@@ -306,20 +306,10 @@ def test_complete_equals_the_reduced_closed_form_tails_included():
 def test_complete_keeps_every_intermediate_set_closed_in_any_order(monkeypatch):
     # Each degree's set is the reduced base truncated there, whatever the
     # generator order, so the letter-pattern memo serves every degree.
-    import quatpoly.rewrite as rewrite
-
-    built = []
-    real = rewrite.RuleSet
-
-    def recording(*args, **kw):
-        base = real(*args, **kw)
-        built.append(base)
-        return base
-
-    monkeypatch.setattr(rewrite, "RuleSet", recording)
     gens = [g.element for g in gen_vector_syzygies(5)]
     random.Random(3).shuffle(gens)
-    out = complete(gens, 6)
+    built = _grown_sets(monkeypatch, gens, 6)
+    out = built[-1]
     tops = [base._top for base in built if len(base)]
     assert len(tops) >= 4 and all(top == 5 for top in tops), tops
     assert out._top == 5 and out._nf_cache == {}
@@ -425,13 +415,14 @@ def test_complete_hands_normalize_block_copies_only(monkeypatch):
     # through normalize, and no memo holds more than one block.
     import quatpoly.rewrite as rewrite
 
-    real_set, real_normalize, real_step = rewrite.RuleSet, rewrite.normalize, rewrite._first_step
+    real_grown, real_normalize = rewrite.RuleSet.grown, rewrite.normalize
+    real_step = rewrite._first_step
 
     def run(gens):
         built, seen, steps = [], [], []
 
-        def recording_set(*args, **kw):
-            base = real_set(*args, **kw)
+        def recording_grown(self, rules):
+            base = real_grown(self, rules)
             built.append(base)
             return base
 
@@ -444,7 +435,7 @@ def test_complete_hands_normalize_block_copies_only(monkeypatch):
             steps.append(word)
             return real_step(b, word)
 
-        monkeypatch.setattr(rewrite, "RuleSet", recording_set)
+        monkeypatch.setattr(rewrite.RuleSet, "grown", recording_grown)
         monkeypatch.setattr(rewrite, "normalize", recording_normalize)
         monkeypatch.setattr(rewrite, "_first_step", counted)
         out = complete(gens, 6)
@@ -511,16 +502,123 @@ def test_complete_raises_when_its_final_check_fails(monkeypatch):
 def test_complete_raises_when_a_degree_loses_closure(monkeypatch):
     import quatpoly.rewrite as rewrite
 
-    real = rewrite.RuleSet
+    real = rewrite.RuleSet.grown
 
-    def unclosed(*args, **kw):
-        base = real(*args, **kw)
-        base._top = 0
+    def unclosed_from(degree):
+        def unclosed(self, rules):
+            base = real(self, rules)
+            if len(base.rules[-1].lead) >= degree:
+                base._top = 0
+            return base
+
+        return unclosed
+
+    gens = [g.element for g in gen_vector_syzygies(4)]
+    # Degree 3 grows the empty set; degrees 4 and 5 grow a nonempty one.
+    for degree in (3, 4, 5):
+        monkeypatch.setattr(rewrite.RuleSet, "grown", unclosed_from(degree))
+        message = "^completion lost relabeling closure at degree %d$" % degree
+        with pytest.raises(RuntimeError, match=message):
+            complete(gens, 5)
+        monkeypatch.undo()
+
+
+def _grown_sets(monkeypatch, gens, d):
+    """Every set that ``complete(gens, d)`` grows, in order."""
+    import quatpoly.rewrite as rewrite
+
+    built = []
+    real = rewrite.RuleSet.grown
+
+    def recording(self, rules):
+        base = real(self, rules)
+        built.append(base)
         return base
 
-    monkeypatch.setattr(rewrite, "RuleSet", unclosed)
-    with pytest.raises(RuntimeError, match="closure at degree 3"):
-        complete([g.element for g in gen_vector_syzygies(3)], 4)
+    monkeypatch.setattr(rewrite.RuleSet, "grown", recording)
+    try:
+        out = complete(gens, d)
+    finally:
+        monkeypatch.undo()
+    assert out is built[-1]
+    return built
+
+
+def _layout(base):
+    """Everything a rule set derives from its rules."""
+    tails = [list(t) for t in base._tails]
+    return (base.rules, base._index, base._heads, base._head, tails, base._classes, base._top)
+
+
+def test_a_grown_set_is_the_set_built_from_its_rules(monkeypatch):
+    runs = [
+        (n, d, [g.element for g in gen_vector_syzygies(n)])
+        for n, d in ((3, 6), (4, 6), (5, 6), (6, 5))
+    ]
+    shuffled = list(runs[2][2])
+    random.Random(43).shuffle(shuffled)
+    runs.append((5, 6, shuffled))
+    for n, d, gens in runs:
+        built = _grown_sets(monkeypatch, gens, d)
+        assert len(built) >= 2, (n, d)
+        for base in built:
+            fresh = RuleSet(base.rules, degree_bound=base.degree_bound)
+            assert _layout(base) == _layout(fresh), (n, d, len(base))
+            assert base._top == n, (n, d, len(base))
+
+
+def test_a_grown_set_that_drops_a_class_member_is_not_closed():
+    rules = gb_vector(5, 6).rules
+    by_length = {t: [r for r in rules if len(r.lead) == t] for t in (3, 4, 5, 6)}
+    below = RuleSet(by_length[3] + by_length[4], degree_bound=6)
+    assert below._top == 5
+    assert below.grown(by_length[5]).grown(by_length[6])._top == 5
+
+    def pattern(lead):
+        letters = sorted(set(lead))
+        return tuple(letters.index(x) for x in lead)
+
+    gaps = 0
+    for dropped in by_length[5]:
+        kept = [r for r in by_length[5] if r is not dropped]
+        # Dropping a class's only member leaves no gap.
+        gap = sum(pattern(r.lead) == pattern(dropped.lead) for r in by_length[5]) > 1
+        gaps += gap
+        grown = below.grown(kept)
+        want = 0 if gap else 5
+        assert grown._top == RuleSet(below.rules + tuple(kept))._top == want, dropped
+        # A longer degree joins no old class, so a gap stays.
+        assert grown.grown(by_length[6])._top == want, dropped
+    assert gaps == 5
+    # A class missing a member below the growth.
+    short = RuleSet(by_length[3][1:] + by_length[4])
+    assert short._top == short.grown(by_length[5])._top == 0
+    # A rule outside every relabeling leaves every growth not closed.
+    symbolic = RuleSet([RewriteRule((2, 1), Scalar.symbol(1) * w(1, 2))])
+    grown = symbolic.grown([RewriteRule((3, 3, 3), Polynomial())])
+    assert symbolic._classes is grown._classes is None
+    assert symbolic._top == grown._top == 0
+
+
+def test_a_set_grows_only_by_longer_leads():
+    rules = gb_vector(4, 5).rules
+    threes = RuleSet([r for r in rules if len(r.lead) == 3], degree_bound=5)
+    fours = [r for r in rules if len(r.lead) == 4]
+    before = _layout(threes)
+    for batch in (
+        [RewriteRule((1, 1, 1), Polynomial())],
+        fours + [RewriteRule((1, 1, 1), Polynomial())],
+        [r for r in rules if len(r.lead) == 3][:1],
+    ):
+        not_longer = r"^lead v[0-9*v]+ is not longer than every lead of the set$"
+        with pytest.raises(ValueError, match=not_longer):
+            threes.grown(batch)
+    with pytest.raises(ValueError, match="^duplicate lead "):
+        threes.grown([fours[0], RewriteRule(fours[0].lead, Polynomial())])
+    # A failed growth leaves the set it started from as it was.
+    assert _layout(threes) == before
+    both = RuleSet(threes.rules + tuple(fours), degree_bound=5)
+    assert _layout(threes.grown(fours)) == _layout(both)
 
 
 def test_complete_rejects_inhomogeneous():
@@ -741,7 +839,7 @@ def test_overlaps_match_all_pairs():
         assert overlaps(base, bound) == _naive_overlaps(base, bound)
 
 
-def test_representative_overlaps_are_the_overlaps_relabeling_leaves_in_place():
+def test_representative_overlaps_are_the_overlaps_relabeling_leaves_in_place(monkeypatch):
     closed = [
         (gb_vector(3, 6), 6),
         (gb_vector(4, 6), 6),
@@ -755,6 +853,16 @@ def test_representative_overlaps_are_the_overlaps_relabeling_leaves_in_place():
         kept = [ob for ob in every if _stays(sorted(set(ob.word)), base._top)]
         assert 0 < len(kept) < len(every)
         assert _representative_overlaps(base, d, base._top) == kept
+    # Every set complete grows, with the generators' N, which is its own.
+    gens = [g.element for g in gen_vector_syzygies(5)]
+    random.Random(47).shuffle(gens)
+    for base in _grown_sets(monkeypatch, gens, 7):
+        assert base._top == 5
+        every = overlaps(base, 7)
+        kept = [ob for ob in every if _stays(sorted(set(ob.word)), 5)]
+        assert len(kept) < len(every)
+        for d in range(8):
+            assert _representative_overlaps(base, d, 5) == [ob for ob in kept if len(ob.word) <= d]
     # Closed on no alphabet, every block is its own representative.
     rules = gb_vector(4, 5).rules
     for base in (RuleSet(rules[1:]), _fractional_completion()):
