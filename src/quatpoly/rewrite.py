@@ -46,6 +46,14 @@ block is done.  Every rule is multiset-homogeneous, so a word's normal
 form holds only words of its own letter multiset and no memo entry is
 read outside its block; the copies lose no reuse.  No engine routine
 touches a set's own memo: only ``normalize`` and ``syzygy._normal_form`` fill it.
+Every obstruction still takes a ``normalize`` call of its own, on its
+residue relabeled as below, and only a nonzero normal form is mapped
+back.  A polynomial whose words share one letter set and whose numerators
+are all ints is normalized once per relabeling class: the polynomials
+that relabel, as below, onto one polynomial on letters 1..k, over one
+denominator.  ``normalize`` sums such a polynomial as one block, relabeled
+or left alone, and divides by its denominator, so its normal form is the
+class's normal form mapped back onto its letters; this is exact.
 
 A rule set is *closed* when it is invariant under every order-preserving
 relabeling of its alphabet 1..N, N its largest lead letter: grouping the
@@ -83,7 +91,7 @@ import threading
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .freealg import Polynomial, Scalar, Word, word_key, word_multiset, word_str
+from .freealg import _INT, Polynomial, Scalar, Word, word_key, word_multiset, word_str
 
 _RATIONAL = frozenset((int, Fraction))
 _first, _second = operator.itemgetter(0), operator.itemgetter(1)
@@ -476,39 +484,62 @@ def _nf_word(base: RuleSet, w: Word) -> dict:
     coefficients wherever the tails allow; it and every word its rewriting
     reaches enter the memo, a normal word under a new id.
 
-    Each stack frame is a word and its one :func:`_first_step`.  The top
-    frame pushes its first successor not yet in the memo and stops; with
-    none left it sums its step into the memo (a normal word is interned)
-    and pops.  Successors are smaller words, so the stack descends, no
-    word enters it twice, and each memo miss costs exactly one rewrite
-    step.
+    Each memo miss takes one :func:`_first_match`.  A normal word is
+    interned; any other is rewritten there, inline, and pushed as a frame:
+    the word, its coefficient in the frame below, its successors still to
+    look up and the ``(entry, coefficient)`` pairs of those looked up.
+    The top frame looks its successors up in order and stops at the first
+    miss, which is matched in turn; with none left it sums its pairs into
+    the memo (:func:`_accumulate`) and pops, handing its entry down.
+    Successors are smaller words, so the stack descends, no word enters it
+    twice, and each successor is looked up once.
     """
     cache = base._nf_cache
-    stack = [(w, _first_step(base, w))]
-    while stack:
-        u, step = stack[-1]
-        for x, _ in step or ():
-            if x not in cache:
-                stack.append((x, _first_step(base, x)))
-                break
+    get = cache.get
+    rules, tails = base.rules, base._tails
+    stack = []
+    x, c = w, None
+    while True:
+        # ``x`` is a memo miss, with coefficient ``c`` in the top frame.
+        hit = _first_match(base, x)
+        if hit is None:
+            nf = cache.intern(x)
         else:
-            if step is None:
-                cache.intern(u)
+            i, p = hit
+            head, rest = x[:p], x[p + len(rules[i].lead) :]
+            todo = iter([(head + v + rest, cv) for v, cv in tails[i]])
+            stack.append((x, c, todo, []))
+            nf = None
+        while stack:
+            u, cu, todo, pairs = stack[-1]
+            if nf is not None:
+                pairs.append((nf, c))
+            for x, c in todo:
+                nf = get(x)
+                if nf is None:
+                    break
+                pairs.append((nf, c))
             else:
-                cache[u] = _accumulate(base, step)
-            stack.pop()
-    return cache[w]
+                nf = cache[u] = _accumulate(pairs)
+                stack.pop()
+                c = cu
+                continue
+            break
+        else:
+            return nf
 
 
-def _accumulate(base: RuleSet, pairs) -> dict:
-    """The raw sum of ``c * nf(w)`` over ``(w, c)`` pairs, keyed by the
-    ids of the memo's normal words, zeros dropped."""
-    cache = base._nf_cache
-    acc = {}
-    for w, c in pairs:
-        nf = cache.get(w)
-        if nf is None:
-            nf = _nf_word(base, w)
+def _accumulate(pairs) -> dict:
+    """The raw sum of ``c * nf`` over ``(nf, c)`` pairs, ``nf`` a memo
+    entry, keyed by the ids of the memo's normal words, zeros dropped.
+    The first pair is copied, the rest are merged in."""
+    pairs = iter(pairs)
+    for nf, c in pairs:
+        acc = dict(nf) if c == 1 else {u: c * cu for u, cu in nf.items()}
+        break
+    else:
+        return {}
+    for nf, c in pairs:
         for u, cu in nf.items():
             if u in acc:
                 val = acc[u] + c * cu
@@ -533,8 +564,12 @@ def _reduce(pairs, top, choose) -> dict:
         if base is None:
             terms = dict(local)
         else:
+            get = base._nf_cache.get
+            entries = [
+                (nf if (nf := get(w)) is not None else _nf_word(base, w), c) for w, c in local
+            ]
             words = base._nf_cache.words
-            terms = {words[i]: c for i, c in _accumulate(base, local).items()}
+            terms = {words[i]: c for i, c in _accumulate(entries).items()}
         out.update(_unlabel(letters, terms))
     return out
 
@@ -544,9 +579,9 @@ def normalize(p: Polynomial, base: RuleSet) -> Polynomial:
 
     Termination follows from the well-founded word order; every rewrite
     replaces a word by strictly smaller words of the same letter multiset.
-    An input with only ``int`` coefficients is summed as it is; any other
-    is summed per scalar monomial as int numerators
-    (``Polynomial._by_monomial``) and divided once, by its denominator.
+    An input with only ``int`` numerators is summed as it is and divided
+    once, by its denominator; any other is summed per scalar monomial as
+    int numerators (``Polynomial._by_monomial``) and divided the same way.
     """
     _check_input(p, base)
     return _normalize(p, base._top, lambda local: base)
@@ -555,8 +590,8 @@ def normalize(p: Polynomial, base: RuleSet) -> Polynomial:
 def _normalize(p: Polynomial, top, choose) -> Polynomial:
     """:func:`normalize`'s body, with N = ``top`` and ``choose`` (:func:`_reduce`)."""
     data = p._data
-    if p._den == 1 and all(type(c) is int for c in data.values()):
-        return Polynomial(_reduce(data.items(), top, choose))
+    if _INT.issuperset(map(type, data.values())):
+        return Polynomial._make(_reduce(data.items(), top, choose), p._den)
     den, groups = p._by_monomial()
     images, spread = {}, []
     for mono, ints in groups.items():
@@ -750,45 +785,86 @@ def _normalize_by_block(base: RuleSet, obs, polys):
     one block at a time (see the module docstring), each block against a
     copy of ``base`` with an empty memo of its own.  Yields
     ``(i, normal form)`` for the nonzero normal forms, ``i`` the position
-    in ``obs`` followed by ``polys``.
+    in ``obs`` followed by ``polys``, in no particular order.
 
     An obstruction's residue is its word W minus rule b's rewrite of W at
     ``offset_b``.  Rule a sits at offset 0, W's leftmost lead occurrence,
     so the memo, the linear map fixed by the leftmost rewrite step, sends
     W to the normal form of rule a's rewrite: the residue has the normal
     form of the S-polynomial, for any rule set, and every obstruction on
-    W reads W's one memo entry.
+    W reads W's one memo entry.  Each obstruction takes a ``normalize``
+    call of its own.  Rules are multiset-homogeneous, so the residue lies
+    on W's letters T, and ``normalize`` would relabel it as one block: it
+    is relabeled here instead, when ``_relabel_blocks`` moves T, and only
+    a nonzero normal form is mapped back.
 
-    An obstruction is keyed by its word, a polynomial by any one of its
-    words; a zero polynomial is skipped.  A word's block is its letter
-    multiset relabeled by ``_relabel_blocks``, as the memo holds the word:
-    multisets of one letter pattern share a block when relabeled, and a
-    multiset left alone keeps a block of its own.
+    A polynomial whose words share one letter set T and whose numerators
+    are all ``int`` is keyed by its denominator and its pairs relabeled as
+    ``_relabel_blocks`` relabels them (T left alone keeps its pairs), and
+    each key is normalized once, mapped back onto the letters of every
+    polynomial that has it.  This is exact: ``normalize`` sums such an
+    input as one block, relabeled onto 1..|T| or left alone, and divides
+    by the denominator, so its normal form is the key's normal form
+    mapped back onto T.  Any other polynomial is normalized as it is.
+
+    An obstruction joins the block of its word, a key or other polynomial
+    that of any one of its words; a zero polynomial is skipped.  A word's
+    block is its letter multiset relabeled by ``_relabel_blocks``, as the
+    memo holds the word: multisets of one letter pattern share a block
+    when relabeled, and a multiset left alone keeps a block of its own.
     """
-    n = len(obs)
-    by_multiset = {}
-    for i, w in enumerate([ob.word for ob in obs] + [next(iter(p._data), None) for p in polys]):
-        if w is not None:
-            by_multiset.setdefault(word_multiset(w), []).append(i)
-    blocks = {}
-    for _, local in _relabel_blocks([(m, m) for m in by_multiset], base._top):
+    top, n = base._top, len(obs)
+    # Letter multiset -> jobs: an obstruction's position, or a polynomial,
+    # the positions it stands for and whether they hold its relabeled key.
+    jobs = {}
+    for i, ob in enumerate(obs):
+        jobs.setdefault(word_multiset(ob.word), []).append(i)
+    classes = {}
+    for i, p in enumerate(polys, n):
+        data = p._data
+        if not data:
+            continue
+        blocks = list(_relabel_blocks(data.items(), top))
+        if len(blocks) == 1 and _INT.issuperset(map(type, data.values())):
+            ((_, local),) = blocks
+            key = (p._den, frozenset(local))
+            members = classes.get(key)
+            if members is None:
+                members = classes[key] = []
+                job = Polynomial._raw(dict(local), p._den), members, True
+                jobs.setdefault(word_multiset(local[0][0]), []).append(job)
+            members.append(i)
+        else:
+            jobs.setdefault(word_multiset(next(iter(data))), []).append((p, (i,), False))
+    by_block = {}
+    for letters, local in _relabel_blocks([(m, m) for m in jobs], top):
         for key, m in local:
-            blocks.setdefault(key, []).extend(by_multiset[m])
-    for positions in blocks.values():
+            by_block.setdefault(key, []).append((letters, jobs[m]))
+    for block in by_block.values():
         # Rules, index and closure are shared, not rebuilt.
         local = copy.copy(base)
         local._nf_cache = _Memo()
-        for i in positions:
-            if i < n:
-                ob = obs[i]
-                data = {u: -c for u, c in _rewrite_at(base, ob.rule_b, ob.word, ob.offset_b)}
-                data[ob.word] = 1
-                p = Polynomial(data)
-            else:
-                p = polys[i - n]
-            nf = normalize(p, local)
-            if nf:
-                yield i, nf
+        for letters, batch in block:
+            for job in batch:
+                if type(job) is int:
+                    ob = obs[job]
+                    pairs = [(u, -c) for u, c in _rewrite_at(base, ob.rule_b, ob.word, ob.offset_b)]
+                    pairs.append((ob.word, 1))
+                    if letters is not None:
+                        pairs = _relabel(letters, pairs)
+                    nf = normalize(Polynomial._make(dict(pairs), 1), local)
+                    if nf:
+                        yield job, Polynomial._raw(_unlabel(letters, nf._data), nf._den)
+                    continue
+                p, members, keyed = job
+                nf = normalize(p, local)
+                if nf and not keyed:
+                    yield members[0], nf
+                elif nf:
+                    for i in members:
+                        # Only a nonzero normal form needs the member's letters.
+                        ((at, _),) = _relabel_blocks(polys[i - n]._data.items(), top)
+                        yield i, Polynomial._raw(_unlabel(at, nf._data), nf._den)
 
 
 def check_groebner(
@@ -810,9 +886,13 @@ def check_groebner(
     The obstructions and generators are normalized one block at a time,
     each block with a memo of its own (see the module docstring); a
     generator joins the block of any one of its words.  ``normalize`` is
-    called once per checked obstruction and generator, and residues are
-    reported in ``overlaps`` order, generator residues in generator order.
-    The memo of ``base`` is neither read nor written.
+    called once per checked obstruction and once per generator class
+    (``_normalize_by_block``): generators on one letter set with int
+    numerators that relabel onto one polynomial share one exact normal
+    form, mapped back onto each one's letters, and any other generator
+    is its own class.  Residues are reported in ``overlaps`` order,
+    generator residues in generator order.  The memo of ``base`` is
+    neither read nor written.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0, got %d" % max_degree)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .freealg import Polynomial, commutator, even
 from .qvars import QPolynomial
-from .rewrite import RewriteRule, RuleSet, _check_input, _Frozen, _normalize, _set
+from .rewrite import RewriteRule, RuleSet, _check_input, _Frozen, _normalize, _set, _unlabel
 
 
 class GeneratorFamily(_Frozen):
@@ -43,18 +43,25 @@ def _w(*letters) -> Polynomial:
 def _generators(n: int, d: int, multilinear: bool = False):
     """The V2/V3/V4 instances of degree at most ``d`` over pairwise-distinct
     indices in 1..n; with ``multilinear`` only V3 and V4, as squared letters
-    never occur there.  One letter has no relations: n = 1 gives none."""
+    never occur there.  One letter has no relations: n = 1 gives none.
+
+    Each family's element is built once, on the letters 1..m, and moved
+    onto every index tuple by the letter map t -> idx[t - 1].  The map is
+    injective, so it is a ring homomorphism of the free algebra that sends
+    distinct words to distinct words: each instance is exactly the element
+    built on its own indices."""
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
-    out = []
-    rng = range(1, n + 1)
+    families = []
     if d >= 3 and not multilinear:
-        for i, j in itertools.permutations(rng, 2):
-            out.append(GeneratorFamily("V2", (i, j), commutator(_w(i, i), _w(j))))
+        families.append(("V2", commutator(_w(1, 1), _w(2)), 2))
     for m in range(3, min(d, 4) + 1):
-        for idx in itertools.permutations(rng, m):
-            el = commutator(even(_w(*idx[:-1])), _w(idx[-1]))
-            out.append(GeneratorFamily("V%d" % m, idx, el))
+        families.append(("V%d" % m, commutator(even(_w(*range(1, m))), _w(m)), m))
+    out = []
+    for family, el, m in families:
+        for idx in itertools.permutations(range(1, n + 1), m):
+            image = Polynomial._raw(_unlabel(idx, el._data), el._den)
+            out.append(GeneratorFamily(family, idx, image))
     return out
 
 

@@ -17,6 +17,7 @@ from quatpoly.rewrite import (
     RuleSet,
     _chain_redundant,
     _closure_top,
+    _first_match,
     _first_step,
     _monic,
     _representative_overlaps,
@@ -416,10 +417,10 @@ def test_complete_hands_normalize_block_copies_only(monkeypatch):
     import quatpoly.rewrite as rewrite
 
     real_grown, real_normalize = rewrite.RuleSet.grown, rewrite.normalize
-    real_step = rewrite._first_step
+    real_match = rewrite._first_match
 
     def run(gens):
-        built, seen, steps = [], [], []
+        built, seen, steps, inside = [], [], [], []
 
         def recording_grown(self, rules):
             base = real_grown(self, rules)
@@ -427,17 +428,25 @@ def test_complete_hands_normalize_block_copies_only(monkeypatch):
             return base
 
         def recording_normalize(p, b):
-            out = real_normalize(p, b)
+            inside.append(b)
+            try:
+                out = real_normalize(p, b)
+            finally:
+                inside.pop()
             seen.append((b, len(b._nf_cache)))
             return out
 
         def counted(b, word):
-            steps.append(word)
-            return real_step(b, word)
+            # Inside normalize a match is a memo miss's one rewrite step;
+            # outside it, the factor-free check and the chain criterion.
+            if inside:
+                assert b is inside[-1]
+                steps.append(word)
+            return real_match(b, word)
 
         monkeypatch.setattr(rewrite.RuleSet, "grown", recording_grown)
         monkeypatch.setattr(rewrite, "normalize", recording_normalize)
-        monkeypatch.setattr(rewrite, "_first_step", counted)
+        monkeypatch.setattr(rewrite, "_first_match", counted)
         out = complete(gens, 6)
         monkeypatch.undo()
         assert out is built[-1] and len(built) >= 4
@@ -684,15 +693,20 @@ def _naive_step(base, word):
     return _rewrite(word, p, rule)
 
 
-def _canonical_order_step(base, word):
+def _canonical_order_match(base, word):
     # The first rule in canonical order, at its leftmost occurrence: a
     # different strategy, which must reach the same normal forms on a
     # confluent set.
-    for rule in base.rules:
+    for i, rule in enumerate(base.rules):
         p = find_factor(word, rule.lead)
         if p is not None:
-            return _rewrite(word, p, rule)
+            return i, p
     return None
+
+
+def _canonical_order_step(base, word):
+    hit = _canonical_order_match(base, word)
+    return None if hit is None else _rewrite(word, hit[1], base.rules[hit[0]])
 
 
 def _naive_reduce_once(poly, base, step_of=_naive_step):
@@ -1034,7 +1048,7 @@ def test_strategy_changes_no_normal_form_and_no_verdict(base_m4, monkeypatch):
 
     assert verdicts() == [False, False]
     # Fresh rule sets, so no memo entry of the first strategy is read.
-    monkeypatch.setattr("quatpoly.rewrite._first_step", _canonical_order_step)
+    monkeypatch.setattr("quatpoly.rewrite._first_match", _canonical_order_match)
     assert verdicts() == [False, False]
 
 
@@ -1240,9 +1254,11 @@ def test_first_step_runs_once_per_memo_entry(monkeypatch):
 
     def counted(b, word):
         calls.append(word)
-        return _first_step(b, word)
+        return _first_match(b, word)
 
-    monkeypatch.setattr("quatpoly.rewrite._first_step", counted)
+    # Inside normalize, each memo miss takes exactly one match and one
+    # rewrite step.
+    monkeypatch.setattr("quatpoly.rewrite._first_match", counted)
     assert check_groebner(base, 6).ok
     # Each block has a memo of its own, and no word is rewritten twice;
     # every overlap word on letters 1..k is one of them.
@@ -1272,6 +1288,38 @@ def test_first_step_runs_once_per_memo_entry(monkeypatch):
             normalize(p, base)
             assert len(calls) == len(set(calls)) == len(base._nf_cache) - size, p
         assert calls
+
+
+def test_check_groebner_normalizes_each_generator_class_once(monkeypatch):
+    import quatpoly.rewrite as rewrite
+
+    real = rewrite.normalize
+    calls = []
+
+    def counted(p, b):
+        calls.append(p)
+        return real(p, b)
+
+    monkeypatch.setattr(rewrite, "normalize", counted)
+    gens = gen_vector_syzygies(4)
+    random.Random(5).shuffle(gens)
+    # One call per obstruction, and one per relabeling class of the 60
+    # generators: 2 for V2, 3 for V3, whose V3(i, j, k) equals V3(j, i, k),
+    # and 24 for V4 on 1..4.
+    closed = gb_vector(4, 5)
+    report = check_groebner(closed, 5, generators=gens)
+    assert report.ok and closed._top == 4
+    assert (report.obstructions_checked, len(calls)) == (83, 83 + 29)
+    # The set is closed, so obstruction residues and class keys reach
+    # normalize relabeled onto letters 1..k.
+    assert all(set(u) == set(range(1, len(set(u)) + 1)) for p in calls for u in p._data)
+    # Not closed, N = 0: only copies share a key, 12 V2, 12 V3 and 24 V4.
+    calls.clear()
+    square = next(r for r in closed.rules if r.family == "VG3sq")
+    not_closed = RuleSet([r for r in closed.rules if r is not square], degree_bound=5)
+    report = check_groebner(not_closed, 5, generators=gens)
+    assert not_closed._top == 0 and report.generator_residues
+    assert (report.obstructions_checked, len(calls)) == (73, 73 + 48)
 
 
 def test_check_groebner_keeps_a_memo_for_one_block_only(monkeypatch):
@@ -1391,6 +1439,29 @@ def test_blockwise_check_reports_what_a_flat_loop_reports(base_m4):
     # Inhomogeneous extras, some above the bound and some on letters
     # outside the closed alphabet, leave generator residues in a known order.
     extras = [helpers.random_poly(rng, n=4, max_degree=5) for _ in range(12)]
+    # check_groebner normalizes one key per relabeling class of generators
+    # whose words share a letter set and whose numerators are ints, and
+    # any other generator as it is.  Copies of one generator, its pattern
+    # on other letters, inside and outside 1..4, words on two letter sets,
+    # fractional coefficients and a scalar symbol all report as a flat
+    # loop does, position by position.
+    s1 = Scalar.symbol(1)
+    pattern = w(3, 2, 1) - 2 * w(1, 3, 2) + w(1, 2, 3)
+    extras += [
+        pattern,
+        pattern,
+        w(4, 3, 2) - 2 * w(2, 4, 3) + w(2, 3, 4),
+        w(4, 2, 1) - 2 * w(1, 4, 2) + w(1, 2, 4),
+        w(5, 3, 1) - 2 * w(1, 5, 3) + w(1, 3, 5),
+        w(3, 2, 1) + w(4, 2, 1, 1) - w(2, 2, 4),
+        w(3, 2, 1) + w(4, 2, 1, 1) - w(2, 2, 4),
+        Fraction(1, 3) * w(3, 2, 1) - Fraction(1, 2) * w(2, 3, 1),
+        Fraction(1, 3) * w(4, 3, 2) - Fraction(1, 2) * w(3, 4, 2),
+        Fraction(2, 3) * w(4, 3, 2) - w(3, 4, 2),
+        s1 * w(3, 2, 1) + w(1, 2, 3),
+        s1 * w(3, 2, 1) + w(1, 2, 3),
+        s1 * w(4, 3, 2) + w(2, 3, 4),
+    ]
     # (rule set, degree bound, multilinear, generators, obstructions,
     # overlap residues)
     cases = [

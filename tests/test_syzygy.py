@@ -1,13 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from quatpoly.freealg import Polynomial, Scalar
+import helpers
+from quatpoly.freealg import Polynomial, Scalar, commutator, even
 from quatpoly.oracle import zero_test
 from quatpoly.qvars import QPolynomial, split
 from quatpoly.rewrite import find_factor, normalize
 from quatpoly.syzygy import (
+    _generators,
     _normal_form,
     gb_multilinear,
     gb_vector,
@@ -51,6 +54,31 @@ def test_vector_generator_elements():
     assert v3.element == sym * w(3) - w(3) * sym
     v2 = next(g for g in fams["V2"] if g.indices == (1, 2))
     assert v2.element == w(1, 1, 2) - w(2, 1, 1)
+
+
+def test_generators_by_letter_map_equal_the_arithmetic_construction():
+    # Each instance built by its own products, as the families define it.
+    def arithmetic(n, d, multilinear):
+        out = []
+        rng = range(1, n + 1)
+        if d >= 3 and not multilinear:
+            for i, j in itertools.permutations(rng, 2):
+                out.append(("V2", (i, j), commutator(w(i, i), w(j))))
+        for m in range(3, min(d, 4) + 1):
+            for idx in itertools.permutations(rng, m):
+                out.append(("V%d" % m, idx, commutator(even(w(*idx[:-1])), w(idx[-1]))))
+        return out
+
+    for n in range(1, 7):
+        for d in range(6):
+            for multilinear in (False, True):
+                got = _generators(n, d, multilinear)
+                assert [(g.family, g.indices, g.element) for g in got] == arithmetic(
+                    n, d, multilinear
+                ), (n, d, multilinear)
+                for g in got:
+                    helpers.assert_stored_canonical(g.element)
+                    assert (g.variant, g.choices) == (0, ())
 
 
 def test_vector_generators_are_homogeneous_and_vanish():
