@@ -67,6 +67,12 @@ def _qterm(w, n, den):
     return (n < 0, _coeff_body(n, den, [qletter_str(x) for x in w]))
 
 
+def _check_q(p):
+    # A v-word read as a q-word would pass silently for another word.
+    if not isinstance(p, QPolynomial):
+        raise TypeError("expected a QPolynomial, not %s" % type(p).__name__)
+
+
 def split(p: QPolynomial) -> Polynomial:
     """Substitute q_i -> s_i + v_i and the barred letter -> s_i - v_i.
 
@@ -76,8 +82,7 @@ def split(p: QPolynomial) -> Polynomial:
     s_i or +-v_i, so the word expands to 2^k (vector word, scalar
     monomial) terms, gathered per vector word.
     """
-    if not isinstance(p, QPolynomial):
-        raise TypeError("expected a QPolynomial, not %s" % type(p).__name__)
+    _check_q(p)
     images = {}
     for w, c in p._data.items():
         signed = (c, -c)
@@ -109,10 +114,11 @@ def normalize_q(p: QPolynomial, n: int | None = None, max_degree: int | None = N
     """
     from . import syzygy
 
-    v = split(p)
+    _check_q(p)
     top = max(p.indices(), default=0)
     if n is not None and top > n:
         raise ValueError("variable index %d exceeds n=%d" % (top, n))
     if max_degree is not None and p.degree() > max_degree:
         raise ValueError("degree %d exceeds the requested bound %d" % (p.degree(), max_degree))
-    return syzygy._normal_form(v)
+    # Checked first: a degree-k word splits into 2^k terms.
+    return syzygy._normal_form(split(p))

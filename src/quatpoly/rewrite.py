@@ -53,20 +53,22 @@ are all ints is normalized once per relabeling class: the polynomials
 that relabel, as below, onto one polynomial on letters 1..k, over one
 denominator.  ``normalize`` sums such a polynomial as one block, relabeled
 or left alone, and divides by its denominator, so its normal form is the
-class's normal form mapped back onto its letters; this is exact.
+class's normal form mapped back onto its letters; this is exact.  Any
+other polynomial is a class of one, so a block holds two kinds of job,
+an obstruction and a class, and every class maps back one way.
 
 A rule set is *closed* when it is invariant under every order-preserving
 relabeling of its alphabet 1..N, N its largest lead letter: grouping the
 rules by their pattern on letters 1..k (lead and tail), each class has
 exactly C(N, k) members, so it holds the pattern on every k-subset of
 1..N.  ``RuleSet`` decides this from its rules alone, and ``complete``
-from its generators, by one test (``_closure_top``, which a rule set keeps
-as counts while it grows) that reads each rule's or generator's terms in
-any order.  One map, ``_relabel``, moves words on letters T
-order-preservingly onto 1..|T|, and one rule, in
-``_relabel_blocks`` alone (its test is ``_stays``), decides which blocks
-move: a block on letters T moves only when the set is closed and T lies
-in 1..N.  ``normalize`` reduces each block there and maps it back, in
+from its generators, by one counter (``_class_sizes``, whose count a rule
+set adds to as it grows) that reads each rule's or generator's terms in
+any order, and one test of the count (``_full_top``).  One map,
+``_relabel``, moves words on letters T order-preservingly onto 1..|T|,
+and one rule, in ``_relabel_blocks`` alone (its test is ``_stays``),
+decides which blocks move: a block on letters T moves only when the set
+is closed and T lies in 1..N.  ``normalize`` reduces each block there and maps it back, in
 the one block pass that ``syzygy._normal_form`` runs too, with N None
 and a family per block.  So one memo entry serves a letter pattern on
 every letter set, and ``complete`` completes only the blocks that the
@@ -197,54 +199,47 @@ def _unlabel(letters, terms: dict) -> dict:
     return {tuple([letters[i - 1] for i in w]): c for w, c in terms.items()}
 
 
-def _block_class(block):
-    """``(lead, largest letter, class key)`` of a rule or generator
-    ``block`` for ``_closure_top``, or None when the block leaves every
-    family holding it not closed.
+def _class_sizes(blocks):
+    """``(largest letter, sizes)`` of ``blocks`` under order-preserving
+    relabeling, ``sizes`` a ``Counter`` of ``(k, members)``: how many
+    relabeling classes on k letters have each member count.  None when a
+    block leaves every family holding it not closed.
 
-    A block is ``(word, value)`` pairs in any order, its words all of one
-    length on one letter set.  Its class key is its letter count k and its
-    set of pairs relabeled onto 1..k (``_relabel``).  A coefficient with
-    symbols names symbols that the relabeling would have to move as well,
-    and a letter below 1 lies outside every relabeling.
-    """
-    lead = max(map(_first, block))
-    letters = sorted(set(lead))
-    if (letters and letters[0] < 1) or not _RATIONAL.issuperset(map(type, map(_second, block))):
-        return None
-    return lead, letters[-1] if letters else 0, (len(letters), frozenset(_relabel(letters, block)))
-
-
-def _full_top(top, sizes) -> int:
-    """``top`` if ``sizes``, the count of classes by ``(k, members)``,
-    holds a class and each class on k letters has C(``top``, k) members,
-    else 0."""
-    if sizes and all(n == math.comb(top, k) for k, n in sizes):
-        return top
-    return 0
-
-
-def _closure_top(blocks) -> int:
-    """The largest letter N if ``blocks`` are closed under
-    order-preserving relabeling of 1..N (see the module docstring), else 0.
-
-    ``blocks`` may be any iterable of blocks (``_block_class``), read
-    once.  A block counts in its class as its leading word, so copies of
-    a block count once.  A class on k letters is full when it has C(N, k)
-    members, and the blocks are closed when every class is full.
+    ``blocks`` may be any iterable of rules' or generators' ``(word,
+    value)`` pairs, read once; a block's pairs may come in any order, its
+    words all of one length on one letter set.  Its class is its letter
+    count k and its set of pairs relabeled onto 1..k (``_relabel``).  A
+    coefficient with symbols names symbols that the relabeling would
+    have to move as well, and a letter below 1 lies outside every
+    relabeling.  A block counts in its class as its leading word, so
+    copies of a block count once.
     """
     top = 0
     classes = {}
     for block in blocks:
-        found = _block_class(block)
-        if found is None:
-            return 0
-        lead, last, key = found
-        top = max(top, last)
+        lead = max(map(_first, block))
+        letters = sorted(set(lead))
+        if (letters and letters[0] < 1) or not _RATIONAL.issuperset(map(type, map(_second, block))):
+            return None
+        if letters:
+            top = max(top, letters[-1])
         # Relabeling is one-to-one on a letter set, so two members of a
         # class with one lead are copies of one block.
-        classes.setdefault(key, set()).add(lead)
-    return _full_top(top, Counter((key[0], len(m)) for key, m in classes.items()))
+        classes.setdefault((len(letters), frozenset(_relabel(letters, block))), set()).add(lead)
+    return top, Counter((k, len(m)) for (k, _), m in classes.items())
+
+
+def _full_top(classes) -> int:
+    """The largest letter N if the blocks that ``_class_sizes`` counted
+    as ``classes`` are closed under order-preserving relabeling of 1..N
+    (see the module docstring), else 0: there is a class, and each class
+    on k letters is full, with C(N, k) members."""
+    if classes is None:
+        return 0
+    top, sizes = classes
+    if sizes and all(n == math.comb(top, k) for k, n in sizes):
+        return top
+    return 0
 
 
 class _Memo(dict):
@@ -289,11 +284,12 @@ class RuleSet:
     in stored order, a view of its ``_data`` when the tail is integral.
     ``_top`` is the largest lead letter N when the set is closed under
     order-preserving relabeling of 1..N, else 0: the ``top`` with which
-    ``_relabel_blocks`` relabels the set's blocks.  It is decided as
-    ``_closure_top`` decides it, from ``_classes``: the largest lead letter
-    and how many relabeling classes (``_block_class``) on k letters have
-    each member count, or None once a rule lies outside every relabeling.
-    Leads are distinct, so a count is all a class needs.
+    ``_relabel_blocks`` relabels the set's blocks.  ``_classes`` is the
+    one closure counter, ``_class_sizes``, run over the rules: the
+    largest lead letter and how many relabeling classes on k letters have
+    each member count, or None once a rule lies outside every relabeling;
+    ``_top`` is ``_full_top`` of it, as ``complete``'s N is of its
+    generators' count.
 
     A set is built by growth (``grown``): rules whose leads are all longer
     than every lead of the set are appended, in canonical order, since
@@ -301,7 +297,7 @@ class RuleSet:
     longer one, so only the new leads need the factor-free check, the
     head length stays, and only the new rules enter the indexes.  A
     class holds leads of one length, so no new rule joins an old class:
-    the new rules' classes are counted and added to the old sizes.
+    the new rules' count is added to the old one.
     ``RuleSet(rules)`` is that growth from the empty set.
 
     Immutable after construction apart from the normal-form memo, a
@@ -366,20 +362,10 @@ class RuleSet:
                 raise ValueError("lead %s contains lead %s" % (word_str(r.lead), word_str(inner)))
         tails = tuple(r.rhs._items() for r in rules)
         self._tails += tails
-        if self._classes is not None:
-            top, sizes = self._classes
-            counts = Counter()
-            for r, t in zip(rules, tails):
-                found = _block_class(((r.lead, 1), *t))
-                if found is None:
-                    self._classes = None
-                    break
-                _, last, key = found
-                top = max(top, last)
-                counts[key] += 1
-            else:
-                self._classes = top, sizes + Counter((k, n) for (k, _), n in counts.items())
-        self._top = 0 if self._classes is None else _full_top(*self._classes)
+        # None, once a rule lies outside every relabeling, stays None.
+        new = self._classes and _class_sizes(((r.lead, 1), *t) for r, t in zip(rules, tails))
+        self._classes = new and (max(self._classes[0], new[0]), self._classes[1] + new[1])
+        self._top = _full_top(self._classes)
         self._nf_cache = _Memo()
 
     def __len__(self):
@@ -427,15 +413,6 @@ def _first_match(base: RuleSet, w: Word):
     return None
 
 
-def _first_step(base: RuleSet, w: Word):
-    """One rewrite of ``w`` at its leftmost lead occurrence, as a list of
-    (word, coefficient) pairs; None if normal."""
-    hit = _first_match(base, w)
-    if hit is None:
-        return None
-    return _rewrite_at(base, hit[0], w, hit[1])
-
-
 def _rewrite_at(base: RuleSet, i: int, w: Word, pos: int):
     """``w`` with the lead of rule ``i`` at offset ``pos`` replaced by the
     rule's tail, as a list of (word, coefficient) pairs."""
@@ -467,13 +444,13 @@ def reduce_once(p: Polynomial, base: RuleSet):
     _check_input(p, base)
     terms = p.terms
     for w, c in terms.items():  # iteration is descending
-        step = _first_step(base, w)
-        if step is not None:
+        hit = _first_match(base, w)
+        if hit is not None:
             break
     else:
         return p, False
     del terms[w]
-    for u, cu in step:
+    for u, cu in _rewrite_at(base, hit[0], w, hit[1]):
         terms[u] = terms.get(u, 0) + c * cu
     return Polynomial(terms), True
 
@@ -798,24 +775,29 @@ def _normalize_by_block(base: RuleSet, obs, polys):
     is relabeled here instead, when ``_relabel_blocks`` moves T, and only
     a nonzero normal form is mapped back.
 
-    A polynomial whose words share one letter set T and whose numerators
-    are all ``int`` is keyed by its denominator and its pairs relabeled as
-    ``_relabel_blocks`` relabels them (T left alone keeps its pairs), and
-    each key is normalized once, mapped back onto the letters of every
-    polynomial that has it.  This is exact: ``normalize`` sums such an
-    input as one block, relabeled onto 1..|T| or left alone, and divides
-    by the denominator, so its normal form is the key's normal form
-    mapped back onto T.  Any other polynomial is normalized as it is.
+    Each of ``polys`` belongs to one class, and each class takes one
+    ``normalize`` call, so a block holds two kinds of job: an
+    obstruction and a class.  A polynomial whose words share one letter
+    set T and whose numerators are all ``int`` is keyed by its
+    denominator and its pairs relabeled as ``_relabel_blocks`` relabels
+    them (T left alone keeps its pairs): its class is every polynomial
+    with its key, and the key is what is normalized.  Any other
+    polynomial is a class of one, normalized as it is.  A nonzero normal
+    form is mapped back onto each member's letters, those of its first
+    word when ``_relabel_blocks`` moves them.  This is exact:
+    ``normalize`` sums a keyed input as one block, relabeled onto 1..|T|
+    or left alone, and divides by the denominator, so its normal form is
+    the key's normal form mapped back onto T.
 
-    An obstruction joins the block of its word, a key or other polynomial
-    that of any one of its words; a zero polynomial is skipped.  A word's
+    An obstruction joins the block of its word, a class that of any one
+    of its polynomial's words; a zero polynomial is skipped.  A word's
     block is its letter multiset relabeled by ``_relabel_blocks``, as the
     memo holds the word: multisets of one letter pattern share a block
     when relabeled, and a multiset left alone keeps a block of its own.
     """
     top, n = base._top, len(obs)
-    # Letter multiset -> jobs: an obstruction's position, or a polynomial,
-    # the positions it stands for and whether they hold its relabeled key.
+    # Letter multiset -> jobs: an obstruction's position, or a class's
+    # polynomial and the positions of its members.
     jobs = {}
     for i, ob in enumerate(obs):
         jobs.setdefault(word_multiset(ob.word), []).append(i)
@@ -824,18 +806,17 @@ def _normalize_by_block(base: RuleSet, obs, polys):
         data = p._data
         if not data:
             continue
+        members = [i]
         blocks = list(_relabel_blocks(data.items(), top))
         if len(blocks) == 1 and _INT.issuperset(map(type, data.values())):
             ((_, local),) = blocks
             key = (p._den, frozenset(local))
-            members = classes.get(key)
-            if members is None:
-                members = classes[key] = []
-                job = Polynomial._raw(dict(local), p._den), members, True
-                jobs.setdefault(word_multiset(local[0][0]), []).append(job)
-            members.append(i)
-        else:
-            jobs.setdefault(word_multiset(next(iter(data))), []).append((p, (i,), False))
+            if key in classes:
+                classes[key].append(i)
+                continue
+            classes[key] = members
+            p = Polynomial._raw(dict(local), p._den)
+        jobs.setdefault(word_multiset(next(iter(p._data))), []).append((p, members))
     by_block = {}
     for letters, local in _relabel_blocks([(m, m) for m in jobs], top):
         for key, m in local:
@@ -856,15 +837,16 @@ def _normalize_by_block(base: RuleSet, obs, polys):
                     if nf:
                         yield job, Polynomial._raw(_unlabel(letters, nf._data), nf._den)
                     continue
-                p, members, keyed = job
+                p, members = job
                 nf = normalize(p, local)
-                if nf and not keyed:
-                    yield members[0], nf
-                elif nf:
-                    for i in members:
-                        # Only a nonzero normal form needs the member's letters.
-                        ((at, _),) = _relabel_blocks(polys[i - n]._data.items(), top)
-                        yield i, Polynomial._raw(_unlabel(at, nf._data), nf._den)
+                if not nf:
+                    continue
+                for i in members:
+                    # A class of one that was not keyed is its member, as is.
+                    q = polys[i - n]
+                    at = sorted(set(next(iter(q._data))))
+                    at = None if q is p or _stays(at, top) else at
+                    yield i, Polynomial._raw(_unlabel(at, nf._data), nf._den)
 
 
 def check_groebner(
@@ -944,8 +926,8 @@ def complete(generators, max_degree: int) -> RuleSet:
     them (``RuleSet.grown``), equal to the set built from all its rules.
 
     Each degree completes one block per letter pattern.  N is decided
-    once, from the generators alone, by the closure test of ``RuleSet``
-    (``_closure_top``, which reads each generator's terms as stored, in
+    once, from the generators alone, by the closure counter of ``RuleSet``
+    (``_class_sizes``, which reads each generator's terms as stored, in
     any order, and counts copies of a generator once): the largest letter
     if the generators are closed under relabeling of 1..N, else 0.
     For closed generators every intermediate set is closed too, as above,
@@ -1008,7 +990,7 @@ def complete(generators, max_degree: int) -> RuleSet:
             raise ValueError(
                 "generator degree %d exceeds the degree bound %d" % (p.degree(), max_degree)
             )
-    top = _closure_top(p._items() for p in gens)
+    top = _full_top(_class_sizes(p._items() for p in gens))
     by_degree = {}
     for p in gens:
         # A generator's words share one letter set.

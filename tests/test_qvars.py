@@ -136,6 +136,21 @@ def test_normalize_q_rejects_indices_above_n():
         normalize_q(qw(2), n=1)
 
 
+def test_normalize_q_refuses_before_it_splits(monkeypatch):
+    import quatpoly.qvars as qvars
+
+    def unsplittable(p):
+        raise AssertionError("split called on a refused input")
+
+    # Split, this word would expand to 2^18 terms first.
+    long_word = qw(*([1, 2, 3] * 6))
+    monkeypatch.setattr(qvars, "split", unsplittable)
+    with pytest.raises(ValueError, match="degree 18 exceeds the requested bound 5"):
+        qvars.normalize_q(long_word, max_degree=5)
+    with pytest.raises(ValueError, match="variable index 3 exceeds n=2"):
+        qvars.normalize_q(long_word, n=2)
+
+
 def test_split_and_normalize_q_refuse_a_v_polynomial():
     # Read as q-words, v1*v2 would pass for q1*q2.
     for call in (split, normalize_q):

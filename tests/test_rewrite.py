@@ -16,11 +16,12 @@ from quatpoly.rewrite import (
     RewriteRule,
     RuleSet,
     _chain_redundant,
-    _closure_top,
+    _class_sizes,
     _first_match,
-    _first_step,
+    _full_top,
     _monic,
     _representative_overlaps,
+    _rewrite_at,
     _stays,
     check_groebner,
     complete,
@@ -366,14 +367,15 @@ def test_complete_decides_closure_from_its_generators(monkeypatch):
     class Decided(Exception):
         pass
 
-    real = rewrite._closure_top
+    real = rewrite._class_sizes
 
     def first_test(blocks):
-        # complete tests its generators before it builds any rule set.
-        raise Decided(real(blocks))
+        # complete counts its generators' classes before it builds any
+        # rule set.
+        raise Decided(_full_top(real(blocks)))
 
     def decided(gens):
-        monkeypatch.setattr(rewrite, "_closure_top", first_test)
+        monkeypatch.setattr(rewrite, "_class_sizes", first_test)
         with pytest.raises(Decided) as stop:
             complete(gens, 4)
         monkeypatch.undo()
@@ -765,12 +767,18 @@ def _as_dict(step):
     return None if step is None else dict(step)
 
 
-def test_first_step_and_reduce_once_match_linear_scan(base_v45, base_m4):
+def _engine_step(base, word):
+    # The engine's rewrite step: its matcher, then the rewrite there.
+    hit = _first_match(base, word)
+    return None if hit is None else _rewrite_at(base, hit[0], word, hit[1])
+
+
+def test_first_match_and_reduce_once_match_linear_scan(base_v45, base_m4):
     broken = RuleSet([r for r in base_m4.rules if r.lead != (3, 2, 4, 1)], degree_bound=4)
     for base in (base_v45, base_m4, broken):
         for d in range(6):
             for word in itertools.product((1, 2, 3, 4), repeat=d):
-                assert _as_dict(_first_step(base, word)) == _as_dict(_naive_step(base, word)), word
+                assert _as_dict(_engine_step(base, word)) == _as_dict(_naive_step(base, word)), word
                 if d <= base.degree_bound:
                     p = Polynomial.from_word(word, 3)
                     assert reduce_once(p, base) == _naive_reduce_once(p, base), word
@@ -810,7 +818,8 @@ def test_head_index_finds_the_leftmost_lead():
         assert base._head == head and heads in (None, base._heads)
         for _ in range(400):
             word = tuple(rng.randint(1, n) for _ in range(rng.randint(0, base.degree_bound or 9)))
-            assert _as_dict(_first_step(base, word)) == _as_dict(_naive_step(base, word)), (base, word)
+            step = _engine_step(base, word)
+            assert _as_dict(step) == _as_dict(_naive_step(base, word)), (base, word)
             assert is_normal_factorfree(word, base) == (_naive_step(base, word) is None)
 
 
@@ -1607,7 +1616,7 @@ def test_closure_check():
         for ordered in (descending(blocks), shuffled(blocks)):
             # Literal copies of a block count once.
             for listed in (ordered, ordered + ordered[::4]):
-                assert _closure_top(listed) == brute_top(listed) == top, listed
+                assert _full_top(_class_sizes(listed)) == brute_top(listed) == top, listed
 
 
 def test_a_raw_multiset_and_a_letter_pattern_get_memos_of_their_own(monkeypatch):
