@@ -34,8 +34,9 @@ pair's letters by bit mask before it forms the word, and one rule set
 grown from the last by the degree's new rules (``RuleSet.grown``), whose
 indexes and closure counts take only the new rules.  It skips every
 overlap whose word holds a third lead between the two (the chain
-criterion, ``_chain_redundant``); ``overlaps`` and ``check_groebner`` keep
-every overlap.
+criterion, ``_chain_redundant``), and its final check skips every overlap
+that a degree found zero in a letter multiset that gained no rule;
+``overlaps`` and ``check_groebner`` keep every overlap.
 
 ``check_groebner``, ``complete`` and ``inter_reduce`` normalize in bulk
 along one path, ``_normalize_by_block``, which gives the memo the lifetime
@@ -50,12 +51,13 @@ Every obstruction still takes a ``normalize`` call of its own, on its
 residue relabeled as below, and only a nonzero normal form is mapped
 back.  A polynomial whose words share one letter set and whose numerators
 are all ints is normalized once per relabeling class: the polynomials
-that relabel, as below, onto one polynomial on letters 1..k, over one
-denominator.  ``normalize`` sums such a polynomial as one block, relabeled
-or left alone, and divides by its denominator, so its normal form is the
-class's normal form mapped back onto its letters; this is exact.  Any
-other polynomial is a class of one, so a block holds two kinds of job,
-an obstruction and a class, and every class maps back one way.
+that relabel, as below, onto one polynomial on letters 1..k or onto its
+negative, over one denominator.  ``normalize`` sums such a polynomial as
+one block, relabeled or left alone, and divides by its denominator, and
+it is linear, so its normal form is the class's normal form mapped back
+onto its letters, with its sign; this is exact.  Any other polynomial
+is a class of one, so a block holds two kinds of job, an obstruction
+and a class, and every class maps back one way.
 
 A rule set is *closed* when it is invariant under every order-preserving
 relabeling of its alphabet 1..N, N its largest lead letter: grouping the
@@ -780,14 +782,16 @@ def _normalize_by_block(base: RuleSet, obs, polys):
     obstruction and a class.  A polynomial whose words share one letter
     set T and whose numerators are all ``int`` is keyed by its
     denominator and its pairs relabeled as ``_relabel_blocks`` relabels
-    them (T left alone keeps its pairs): its class is every polynomial
-    with its key, and the key is what is normalized.  Any other
-    polynomial is a class of one, normalized as it is.  A nonzero normal
-    form is mapped back onto each member's letters, those of its first
-    word when ``_relabel_blocks`` moves them.  This is exact:
-    ``normalize`` sums a keyed input as one block, relabeled onto 1..|T|
-    or left alone, and divides by the denominator, so its normal form is
-    the key's normal form mapped back onto T.
+    them (T left alone keeps its pairs), negated if need be so that its
+    largest word's coefficient is positive: its class is every
+    polynomial with its key, and the key is what is normalized.  Any
+    other polynomial is a class of one, normalized as it is.  A nonzero
+    normal form is mapped back onto each member's letters, those of its
+    first word when ``_relabel_blocks`` moves them, and negated for a
+    member that was.  This is exact: ``normalize`` sums a keyed input as
+    one block, relabeled onto 1..|T| or left alone, and divides by the
+    denominator, so its normal form is the key's normal form mapped back
+    onto T, and it is linear, so a negated input has the negated form.
 
     An obstruction joins the block of its word, a class that of any one
     of its polynomial's words; a zero polynomial is skipped.  A word's
@@ -802,6 +806,9 @@ def _normalize_by_block(base: RuleSet, obs, polys):
     for i, ob in enumerate(obs):
         jobs.setdefault(word_multiset(ob.word), []).append(i)
     classes = {}
+    # A polynomial and its negative share a key: the largest word takes a
+    # positive coefficient, and a member whose key was negated is marked.
+    negated = bytearray(len(polys))
     for i, p in enumerate(polys, n):
         data = p._data
         if not data:
@@ -810,6 +817,9 @@ def _normalize_by_block(base: RuleSet, obs, polys):
         blocks = list(_relabel_blocks(data.items(), top))
         if len(blocks) == 1 and _INT.issuperset(map(type, data.values())):
             ((_, local),) = blocks
+            if max(local)[1] < 0:
+                local = [(u, -c) for u, c in local]
+                negated[i - n] = 1
             key = (p._den, frozenset(local))
             if key in classes:
                 classes[key].append(i)
@@ -846,7 +856,10 @@ def _normalize_by_block(base: RuleSet, obs, polys):
                     q = polys[i - n]
                     at = sorted(set(next(iter(q._data))))
                     at = None if q is p or _stays(at, top) else at
-                    yield i, Polynomial._raw(_unlabel(at, nf._data), nf._den)
+                    data = _unlabel(at, nf._data)
+                    if negated[i - n]:
+                        data = {u: -c for u, c in data.items()}
+                    yield i, Polynomial._raw(data, nf._den)
 
 
 def check_groebner(
@@ -870,11 +883,11 @@ def check_groebner(
     generator joins the block of any one of its words.  ``normalize`` is
     called once per checked obstruction and once per generator class
     (``_normalize_by_block``): generators on one letter set with int
-    numerators that relabel onto one polynomial share one exact normal
-    form, mapped back onto each one's letters, and any other generator
-    is its own class.  Residues are reported in ``overlaps`` order,
-    generator residues in generator order.  The memo of ``base`` is
-    neither read nor written.
+    numerators that relabel onto one polynomial or its negative share one
+    exact normal form, mapped back onto each one's letters with each
+    one's sign, and any other generator is its own class.  Residues are
+    reported in ``overlaps`` order, generator residues in generator
+    order.  The memo of ``base`` is neither read nor written.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0, got %d" % max_degree)
@@ -954,6 +967,20 @@ def complete(generators, max_degree: int) -> RuleSet:
     that is not closed (N' = 0) checks every overlap.  So a returned set
     is genuinely locally confluent to the bound.
 
+    The final check lists its overlaps afresh, but skips each one that
+    a degree's batch normalized in a letter multiset that gained no
+    pivot there.  This is exact.  The echelon step works inside one
+    multiset, so every normal form of that batch on it was zero.  Rules
+    are homogeneous, so its normal forms read only words of its degree
+    t on that multiset, and the returned set rewrites each such word as
+    the set of the batch did: a lead inside it has degree at most t, a
+    degree-t lead there is the word itself, hence a pivot of that
+    multiset (a relabeled copy of a pivot lies on another letter set),
+    and growth keeps every older rule, its index and its tail.  So the
+    leftmost match, hence the normal form, is the same, and so is the
+    obstruction, which compares by rule indices, word and offsets.  An
+    overlap the degree loop never saw is checked.
+
     The degree loop and the final check both skip an overlap whose word
     W holds a lead occurrence strictly between rule a's lead, at offset
     0, and rule b's, at offset k (``_chain_redundant``; the chain
@@ -997,6 +1024,9 @@ def complete(generators, max_degree: int) -> RuleSet:
         if _stays(sorted(set(next(iter(p._data)))), top):
             by_degree.setdefault(p.degree(), []).append(p)
     base = RuleSet(degree_bound=max_degree)
+    # The batch obstructions of blocks that gained no pivot: zero against
+    # the rules that the returned set rewrites their words with.
+    verified = set()
     for t in range(max_degree + 1):
         obs = [
             ob
@@ -1009,6 +1039,8 @@ def complete(generators, max_degree: int) -> RuleSet:
                 p = p - pivots[lead].scale(p._at(lead))
             if p:
                 pivots[lead] = _monic(p)
+        gained = {word_multiset(lead) for lead in pivots}
+        verified.update(ob for ob in obs if word_multiset(ob.word) not in gained)
         if not pivots:
             continue
         # Back-reduce in ascending lead order: a tail holds only words
@@ -1033,7 +1065,7 @@ def complete(generators, max_degree: int) -> RuleSet:
     obs = [
         ob
         for ob in _representative_overlaps(base, max_degree, base._top)
-        if not _chain_redundant(base, ob)
+        if ob not in verified and not _chain_redundant(base, ob)
     ]
     if next(_normalize_by_block(base, obs, ()), None) is not None:
         raise RuntimeError("completion left an overlap residue at degree bound %d" % max_degree)

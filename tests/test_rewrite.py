@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import sys
@@ -463,8 +464,10 @@ def test_complete_hands_normalize_block_copies_only(monkeypatch):
         # only the blocks on letters 1..k.  Normalizing every letter set
         # would add the words of the degree-3 generators off 1..k, which
         # the empty set of rules, closed on no alphabet, cannot relabel
-        # onto 1..k.
-        assert len(steps) == 3614
+        # onto 1..k.  The final check normalizes only the overlaps the
+        # degree loop did not already find zero against the same rules
+        # (3,614 steps if it normalized them all).
+        assert len(steps) == 2438
         return _rule_map(out)
 
     gens = [g.element for g in gen_vector_syzygies(5)]
@@ -532,6 +535,112 @@ def test_complete_raises_when_a_degree_loses_closure(monkeypatch):
         with pytest.raises(RuntimeError, match=message):
             complete(gens, 5)
         monkeypatch.undo()
+
+
+def _homogeneous_extras(rng, n, count):
+    """``count`` random generators, each a sum of three rearrangements of
+    one random word on letters 1..n."""
+    out = []
+    for _ in range(count):
+        letters = [rng.randint(1, n) for _ in range(rng.randint(3, 5))]
+        p = Polynomial()
+        for _ in range(3):
+            rng.shuffle(letters)
+            p = p + w(*letters).scale(rng.randint(-3, 3))
+        out.append(p)
+    return out
+
+
+def test_complete_with_its_final_check_skipping_verified_overlaps_is_unchanged():
+    # The final check skips the overlaps that a degree's batch normalized
+    # to zero in a letter multiset that gained no rule.  The rules, tails
+    # and order stay those pinned here, and every overlap of the result,
+    # not only the representatives, resolves.
+    def rules_digest(base):
+        return hashlib.sha256("\n".join(map(repr, base.rules)).encode()).hexdigest()
+
+    def shuffled(gens, seed):
+        gens = list(gens)
+        random.Random(seed).shuffle(gens)
+        return gens
+
+    v = {n: [g.element for g in gen_vector_syzygies(n)] for n in (4, 5, 6)}
+    doubled = [v[5][0].scale(2)] + v[5][1:]
+    multilinear = [g.element for g in gen_multilinear_syzygies(5)]
+    extras = v[4] + _homogeneous_extras(random.Random(11), 4, 3)
+    cases = [
+        (shuffled(v[5], 47), 6, 5, "b079f7b17d29da9651ab4b966897334a4456cfddc1d9ca2ca00affaf128775e0"),
+        (shuffled(v[5], 5), 6, 5, "b079f7b17d29da9651ab4b966897334a4456cfddc1d9ca2ca00affaf128775e0"),
+        (shuffled(v[6], 47), 5, 6, "675c7b08daa45763c2a290e314e37fb5bd7f4cdd00e2b51c05c2a1c17afda47c"),
+        (shuffled(v[6], 5), 5, 6, "675c7b08daa45763c2a290e314e37fb5bd7f4cdd00e2b51c05c2a1c17afda47c"),
+        (v[4], 6, 4, "997f38470f0c43470acd6afe41049d9da710254de31f0a3a830af5706af0711f"),
+        # Not closed, so every block completes where it lies (N = 0); the
+        # result is closed all the same.
+        (doubled, 5, 5, "db9659973136521c37ea8d928a9e0f58fe8ca55abae0fb84b2bab5e3169a5c63"),
+        (multilinear, 5, 5, "b1edc7fbbe67faf73afc573ab2c96c908d02014c393a428ba769ee989e1d271f"),
+        # The extra generators leave a result closed on no alphabet.
+        (extras, 6, 0, "b106cacd4ff09e13af66932161767592e8f65bdfdcadb5cfe7b2a83b8fbf91a2"),
+    ]
+    for gens, d, top, digest in cases:
+        out = complete(gens, d)
+        assert (out._top, rules_digest(out)) == (top, digest), (d, top)
+        assert check_groebner(out, d).ok, (d, top)
+
+
+def test_complete_final_check_normalizes_only_what_its_degree_loop_left(monkeypatch):
+    import quatpoly.rewrite as rewrite
+
+    real = rewrite._normalize_by_block
+
+    def counted(base, obs, polys):
+        batches.append(len(obs))
+        return real(base, obs, polys)
+
+    monkeypatch.setattr(rewrite, "_normalize_by_block", counted)
+    # (n, d): obstructions the degree loop normalized, then those the
+    # final check normalizes.  Normalizing every representative overlap
+    # again would take as many as the loop at (5, 6) and (6, 5).
+    for n, d, loop, final in ((5, 6, 77, 37), (6, 5, 42, 21)):
+        batches = []
+        gens = [g.element for g in gen_vector_syzygies(n)]
+        random.Random(31).shuffle(gens)
+        complete(gens, d)
+        assert (sum(batches[:-1]), batches[-1]) == (loop, final), (n, d)
+
+
+def test_complete_final_check_catches_a_corrupted_rule_of_the_last_degree(monkeypatch):
+    # Flipping one tail coefficient of a new rule on letters 1..k, after
+    # the last degree grew the set, leaves the degree loop's verdicts
+    # stale: the final check must still find the residue.
+    import quatpoly.rewrite as rewrite
+
+    real = rewrite.RuleSet.grown
+
+    def corrupting(pick):
+        def grown(self, rules):
+            base = real(self, rules)
+            if len(base.rules[-1].lead) == 6:
+                new = [
+                    i
+                    for i in range(len(self.rules), len(base.rules))
+                    if _on_first_letters(set(base.rules[i].lead)) and base._tails[i]
+                ]
+                picked.append(len(new))
+                i = new[pick]
+                (u, c), *rest = base._tails[i]
+                base._tails = base._tails[:i] + ([(u, -c), *rest],) + base._tails[i + 1 :]
+            return base
+
+        return grown
+
+    gens = [g.element for g in gen_vector_syzygies(5)]
+    for pick in range(3):
+        picked = []
+        monkeypatch.setattr(rewrite.RuleSet, "grown", corrupting(pick))
+        with pytest.raises(RuntimeError, match="^completion left an overlap residue at degree bound 6$"):
+            complete(gens, 6)
+        monkeypatch.undo()
+        assert picked == [3]
 
 
 def _grown_sets(monkeypatch, gens, d):
@@ -1314,21 +1423,23 @@ def test_check_groebner_normalizes_each_generator_class_once(monkeypatch):
     random.Random(5).shuffle(gens)
     # One call per obstruction, and one per relabeling class of the 60
     # generators: 2 for V2, 3 for V3, whose V3(i, j, k) equals V3(j, i, k),
-    # and 24 for V4 on 1..4.
+    # and 12 for V4 on 1..4, whose V4(i, j, k, l) is -V4(k, j, i, l): a
+    # generator and its negative share a class.
     closed = gb_vector(4, 5)
     report = check_groebner(closed, 5, generators=gens)
     assert report.ok and closed._top == 4
-    assert (report.obstructions_checked, len(calls)) == (83, 83 + 29)
+    assert (report.obstructions_checked, len(calls)) == (83, 83 + 17)
     # The set is closed, so obstruction residues and class keys reach
     # normalize relabeled onto letters 1..k.
     assert all(set(u) == set(range(1, len(set(u)) + 1)) for p in calls for u in p._data)
-    # Not closed, N = 0: only copies share a key, 12 V2, 12 V3 and 24 V4.
+    # Not closed, N = 0: only copies and negatives share a key, 12 V2,
+    # 12 V3 and 12 V4.
     calls.clear()
     square = next(r for r in closed.rules if r.family == "VG3sq")
     not_closed = RuleSet([r for r in closed.rules if r is not square], degree_bound=5)
     report = check_groebner(not_closed, 5, generators=gens)
     assert not_closed._top == 0 and report.generator_residues
-    assert (report.obstructions_checked, len(calls)) == (73, 73 + 48)
+    assert (report.obstructions_checked, len(calls)) == (73, 73 + 36)
 
 
 def test_check_groebner_keeps_a_memo_for_one_block_only(monkeypatch):
